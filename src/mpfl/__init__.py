@@ -11,6 +11,7 @@ from .errors import (
     DataError,
     LayoutError,
     MpflError,
+    NodeError,
     ProtocolError,
     TransportError,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "LayoutError",
     "ModelParams",
     "MpflError",
+    "NodeError",
     "ProtocolError",
     "PruneMask",
     "ScoreVector",

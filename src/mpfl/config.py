@@ -20,13 +20,6 @@ CONFIG_VERSION = 1
 
 ALGORITHMS = ("mpfl", "pruning_fl", "lth_central", "fedavg")
 
-# Two schedule presets: five 10% rounds (the default) and a stretched
-# ten-round variant at the same per-round rate.
-SCHEDULE_PRESETS = {
-    "five_by_ten": [0.1] * 5,
-    "ten_by_ten": [0.1] * 10,
-}
-
 
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
@@ -91,7 +84,7 @@ class TrainingConfig:
 class PruningConfig:
     scoring: str = "weight"  # weight | gradient
     p: int = 2
-    schedule: list[float] = field(default_factory=lambda: list(SCHEDULE_PRESETS["five_by_ten"]))
+    schedule: list[float] = field(default_factory=lambda: [0.1] * 5)
     target_sparsity: float | None = None  # defaults to sum(schedule)
     min_keep: int | list[int] = 1
 

@@ -27,6 +27,17 @@ class TransportError(MpflError):
     """A transport session failed (disconnect, timeout, oversize frame)."""
 
 
+class NodeError(MpflError):
+    """A node failed during a round; the node's own exception is the cause."""
+
+    def __init__(self, node_id: int, round_idx: int, cause: BaseException):
+        super().__init__(
+            f"node {node_id} failed in round {round_idx}: {type(cause).__name__}: {cause}"
+        )
+        self.node_id = node_id
+        self.round_idx = round_idx
+
+
 class DataError(MpflError):
     """A dataset source could not be parsed or is internally inconsistent."""
 

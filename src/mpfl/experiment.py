@@ -1,6 +1,6 @@
 """Experiment orchestration: wiring nodes to the server and recording results.
 
-Three algorithms share one harness:
+Four algorithms share one harness:
 
 * ``mpfl``        - masked local training, bit-packed mask voting, then a
                     standard FedAvg fine-tuning phase on the frozen mask;
@@ -10,10 +10,15 @@ Three algorithms share one harness:
                     training, pruning, and rewinding happen centrally;
 * ``fedavg``      - the unpruned reference: ``mpfl`` with an empty schedule.
 
-All transmitted bytes flow through the framed wire codec over the configured
-transport, and every send is booked in the bandwidth ledger.  Node workers run
-on threads; the server's per-round collection is the only barrier, and all
-results are deterministic functions of the config seed.
+The federated algorithms run on one lockstep round loop: each round the
+server broadcasts, every node takes one step (adopt the broadcast, train or
+vote, upload), and the server reduces the uploads in node-id order into the
+next round.  Each protocol is written once, as its node steps and server
+reduces.  On the loopback transport the node steps run inline in node-id
+order, with no threads; over TCP each node runs them on its own thread.
+All transmitted bytes flow through the framed wire codec, every send is
+booked in the bandwidth ledger, and all results are deterministic functions
+of the config seed.
 """
 
 from __future__ import annotations
@@ -22,9 +27,10 @@ import csv
 import io
 import logging
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .data import (
     partition_iid,
     train_test_split,
 )
-from .errors import ConfigError, MpflError, TransportError
+from .errors import ConfigError, MpflError, NodeError, TransportError
 from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy, train_sgd
@@ -173,115 +179,225 @@ def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
     return nodes
 
 
-# --- transport wiring --------------------------------------------------------
+# --- lockstep rounds ---------------------------------------------------------
 
 
-class _Sessions:
-    """Per-node server endpoints plus the matching node-side endpoints."""
+@dataclass
+class _Round:
+    """One lockstep round: a broadcast, then a step on every node.
 
-    def __init__(self, cfg: ExperimentConfig, arch: ArchSpec, ledger: BandwidthLedger):
-        self.codec = WireCodec(arch, cfg.wire.precision_bits, cfg.wire.delta_masks)
-        self.ledger = ledger
-        self.server: dict[int, Endpoint] = {}
-        self.node_side: dict[int, Endpoint] = {}
-        self._tcp_server: TcpServer | None = None
-        if cfg.transport.kind == "loopback":
-            for i in range(cfg.nodes):
-                ps, nd = loopback_pair(i, self.codec, ledger)
-                self.server[i] = ps
-                self.node_side[i] = nd
-        else:
-            self._tcp_server = TcpServer(cfg.transport.host, cfg.transport.port)
-            host, port = self._tcp_server.address
-            connected: dict[int, Endpoint] = {}
-            errs: list[Exception] = []
+    ``ref`` is the mask the nodes hold before the broadcast, which encodes it;
+    ``mask`` is the global mask after it, which the nodes train under and
+    encode their uploads against; ``increment`` is the round's sparsity
+    increment.  A round without a ``step`` is the last: the nodes take the
+    broadcast and answer nothing.
+    """
 
-            def connect(i: int) -> None:
-                try:
-                    connected[i] = tcp_connect(host, port, i, self.codec, ledger)
-                except Exception as e:  # propagate to the main thread
-                    errs.append(e)
+    idx: int
+    down: Message
+    ref: PruneMask
+    mask: PruneMask
+    step: Callable[[Node, _Round], Message] | None
+    increment: float = 0.0
 
-            threads = [
-                threading.Thread(target=connect, args=(i,), daemon=True)
-                for i in range(cfg.nodes)
-            ]
-            for t in threads:
-                t.start()
-            for _ in range(cfg.nodes):
-                node_id, ep = self._tcp_server.accept_node(self.codec, ledger)
-                self.server[node_id] = ep
-            for t in threads:
-                t.join()
-            if errs:
-                raise TransportError(f"node connect failed: {errs[0]}")
-            self.node_side = connected
+
+def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
+    """A node's side of one round: adopt the broadcast, step, upload."""
+    msg = ep.recv(ref_mask=rnd.ref)
+    if msg.params is not None:
+        node.model = msg.params
+    if rnd.step is not None:
+        ep.send(rnd.step(node, rnd), ref_mask=rnd.mask)
+
+
+def _vote(node: Node, rnd: _Round) -> Message:
+    """Train under the global mask, then upload this node's mask vote."""
+    local = node.local_round(rnd.mask, rnd.increment)
+    return Message(MsgType.MASK_UPLOAD, rnd.idx, node_id=node.node_id, mask=local)
+
+
+def _sync(node: Node, rnd: _Round) -> Message:
+    """Upload the local model pruned to the global mask, without training."""
+    params = apply_mask(node.model, rnd.mask)
+    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=params)
+
+
+def _train(node: Node, rnd: _Round) -> Message:
+    """Train under the global mask, then upload the weights."""
+    node.train(rnd.mask)
+    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
+
+
+class _Loopback:
+    """In-process sessions: each node's exchange runs inline, in node-id order."""
+
+    def __init__(self, codec: WireCodec, ledger: BandwidthLedger, nodes: list[Node]):
+        self._links = [(node, *loopback_pair(node.node_id, codec, ledger)) for node in nodes]
+
+    def exchange(self, rnd: _Round) -> list[Message]:
+        """Broadcast, run every node's step, and gather the uploads in node-id order."""
+        uploads = []
+        for node, server, ep in self._links:
+            server.send(rnd.down, ref_mask=rnd.ref)
+            try:
+                _node_exchange(node, ep, rnd)
+            except Exception as e:
+                raise NodeError(node.node_id, rnd.idx, e) from e
+            if rnd.step is not None:
+                uploads.append(server.recv(ref_mask=rnd.mask))
+        return uploads
 
     def close(self) -> None:
-        for ep in list(self.server.values()) + list(self.node_side.values()):
+        pass
+
+
+class _Tcp:
+    """Socket sessions: each node keeps one thread for the whole run.
+
+    A node's memory is then allocated and freed on one thread.  Each step is
+    handed to the node's thread before the server writes the broadcast, so
+    every node is reading while a large frame goes out.  A node whose step
+    fails records the error and closes its socket, so the server's next read
+    from it fails at once; the round then raises a NodeError naming the node
+    and the round, chained from the node's error.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
+                 nodes: list[Node]):
+        self._failures: list[tuple[int, int, Exception]] = []
+        self._links: list[tuple[Node, Endpoint, Endpoint]] = []
+        self._threads = [ThreadPoolExecutor(1) for _ in nodes]
+        self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
+        try:
+            host, port = self._listener.address
+            connects = [
+                thread.submit(tcp_connect, host, port, node.node_id, codec, ledger)
+                for thread, node in zip(self._threads, nodes)
+            ]
+            server = dict(self._listener.accept_node(codec, ledger) for _ in nodes)
+            self._links = [
+                (node, server[node.node_id], c.result()) for node, c in zip(nodes, connects)
+            ]
+        except BaseException:
+            self.close()
+            raise
+
+    def _step(self, node: Node, ep: Endpoint, rnd: _Round) -> None:
+        try:
+            _node_exchange(node, ep, rnd)
+        except Exception as e:
+            self._failures.append((node.node_id, rnd.idx, e))
             ep.close()
-        if self._tcp_server:
-            self._tcp_server.close()
+
+    def _raise_failure(self) -> None:
+        if self._failures:
+            node_id, idx, e = self._failures[0]
+            raise NodeError(node_id, idx, e) from e
+
+    def exchange(self, rnd: _Round) -> list[Message]:
+        """Broadcast, run every node's step, and gather the uploads in node-id order."""
+        steps = [
+            thread.submit(self._step, node, ep, rnd)
+            for thread, (node, _, ep) in zip(self._threads, self._links)
+        ]
+        try:
+            for _, server, _ in self._links:
+                server.send(rnd.down, ref_mask=rnd.ref)
+            if rnd.step is None:
+                uploads = []
+            else:
+                uploads = [server.recv(ref_mask=rnd.mask) for _, server, _ in self._links]
+        except TransportError:
+            self._raise_failure()
+            raise
+        wait(steps)
+        self._raise_failure()
+        return uploads
+
+    def close(self) -> None:
+        for _, server, ep in self._links:
+            server.close()
+            ep.close()
+        self._listener.close()
+        for thread in self._threads:
+            thread.shutdown()
 
 
-class _WorkerPool:
-    """Runs one function per node on its own thread and re-raises failures."""
+def _drive(
+    cfg: ExperimentConfig,
+    env: Env,
+    ledger: BandwidthLedger,
+    nodes: list[Node],
+    start: Callable[[int, Message, PruneMask, PruneMask], _Round],
+    reduce: Callable[[_Round, list[Message]], _Round | None],
+) -> _Round:
+    """Run a protocol in lockstep from the initial broadcast; return the last round.
 
-    def __init__(self):
-        self.errors: list[BaseException] = []
-        self.threads: list[threading.Thread] = []
-
-    def spawn(self, fn, *args) -> None:
-        def run():
-            try:
-                fn(*args)
-            except BaseException as e:
-                self.errors.append(e)
-
-        t = threading.Thread(target=run, daemon=True)
-        self.threads.append(t)
-        t.start()
-
-    def join(self) -> None:
-        for t in self.threads:
-            t.join()
-        if self.errors:
-            raise self.errors[0]
+    ``start(idx, down, ref, mask)`` builds round ``idx`` from the broadcast
+    that opens it.  ``reduce`` is the server's side of a round: it takes the
+    uploads in node-id order and returns the next round, or None when the
+    run is over.  Both are passed here, not stored on the rounds, so that a
+    protocol's closures form no reference cycle and a run's nodes and data
+    are freed as soon as it returns.
+    """
+    codec = WireCodec(env.arch, cfg.wire.precision_bits, cfg.wire.delta_masks)
+    if cfg.transport.kind == "loopback":
+        sessions: _Loopback | _Tcp = _Loopback(codec, ledger, nodes)
+    else:
+        sessions = _Tcp(cfg, codec, ledger, nodes)
+    ones = PruneMask.ones(env.arch)
+    try:
+        rnd = start(1, Message(MsgType.INIT_WEIGHTS, 0, params=env.w0), ones, ones)
+        while rnd.step is not None:
+            # the uploads live only as reduce's argument, so they are freed
+            # before the next round's uploads arrive
+            nxt = reduce(rnd, sessions.exchange(rnd))
+            if nxt is None:
+                return rnd
+            rnd = nxt
+        sessions.exchange(rnd)
+        return rnd
+    finally:
+        sessions.close()
 
 
 # --- metrics helpers ---------------------------------------------------------
 
 
 class _RowRecorder:
+    """Per-round metrics; the bit columns are read from the ledger at the end,
+    once every message tagged with a round has been sent."""
+
     def __init__(self, algorithm: str, ledger: BandwidthLedger, n_nodes: int):
         self.algorithm = algorithm
         self.ledger = ledger
         self.n = n_nodes
-        self.rows: list[MetricsRow] = []
+        self._points: list[tuple[int, float, float]] = []
 
     def add(self, round_idx: int, sparsity: float, acc: float) -> None:
-        up = self.ledger.total_bits(direction=UP, round_idx=round_idx)
-        down = self.ledger.total_bits(direction=DOWN, round_idx=round_idx)
-        # bound the running total by round index: workers may already be
-        # sending next-round traffic when this row is cut
-        self.rows.append(
+        self._points.append((round_idx, sparsity, acc))
+
+    @property
+    def rows(self) -> list[MetricsRow]:
+        return [
             MetricsRow(
                 self.algorithm,
                 round_idx,
                 sparsity,
                 acc,
-                up // self.n,
-                down // self.n,
+                self.ledger.total_bits(direction=UP, round_idx=round_idx) // self.n,
+                self.ledger.total_bits(direction=DOWN, round_idx=round_idx) // self.n,
                 self.ledger.total_bits(round_le=round_idx),
             )
-        )
+            for round_idx, sparsity, acc in self._points
+        ]
 
 
 def _evaluate(model: ModelParams, test: Dataset) -> float:
     return accuracy(model, test.x, test.y)
 
 
-# --- the three protocols -----------------------------------------------------
+# --- the protocols -----------------------------------------------------------
 
 
 def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
@@ -299,206 +415,89 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     )
     rec = _RowRecorder(tag, ledger, cfg.nodes)
     target = cfg.pruning.resolved_target()
-    sessions = _Sessions(cfg, env.arch, ledger)
-    pool = _WorkerPool()
+    # the sync round is numbered after the full schedule, even on an early stop
+    sync_round = len(schedule) + 1
+    last_round = sync_round + cfg.final_rounds
     mask_history: list[PruneMask] = []
+    avg = env.w0
 
-    def worker(node: Node, ep: Endpoint) -> None:
-        ones = PruneMask.ones(env.arch)
-        msg = ep.recv(ref_mask=ones)
-        node.model = msg.params
-        gmask = ones
-        for k, inc in enumerate(schedule):
-            rnd = k + 1
-            local = node.local_round(gmask, inc)
-            ep.send(
-                Message(MsgType.MASK_UPLOAD, rnd, node_id=node.node_id, mask=local),
-                ref_mask=gmask,
-            )
-            gmask = ep.recv(ref_mask=gmask).mask
-            if gmask.sparsity() >= target - 1e-9:
-                break
-        # final-FL phase: sync upload, then broadcast/train/upload per round
-        sync_round = len(schedule) + 1
-        ep.send(
-            Message(
-                MsgType.WEIGHT_UPLOAD,
-                sync_round,
-                node_id=node.node_id,
-                params=apply_mask(node.model, gmask),
-            ),
-            ref_mask=gmask,
-        )
-        for r in range(cfg.final_rounds):
-            msg = ep.recv(ref_mask=gmask)
-            node.model = msg.params
-            node.train(gmask)
-            ep.send(
-                Message(
-                    MsgType.WEIGHT_UPLOAD,
-                    sync_round + 1 + r,
-                    node_id=node.node_id,
-                    params=node.model,
-                ),
-                ref_mask=gmask,
-            )
+    def start(idx: int, down: Message, ref: PruneMask, mask: PruneMask) -> _Round:
+        """Vote until the schedule ends or the target is reached, then sync."""
+        if idx <= len(schedule) and mask.sparsity() < target - 1e-9:
+            return _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
+        return _Round(sync_round, down, ref, mask, _sync)
 
-    try:
-        for i, node in enumerate(nodes):
-            pool.spawn(worker, node, sessions.node_side[i])
-
-        ones = PruneMask.ones(env.arch)
-        for i in sorted(sessions.server):
-            sessions.server[i].send(
-                Message(MsgType.INIT_WEIGHTS, 0, params=env.w0), ref_mask=ones
-            )
-
-        gmask = ones
-        for k, inc in enumerate(schedule):
-            rnd = k + 1
-            uploads = {}
-            for i in sorted(sessions.server):
-                msg = sessions.server[i].recv(ref_mask=gmask)
-                uploads[msg.node_id] = msg.mask
-            new_mask = ps.reduce([uploads[i] for i in sorted(uploads)], inc)
-            # workers are blocked on the broadcast here, so their models are
+    def reduce(rnd: _Round, uploads: list[Message]) -> _Round | None:
+        nonlocal avg
+        if rnd.step is _vote:
+            new_mask = ps.reduce([m.mask for m in uploads], rnd.increment)
+            # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate for reporting only
             probe = apply_mask(fedavg([n.model for n in nodes]), new_mask)
-            acc = _evaluate(probe, env.test)
+            rec.add(rnd.idx, new_mask.sparsity(), _evaluate(probe, env.test))
             mask_history.append(new_mask.copy())
-            for i in sorted(sessions.server):
-                sessions.server[i].send(
-                    Message(MsgType.GLOBAL_MASK, rnd, mask=new_mask), ref_mask=gmask
-                )
-            rec.add(rnd, new_mask.sparsity(), acc)
-            gmask = new_mask
-            if gmask.sparsity() >= target - 1e-9:
-                break
+            down = Message(MsgType.GLOBAL_MASK, rnd.idx, mask=new_mask)
+            return start(rnd.idx + 1, down, rnd.mask, new_mask)
+        avg = apply_mask(fedavg([m.params for m in uploads]), rnd.mask)
+        rec.add(rnd.idx, rnd.mask.sparsity(), _evaluate(avg, env.test))
+        if rnd.idx == last_round:
+            return None
+        down = Message(MsgType.GLOBAL_WEIGHTS, rnd.idx + 1, params=avg)
+        return _Round(rnd.idx + 1, down, rnd.mask, rnd.mask, _train)
 
-        sync_round = len(schedule) + 1
-        uploads = {}
-        for i in sorted(sessions.server):
-            msg = sessions.server[i].recv(ref_mask=gmask)
-            uploads[msg.node_id] = msg.params
-        avg = apply_mask(fedavg([uploads[i] for i in sorted(uploads)]), gmask)
-        rec.add(sync_round, gmask.sparsity(), _evaluate(avg, env.test))
-
-        for r in range(cfg.final_rounds):
-            rnd = sync_round + 1 + r
-            for i in sorted(sessions.server):
-                sessions.server[i].send(
-                    Message(MsgType.GLOBAL_WEIGHTS, rnd, params=avg), ref_mask=gmask
-                )
-            uploads = {}
-            for i in sorted(sessions.server):
-                msg = sessions.server[i].recv(ref_mask=gmask)
-                uploads[msg.node_id] = msg.params
-            avg = apply_mask(fedavg([uploads[i] for i in sorted(uploads)]), gmask)
-            rec.add(rnd, gmask.sparsity(), _evaluate(avg, env.test))
-
-        pool.join()
-    finally:
-        sessions.close()
-
+    last = _drive(cfg, env, ledger, nodes, start, reduce)
     return RunResult(
         cfg,
         rec.rows,
         ledger,
         avg,
-        gmask,
+        last.mask,
         mask_history=mask_history,
         budget_history=list(ps.budget_history),
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
     )
 
 
-def mask_from_zero_groups(params: ModelParams) -> PruneMask:
-    """Recover the prune mask from a broadcast model: all-zero groups are
-    pruned.  Valid because live trained groups are never exactly zero."""
-    layers = []
-    for i in range(len(params.weights)):
-        gm = params.group_matrix(i)
-        layers.append(np.any(gm != 0.0, axis=1))
-    return PruneMask(params.arch, layers)
-
-
 def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     """Server-side pruning baseline: full weights travel every round."""
     env = env or build_env(cfg)
-    schedule = list(cfg.pruning.schedule)
     ledger = BandwidthLedger(count_headers=cfg.wire.count_headers)
     nodes = _make_nodes(cfg, env)
     rec = _RowRecorder("pruning_fl", ledger, cfg.nodes)
-    sessions = _Sessions(cfg, env.arch, ledger)
-    pool = _WorkerPool()
     mask_history: list[PruneMask] = []
     # pruning rounds followed by fine-tuning rounds with no increment
-    increments = schedule + [0.0] * cfg.final_rounds
+    increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
     avg = env.w0.copy()
 
-    def worker(node: Node, ep: Endpoint) -> None:
-        ones = PruneMask.ones(env.arch)
-        node.model = ep.recv(ref_mask=ones).params
-        gmask = ones
-        for k in range(len(increments)):
-            rnd = k + 1
-            node.train(gmask)
-            ep.send(
-                Message(
-                    MsgType.WEIGHT_UPLOAD, rnd, node_id=node.node_id, params=node.model
-                ),
-                ref_mask=gmask,
+    def start(idx: int, down: Message, ref: PruneMask, mask: PruneMask) -> _Round:
+        """Train and upload while rounds remain; the last broadcast ends the run."""
+        if idx <= len(increments):
+            return _Round(idx, down, ref, mask, _train, increments[idx - 1])
+        return _Round(down.round_idx, down, ref, mask, None)
+
+    def reduce(rnd: _Round, uploads: list[Message]) -> _Round:
+        nonlocal avg
+        avg = fedavg([m.params for m in uploads])
+        new_mask = rnd.mask
+        if rnd.increment > 0.0:
+            new_mask = compute_mask(
+                weight_scores(avg, cfg.pruning.p), rnd.increment, rnd.mask, cfg.pruning.min_keep
             )
-            # the broadcast is encoded against the mask the nodes know; the
-            # newly pruned groups arrive as explicit zeros
-            msg = ep.recv(ref_mask=gmask)
-            node.model = msg.params
-            gmask = mask_from_zero_groups(msg.params)
+        avg = apply_mask(avg, new_mask)
+        rec.add(rnd.idx, new_mask.sparsity(), _evaluate(avg, env.test))
+        mask_history.append(new_mask.copy())
+        # the broadcast is encoded against the mask the nodes know; the newly
+        # pruned groups arrive as explicit zeros
+        down = Message(MsgType.GLOBAL_WEIGHTS, rnd.idx, params=avg)
+        return start(rnd.idx + 1, down, rnd.mask, new_mask)
 
-    try:
-        for i, node in enumerate(nodes):
-            pool.spawn(worker, node, sessions.node_side[i])
-
-        ones = PruneMask.ones(env.arch)
-        for i in sorted(sessions.server):
-            sessions.server[i].send(
-                Message(MsgType.INIT_WEIGHTS, 0, params=env.w0), ref_mask=ones
-            )
-
-        gmask = ones
-        for k, inc in enumerate(increments):
-            rnd = k + 1
-            uploads = {}
-            for i in sorted(sessions.server):
-                msg = sessions.server[i].recv(ref_mask=gmask)
-                uploads[msg.node_id] = msg.params
-            avg = fedavg([uploads[i] for i in sorted(uploads)])
-            if inc > 0.0:
-                new_mask = compute_mask(
-                    weight_scores(avg, cfg.pruning.p), inc, gmask, cfg.pruning.min_keep
-                )
-            else:
-                new_mask = gmask
-            avg = apply_mask(avg, new_mask)
-            acc = _evaluate(avg, env.test)
-            mask_history.append(new_mask.copy())
-            for i in sorted(sessions.server):
-                sessions.server[i].send(
-                    Message(MsgType.GLOBAL_WEIGHTS, rnd, params=avg), ref_mask=gmask
-                )
-            rec.add(rnd, new_mask.sparsity(), acc)
-            gmask = new_mask
-
-        pool.join()
-    finally:
-        sessions.close()
-
+    last = _drive(cfg, env, ledger, nodes, start, reduce)
     return RunResult(
         cfg,
         rec.rows,
         ledger,
         avg,
-        gmask,
+        last.mask,
         mask_history=mask_history,
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
     )

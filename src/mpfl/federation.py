@@ -27,7 +27,6 @@ from .nn import backward, train_sgd
 from .model import Batch
 from .pruning import (
     _min_keep_per_layer,
-    apply_mask,
     compute_mask,
     gradient_scores,
     prune_count,
@@ -233,23 +232,3 @@ class ParameterServer:
         self.budget_history.append(budget)
         self.global_mask = new
         return new
-
-
-def final_fl_phase(
-    nodes: Sequence[Node], global_mask: PruneMask, rounds: int
-) -> ModelParams:
-    """Standard FedAvg fine-tuning of the pruned network.
-
-    Round 0 is just the aggregation of the current local models; each further
-    round broadcasts the average, trains every node under the frozen mask, and
-    aggregates again.
-    """
-    if rounds < 0:
-        raise ConfigError("final phase rounds must be >= 0")
-    avg = apply_mask(fedavg([n.model for n in nodes]), global_mask)
-    for _ in range(rounds):
-        for node in nodes:
-            node.model = avg.copy()
-            node.train(global_mask)
-        avg = apply_mask(fedavg([n.model for n in nodes]), global_mask)
-    return avg

@@ -86,12 +86,6 @@ def sgd_step(
     return stepped if mask is None else apply_mask(stepped, mask)
 
 
-def masked_loss(model: ModelParams, mask: PruneMask, batch: Batch) -> float:
-    """Loss of the model with pruned groups zeroed out."""
-    _, loss = forward(apply_mask(model, mask), batch)
-    return loss
-
-
 def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
     _, logits = _affine_chain(model, x)
     return logits.argmax(axis=1)

@@ -8,7 +8,6 @@ rounding.  Already-pruned groups are frozen and never come back.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Sequence
 
@@ -16,8 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, LayoutError
 from .model import ArchSpec, Gradients, ModelParams, PruneMask, ScoreVector
-
-log = logging.getLogger(__name__)
 
 _RANK_EPS = 1e-9  # guards ceil() against float fuzz in fraction * count
 
@@ -57,27 +54,6 @@ def prune_count(n_live: int, fraction: float, min_keep: int) -> int:
     if n_live <= min_keep:
         return 0
     return min(nearest_rank(n_live, fraction), n_live - min_keep)
-
-
-def layer_threshold(
-    scores: np.ndarray, sparsity: float, frozen: np.ndarray | None = None
-) -> float:
-    """Nearest-rank sparsity-quantile of the non-frozen scores.
-
-    Groups scoring strictly below the returned value are prune candidates.
-    ``sparsity`` 0 returns 0.0, which keeps everything since scores are
-    non-negative.  If every group is frozen there is nothing to rank; the
-    threshold degrades to 0.0 with a logged warning.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    live = scores if frozen is None else scores[~np.asarray(frozen, dtype=bool)]
-    if live.size == 0:
-        log.warning("layer_threshold: all groups frozen, returning 0.0")
-        return 0.0
-    rank = nearest_rank(live.size, sparsity)
-    if rank == 0:
-        return 0.0
-    return float(np.sort(live)[rank - 1])
 
 
 def _min_keep_per_layer(arch: ArchSpec, min_keep: int | Sequence[int]) -> list[int]:

@@ -2,7 +2,9 @@
 
 An Endpoint owns one side of one node<->server channel.  Every send runs the
 frame through the shared codec and books the payload bits in the ledger, so
-the two transports are interchangeable byte for byte.
+the two transports are interchangeable byte for byte.  Loopback frames wait
+in in-process buffers and a read never blocks; TCP reads block up to the
+socket timeout.
 
 TCP sessions start with a 4-byte node id preamble so the server can label the
 connection before any protocol message flows; the preamble is session setup,
@@ -11,10 +13,10 @@ not payload, and is never booked.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .errors import ProtocolError, TransportError
 from .model import PruneMask
@@ -32,20 +34,23 @@ _PREAMBLE = struct.Struct("<I")
 _DEFAULT_TIMEOUT = 30.0
 
 
-class _QueueChannel:
-    """One direction of a loopback pair."""
+class _LoopbackChannel:
+    """One side of an in-process pair: frames queue in the peer's buffer.
 
-    def __init__(self):
-        self.q: queue.Queue[bytes] = queue.Queue()
+    Nothing blocks: a recv with no frame waiting raises at once.
+    """
+
+    def __init__(self, inbox: deque[bytes], outbox: deque[bytes]):
+        self._inbox = inbox
+        self._outbox = outbox
 
     def send_bytes(self, frame: bytes) -> None:
-        self.q.put(frame)
+        self._outbox.append(frame)
 
-    def recv_bytes(self, timeout: float) -> bytes:
-        try:
-            return self.q.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError("loopback recv timed out") from None
+    def recv_bytes(self) -> bytes:
+        if not self._inbox:
+            raise TransportError("loopback recv on an empty channel")
+        return self._inbox.popleft()
 
 
 class _SocketChannel:
@@ -77,8 +82,7 @@ class _SocketChannel:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv_bytes(self, timeout: float) -> bytes:
-        # timeout was fixed at connect time; per-call override not needed
+    def recv_bytes(self) -> bytes:
         return WireCodec.read_frame(self._read_exact)
 
     def close(self) -> None:
@@ -97,7 +101,6 @@ class Endpoint:
     ledger: BandwidthLedger
     send_direction: str  # UP for node endpoints, DOWN for the server side
     peer_node_id: int
-    timeout: float = _DEFAULT_TIMEOUT
 
     def send(self, msg: Message, ref_mask: PruneMask | None = None) -> bytes:
         frame = self.codec.encode(msg, ref_mask)
@@ -115,7 +118,7 @@ class Endpoint:
         return frame
 
     def recv(self, ref_mask: PruneMask | None = None) -> Message:
-        frame = self.channel.recv_bytes(self.timeout)
+        frame = self.channel.recv_bytes()
         return self.codec.decode(frame, ref_mask)
 
     def close(self) -> None:
@@ -124,28 +127,14 @@ class Endpoint:
             close()
 
 
-class _LoopbackDuplex:
-    def __init__(self, inbox: _QueueChannel, outbox: _QueueChannel):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send_bytes(self, frame: bytes) -> None:
-        self._outbox.send_bytes(frame)
-
-    def recv_bytes(self, timeout: float) -> bytes:
-        return self._inbox.recv_bytes(timeout)
-
-
 def loopback_pair(
     node_id: int, codec: WireCodec, ledger: BandwidthLedger
 ) -> tuple[Endpoint, Endpoint]:
-    """(server_side, node_side) endpoints joined by in-process queues."""
-    to_node = _QueueChannel()
-    to_server = _QueueChannel()
-    server = Endpoint(
-        _LoopbackDuplex(to_server, to_node), codec, ledger, DOWN, node_id
-    )
-    node = Endpoint(_LoopbackDuplex(to_node, to_server), codec, ledger, UP, node_id)
+    """(server_side, node_side) endpoints joined by in-process frame buffers."""
+    to_node: deque[bytes] = deque()
+    to_server: deque[bytes] = deque()
+    server = Endpoint(_LoopbackChannel(to_server, to_node), codec, ledger, DOWN, node_id)
+    node = Endpoint(_LoopbackChannel(to_node, to_server), codec, ledger, UP, node_id)
     return server, node
 
 
@@ -170,7 +159,7 @@ class TcpServer:
             raise TransportError("accept timed out") from None
         chan = _SocketChannel(sock, self.timeout)
         (node_id,) = _PREAMBLE.unpack(chan._read_exact(_PREAMBLE.size))
-        return node_id, Endpoint(chan, codec, ledger, DOWN, node_id, self.timeout)
+        return node_id, Endpoint(chan, codec, ledger, DOWN, node_id)
 
     def close(self) -> None:
         self._listener.close()
@@ -190,4 +179,4 @@ def tcp_connect(
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
     chan = _SocketChannel(sock, timeout)
     chan.send_bytes(_PREAMBLE.pack(node_id))
-    return Endpoint(chan, codec, ledger, UP, node_id, timeout)
+    return Endpoint(chan, codec, ledger, UP, node_id)

@@ -26,6 +26,12 @@ def random_mask(arch: ArchSpec, rng: np.random.Generator, keep_prob: float = 0.7
     return PruneMask(arch=arch, layers=layers)
 
 
+def zero_group_mask(params: ModelParams) -> PruneMask:
+    """The mask a model implies: a group is pruned iff its row and bias are all zero."""
+    layers = [np.any(params.group_matrix(i) != 0.0, axis=1) for i in range(len(params.weights))]
+    return PruneMask(params.arch, layers)
+
+
 @pytest.fixture
 def tiny_arch() -> ArchSpec:
     return make_arch(4, 8, 3)

@@ -4,7 +4,6 @@ import pytest
 
 from mpfl.config import (
     ALGORITHMS,
-    SCHEDULE_PRESETS,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -30,7 +29,7 @@ class TestDefaults:
         assert cfg.algorithm == "mpfl"
         assert cfg.nodes == 10
         assert cfg.final_rounds == 10
-        assert cfg.pruning.schedule == SCHEDULE_PRESETS["five_by_ten"]
+        assert cfg.pruning.schedule == [0.1] * 5
         assert cfg.consensus.strategy == "topk"
         assert cfg.wire.precision_bits == 32
         assert cfg.transport.kind == "loopback"
@@ -43,11 +42,6 @@ class TestDefaults:
     def test_target_sparsity_defaults_to_schedule_sum(self):
         cfg = config_from_dict(minimal_raw())
         assert cfg.pruning.resolved_target() == pytest.approx(0.5)
-
-    def test_presets(self):
-        assert sum(SCHEDULE_PRESETS["five_by_ten"]) == pytest.approx(0.5)
-        assert sum(SCHEDULE_PRESETS["ten_by_ten"]) == pytest.approx(1.0)
-        assert len(SCHEDULE_PRESETS["ten_by_ten"]) == 10
 
     def test_algorithms_tuple(self):
         assert set(ALGORITHMS) == {"mpfl", "pruning_fl", "lth_central", "fedavg"}

@@ -1,17 +1,19 @@
 """End-to-end runs: metrics schema, determinism, artifacts, comparisons."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from mpfl.config import config_from_dict
-from mpfl.errors import MpflError
+from mpfl.errors import MpflError, NodeError
 from mpfl.experiment import (
     CSV_HEADER,
     MetricsRow,
     build_env,
     compare,
     load_model,
-    mask_from_zero_groups,
     rows_to_csv,
     run,
     run_mpfl,
@@ -20,7 +22,7 @@ from mpfl.experiment import (
     write_metrics,
 )
 
-from conftest import make_arch, make_model, random_mask
+from conftest import make_arch, make_model, random_mask, zero_group_mask
 
 
 def small_raw(**extra):
@@ -93,7 +95,7 @@ class TestRunShape:
 
     def test_final_model_respects_mask(self):
         res = run(config_from_dict(small_raw()))
-        assert mask_from_zero_groups(res.final_model).issubset(res.final_mask)
+        assert zero_group_mask(res.final_model).issubset(res.final_mask)
 
     def test_cumulative_bits_match_ledger(self):
         res = run(config_from_dict(small_raw()))
@@ -144,10 +146,48 @@ class TestDeterminism:
         assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
 
     def test_tcp_transport_identical_metrics(self):
-        base = run(config_from_dict(small_raw()))
-        raw = small_raw(transport={"kind": "tcp"})
-        tcp = run(config_from_dict(raw))
-        assert rows_to_csv(base.rows) == rows_to_csv(tcp.rows)
+        for algorithm in ("mpfl", "pruning_fl", "fedavg"):
+            raw = small_raw(algorithm=algorithm)
+            if algorithm == "fedavg":
+                raw["pruning"] = {"schedule": []}
+            base = run(config_from_dict(raw))
+            tcp = run(config_from_dict({**raw, "transport": {"kind": "tcp"}}))
+            assert rows_to_csv(base.rows) == rows_to_csv(tcp.rows), algorithm
+            assert base.ledger.summary() == tcp.ledger.summary(), algorithm
+
+    def test_loopback_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("loopback run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for algorithm in ("mpfl", "pruning_fl"):
+            run(config_from_dict(small_raw(algorithm=algorithm)))
+
+
+class TestNodeFailure:
+    """A node that raises fails the run within the round, naming node and round."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
+    def test_node_error_names_node_and_round(self, monkeypatch, transport, algorithm):
+        from mpfl.federation import Node
+
+        train = Node.train
+
+        def failing_train(self, mask):
+            if self.node_id == 2:
+                raise RuntimeError("disk on fire")
+            return train(self, mask)
+
+        monkeypatch.setattr(Node, "train", failing_train)
+        cfg = config_from_dict(small_raw(algorithm=algorithm, transport={"kind": transport}))
+        start = time.monotonic()
+        with pytest.raises(NodeError, match="node 2 failed in round 1") as info:
+            run(cfg)
+        assert time.monotonic() - start < 5.0
+        assert (info.value.node_id, info.value.round_idx) == (2, 1)
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert "disk on fire" in str(info.value)
 
 
 class TestContaminationRuns:

@@ -15,7 +15,6 @@ from mpfl.federation import (
     consensus_histogram,
     consensus_topk,
     fedavg,
-    final_fl_phase,
     keep_budget,
 )
 from mpfl.model import ModelParams, PruneMask, ScoreVector, VoteHistogram
@@ -280,40 +279,3 @@ class TestNode:
         node.scoring = "gradient"
         vote = node.local_round(PruneMask.ones(arch), 0.25)
         assert vote.issubset(PruneMask.ones(arch))
-
-
-class TestFinalPhase:
-    def test_zero_rounds_is_masked_average(self):
-        arch = make_arch(4, 6, 3)
-        rng = np.random.default_rng(7)
-        from mpfl.data import make_blobs
-
-        nodes = []
-        for i in range(3):
-            ds = make_blobs(50, 4, 3, np.random.default_rng(i))
-            nodes.append(
-                Node(i, ds.x, ds.y, make_model(arch, seed=i), np.random.default_rng(50 + i))
-            )
-        mask = random_mask(arch, rng)
-        got = final_fl_phase(nodes, mask, rounds=0)
-        from mpfl.pruning import apply_mask
-
-        want = apply_mask(fedavg([n.model for n in nodes]), mask)
-        assert got.allclose(want)
-
-    def test_training_rounds_keep_mask(self):
-        arch = make_arch(4, 6, 3)
-        rng = np.random.default_rng(8)
-        from mpfl.data import make_blobs
-        from mpfl.experiment import mask_from_zero_groups
-
-        nodes = []
-        for i in range(3):
-            ds = make_blobs(60, 4, 3, np.random.default_rng(i + 10))
-            nodes.append(
-                Node(i, ds.x, ds.y, make_model(arch, seed=i), np.random.default_rng(70 + i),
-                     epochs_per_round=1, batch_size=16)
-            )
-        mask = random_mask(arch, rng)
-        got = final_fl_phase(nodes, mask, rounds=2)
-        assert mask_from_zero_groups(got).issubset(mask)

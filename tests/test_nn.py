@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from mpfl.model import Batch, PruneMask, init_params
-from mpfl.nn import accuracy, backward, forward, masked_loss, predict, sgd_step, train_sgd
+from mpfl.nn import accuracy, backward, forward, predict, sgd_step, train_sgd
 
-from conftest import make_arch, make_model, random_mask
+from conftest import make_arch, make_model, random_mask, zero_group_mask
 
 
 def scalar_forward(model, x, y):
@@ -209,9 +209,7 @@ class TestTrain:
         mask = random_mask(arch, np.random.default_rng(3))
         trained, _ = train_sgd(model, ds.x, ds.y, lr=0.1, epochs=4, batch_size=16,
                                rng=np.random.default_rng(5), mask=mask)
-        from mpfl.experiment import mask_from_zero_groups
-
-        assert mask_from_zero_groups(trained).issubset(mask)
+        assert zero_group_mask(trained).issubset(mask)
 
 
 class TestPredictAccuracy:
@@ -225,14 +223,3 @@ class TestPredictAccuracy:
         y = rng.integers(0, 3, size=10)
         acc = accuracy(tiny_model, x, y)
         assert 0.0 <= acc <= 1.0
-
-    def test_masked_loss_equals_loss_of_masked_model(self, tiny_model, tiny_arch, rng):
-        from mpfl.pruning import apply_mask
-
-        mask = random_mask(tiny_arch, rng)
-        x = rng.normal(size=(5, 4))
-        y = rng.integers(0, 3, size=5)
-        batch = Batch(x=x, y=y)
-        assert masked_loss(tiny_model, mask, batch) == pytest.approx(
-            forward(apply_mask(tiny_model, mask), batch)[1]
-        )

@@ -17,7 +17,6 @@ from mpfl.pruning import (
     apply_mask,
     compute_mask,
     gradient_scores,
-    layer_threshold,
     nearest_rank,
     prune_count,
     weight_scores,
@@ -144,33 +143,6 @@ class TestPruneCount:
         k = prune_count(n_live, frac, floor)
         assert 0 <= k <= n_live
         assert n_live - k >= min(floor, n_live)
-
-
-class TestLayerThreshold:
-    def test_decile_examples(self):
-        scores = np.arange(1.0, 11.0)  # 1..10
-        assert layer_threshold(scores, 0.1) == pytest.approx(1.0)
-        assert layer_threshold(scores, 0.3) == pytest.approx(3.0)
-        assert layer_threshold(scores, 1.0) == pytest.approx(10.0)
-
-    def test_zero_sparsity_keeps_all(self):
-        assert layer_threshold(np.array([4.0, 2.0, 9.0]), 0.0) == 0.0
-
-    def test_unsorted_input(self):
-        scores = np.array([7.0, 1.0, 5.0, 3.0])
-        assert layer_threshold(scores, 0.5) == pytest.approx(3.0)
-
-    def test_frozen_groups_excluded(self):
-        scores = np.array([1.0, 2.0, 3.0, 4.0])
-        frozen = np.array([True, True, False, False])
-        # live scores are 3 and 4; median cut lands on 3
-        assert layer_threshold(scores, 0.5, frozen=frozen) == pytest.approx(3.0)
-
-    def test_all_frozen_warns(self, caplog):
-        with caplog.at_level("WARNING"):
-            got = layer_threshold(np.array([1.0, 2.0]), 0.5, frozen=np.array([True, True]))
-        assert got == 0.0
-        assert any("frozen" in r.message for r in caplog.records)
 
 
 class TestComputeMask:
