@@ -415,17 +415,17 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     )
     rec = _RowRecorder(tag, ledger, cfg.nodes)
     target = cfg.pruning.resolved_target()
-    # the sync round is numbered after the full schedule, even on an early stop
-    sync_round = len(schedule) + 1
-    last_round = sync_round + cfg.final_rounds
+    last_round = 0  # set when the sync round starts, right after the last vote
     mask_history: list[PruneMask] = []
     avg = env.w0
 
     def start(idx: int, down: Message, ref: PruneMask, mask: PruneMask) -> _Round:
         """Vote until the schedule ends or the target is reached, then sync."""
+        nonlocal last_round
         if idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             return _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
-        return _Round(sync_round, down, ref, mask, _sync)
+        last_round = idx + cfg.final_rounds
+        return _Round(idx, down, ref, mask, _sync)
 
     def reduce(rnd: _Round, uploads: list[Message]) -> _Round | None:
         nonlocal avg

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .model import ArchSpec, Batch, Gradients, ModelParams, PruneMask
+from .model import Batch, Gradients, ModelParams, PruneMask
 from .pruning import apply_mask
 
 
@@ -22,17 +22,12 @@ def _check_input(model: ModelParams, batch: Batch) -> None:
         raise ConfigError("labels outside [0, num_classes)")
 
 
-def _affine_chain(model: ModelParams, x: np.ndarray):
-    """Forward pass keeping the post-activation inputs of every dense layer."""
+def _affine_chain(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray):
+    """Forward pass: the input of every dense layer, and the logits."""
     inputs = [x]
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        h = np.maximum(z, 0.0) if i < last else z
-        if i < last:
-            inputs.append(h)
-    return inputs, h  # h is the logits
+    for w, b in zip(weights[:-1], biases[:-1]):
+        inputs.append(np.maximum(inputs[-1] @ w.T + b, 0.0))
+    return inputs, inputs[-1] @ weights[-1].T + biases[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -40,54 +35,49 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
+def _mean_nll(log_probs: np.ndarray, y: np.ndarray) -> float:
+    return -float(log_probs[np.arange(len(y)), y].mean())
+
+
+def _gradients(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, y: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """Gradients of the batch-mean loss, and the loss, from one forward pass."""
+    inputs, logits = _affine_chain(weights, biases, x)
+    log_probs = _log_softmax(logits)
+    loss = _mean_nll(log_probs, y)
+    n = len(y)
+
+    delta = np.exp(log_probs)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+
+    g_w, g_b = [np.empty(0)] * len(weights), [np.empty(0)] * len(biases)
+    for i in range(len(weights) - 1, -1, -1):
+        g_w[i] = delta.T @ inputs[i]
+        g_b[i] = delta.sum(axis=0)
+        if i > 0:
+            # ReLU derivative: the cached activation is positive iff the unit fired
+            delta = (delta @ weights[i]) * (inputs[i] > 0)
+    return g_w, g_b, loss
+
+
 def forward(model: ModelParams, batch: Batch) -> tuple[np.ndarray, float]:
     """Logits and mean softmax cross-entropy loss for one batch."""
     _check_input(model, batch)
-    _, logits = _affine_chain(model, batch.x)
-    ls = _log_softmax(logits)
-    loss = -float(ls[np.arange(len(batch)), batch.y].mean())
-    return logits, loss
+    _, logits = _affine_chain(model.weights, model.biases, batch.x)
+    return logits, _mean_nll(_log_softmax(logits), batch.y)
 
 
 def backward(model: ModelParams, batch: Batch) -> Gradients:
     """Exact gradient of the batch-mean loss, same layout as the model."""
     _check_input(model, batch)
-    inputs, logits = _affine_chain(model, batch.x)
-    n = len(batch)
-
-    probs = np.exp(_log_softmax(logits))
-    delta = probs
-    delta[np.arange(n), batch.y] -= 1.0
-    delta /= n
-
-    g_w = [np.empty(0)] * len(model.weights)
-    g_b = [np.empty(0)] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        g_w[i] = delta.T @ inputs[i]
-        g_b[i] = delta.sum(axis=0)
-        if i > 0:
-            # ReLU derivative: the cached activation is positive iff the unit fired
-            delta = (delta @ model.weights[i]) * (inputs[i] > 0)
+    g_w, g_b, _ = _gradients(model.weights, model.biases, batch.x, batch.y)
     return Gradients(model.arch, g_w, g_b)
 
 
-def sgd_step(
-    model: ModelParams,
-    grads: Gradients,
-    lr: float,
-    mask: PruneMask | None = None,
-) -> ModelParams:
-    """One step of w' = (w - lr * g), projected onto the mask if given."""
-    if lr < 0:
-        raise ConfigError(f"learning rate must be non-negative, got {lr}")
-    weights = [w - lr * g for w, g in zip(model.weights, grads.weights)]
-    biases = [b - lr * g for b, g in zip(model.biases, grads.biases)]
-    stepped = ModelParams(model.arch, weights, biases)
-    return stepped if mask is None else apply_mask(stepped, mask)
-
-
 def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
-    _, logits = _affine_chain(model, x)
+    _, logits = _affine_chain(model.weights, model.biases, x)
     return logits.argmax(axis=1)
 
 
@@ -108,25 +98,35 @@ def train_sgd(
 ) -> tuple[ModelParams, float]:
     """Plain minibatch SGD; returns the trained model and the last batch loss.
 
-    With a mask the pruned groups stay exactly zero after every step, so the
-    loss being optimized is the masked one throughout.
+    Each step updates a private copy in place, w -= lr * g, then re-zeroes the
+    pruned groups, so with a mask the loss being optimized is the masked one
+    throughout.  The caller's model is never modified.
     """
-    if epochs < 0 or batch_size <= 0:
-        raise ConfigError("epochs must be >= 0 and batch_size positive")
-    if mask is not None:
-        model = apply_mask(model, mask)
+    if lr < 0 or epochs < 0 or batch_size <= 0:
+        raise ConfigError(
+            f"need lr >= 0, epochs >= 0 and batch_size > 0, got {lr}, {epochs}, {batch_size}"
+        )
+    full = Batch(x, y)
+    _check_input(model, full)
+    model = model.copy() if mask is None else apply_mask(model, mask)
     if epochs == 0:
         # no steps taken: report the current loss rather than a bogus NaN
-        _, loss = forward(model, Batch(x, y))
+        _, loss = forward(model, full)
         return model, loss
+    weights, biases = model.weights, model.biases
     last_loss = float("nan")
     n = x.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            batch = Batch(x[idx], y[idx])
-            _, last_loss = forward(model, batch)
-            grads = backward(model, batch)
-            model = sgd_step(model, grads, lr, mask)
+            g_w, g_b, last_loss = _gradients(weights, biases, x[idx], y[idx])
+            for w, b, gw, gb in zip(weights, biases, g_w, g_b):
+                w -= lr * gw
+                b -= lr * gb
+            if mask is not None:
+                # the same multiply as apply_mask, so values match it bit for bit
+                for w, b, bits in zip(weights, biases, mask.layers):
+                    w *= bits[:, None]
+                    b *= bits
     return model, last_loss

@@ -21,6 +21,7 @@ from mpfl.experiment import (
     summary_csv,
     write_metrics,
 )
+from mpfl.wire import UP
 
 from conftest import make_arch, make_model, random_mask, zero_group_mask
 
@@ -79,6 +80,22 @@ class TestRunShape:
         assert len(res.rows) == n_sched + 1 + cfg.final_rounds
         assert [r.round_idx for r in res.rows] == list(range(1, len(res.rows) + 1))
         assert all(r.algorithm == "mpfl" for r in res.rows)
+
+    def test_early_stop_numbers_rounds_contiguously(self):
+        """Consensus that reaches the target early ends the vote; the sync and
+        fine-tuning rounds follow the last vote round with no gap."""
+        raw = small_raw(nodes=8, consensus={"strategy": "histogram", "agreement": 1.0})
+        raw["pruning"]["schedule"] = [0.05] * 8
+        res = run(config_from_dict(raw))
+        votes = len(res.mask_history)
+        assert votes < 8
+        rounds = [r.round_idx for r in res.rows]
+        assert rounds == list(range(1, votes + 2 + res.config.final_rounds))
+        sync = res.rows[votes]
+        assert sync.bits_up_per_node > 0
+        assert sync.bits_up_per_node == res.ledger.total_bits(direction=UP, round_idx=sync.round_idx) // 8
+        for row in res.rows:
+            assert row.cumulative_bits == res.ledger.total_bits(round_le=row.round_idx)
 
     def test_sparsity_is_monotone_nondecreasing(self):
         res = run(config_from_dict(small_raw()))

@@ -2,14 +2,17 @@
 
 The backward pass is checked against central finite differences, and the
 forward pass against a plain scalar-loop reimplementation, so neither test
-shares code with the implementation under test.
+shares code with the implementation under test.  Training is checked against
+a reference loop that takes each step from the public pieces.
 """
 
 import numpy as np
 import pytest
 
-from mpfl.model import Batch, PruneMask, init_params
-from mpfl.nn import accuracy, backward, forward, predict, sgd_step, train_sgd
+from mpfl.errors import ConfigError
+from mpfl.model import Batch, ModelParams, PruneMask, init_params
+from mpfl.nn import accuracy, backward, forward, predict, train_sgd
+from mpfl.pruning import apply_mask
 
 from conftest import make_arch, make_model, random_mask, zero_group_mask
 
@@ -58,6 +61,40 @@ def numeric_gradient(model, batch, h=1e-5):
                 arr[idx] = orig
                 garr[idx] = (lp - lm) / (2 * h)
     return grads
+
+
+def one_step(model, x, y, lr, mask=None):
+    """A single SGD step of train_sgd: one epoch, one batch holding every row."""
+    return train_sgd(model, x, y, lr=lr, epochs=1, batch_size=len(x),
+                     rng=np.random.default_rng(0), mask=mask)
+
+
+def reference_train(model, x, y, *, lr, epochs, batch_size, rng, mask=None):
+    """Minibatch SGD step by step: backward, w - lr * g, then apply_mask."""
+    if mask is not None:
+        model = apply_mask(model, mask)
+    if epochs == 0:
+        return model, forward(model, Batch(x, y))[1]
+    loss = float("nan")
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), batch_size):
+            idx = order[start : start + batch_size]
+            batch = Batch(x[idx], y[idx])
+            _, loss = forward(model, batch)
+            grads = backward(model, batch)
+            model = ModelParams(
+                model.arch,
+                [w - lr * g for w, g in zip(model.weights, grads.weights)],
+                [b - lr * g for b, g in zip(model.biases, grads.biases)],
+            )
+            if mask is not None:
+                model = apply_mask(model, mask)
+    return model, loss
+
+
+def param_bytes(model):
+    return [a.tobytes() for a in model.weights + model.biases]
 
 
 def rel_err(a, b):
@@ -137,7 +174,7 @@ class TestBackward:
         y = rng.integers(0, 3, size=32)
         batch = Batch(x=x, y=y)
         _, before = forward(model, batch)
-        stepped = sgd_step(model, backward(model, batch), lr=0.05)
+        stepped, _ = one_step(model, x, y, lr=0.05)
         _, after = forward(stepped, batch)
         assert after < before
 
@@ -146,32 +183,104 @@ class TestSgd:
     def test_zero_lr_is_identity(self, tiny_model, rng):
         x = rng.normal(size=(4, 4))
         y = rng.integers(0, 3, size=4)
-        stepped = sgd_step(tiny_model, backward(tiny_model, Batch(x=x, y=y)), lr=0.0)
-        assert stepped.allclose(tiny_model)
+        stepped, _ = one_step(tiny_model, x, y, lr=0.0)
+        assert param_bytes(stepped) == param_bytes(tiny_model)
 
     def test_masked_step_keeps_pruned_groups_zero(self, tiny_arch, rng):
         model = make_model(tiny_arch, seed=6)
         mask = random_mask(tiny_arch, rng)
-        from mpfl.pruning import apply_mask
-
         model = apply_mask(model, mask)
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
-        stepped = sgd_step(model, backward(model, Batch(x=x, y=y)), lr=0.1, mask=mask)
+        stepped, _ = one_step(model, x, y, lr=0.1, mask=mask)
         for li, keep in enumerate(mask.layers):
             dead = ~keep
             np.testing.assert_array_equal(stepped.weights[li][dead], 0.0)
             np.testing.assert_array_equal(stepped.biases[li][dead], 0.0)
 
     def test_masked_matches_manual(self, tiny_model, tiny_arch, rng):
+        """The step starts from the masked model: (w - lr * g(masked w)) * keep."""
         mask = random_mask(tiny_arch, rng)
         x = rng.normal(size=(4, 4))
         y = rng.integers(0, 3, size=4)
-        grads = backward(tiny_model, Batch(x=x, y=y))
-        got = sgd_step(tiny_model, grads, lr=0.2, mask=mask)
+        masked = apply_mask(tiny_model, mask)
+        grads = backward(masked, Batch(x=x, y=y))
+        got, _ = one_step(tiny_model, x, y, lr=0.2, mask=mask)
         for li, keep in enumerate(mask.layers):
-            want_w = (tiny_model.weights[li] - 0.2 * grads.weights[li]) * keep[:, None]
+            want_w = (masked.weights[li] - 0.2 * grads.weights[li]) * keep[:, None]
+            want_b = (masked.biases[li] - 0.2 * grads.biases[li]) * keep
             np.testing.assert_allclose(got.weights[li], want_w)
+            np.testing.assert_allclose(got.biases[li], want_b)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"lr": -0.1}, {"epochs": -1}, {"batch_size": 0}],
+        ids=["negative_lr", "negative_epochs", "zero_batch"],
+    )
+    def test_bad_settings_rejected(self, tiny_model, rng, kwargs):
+        x = rng.normal(size=(4, 4))
+        y = rng.integers(0, 3, size=4)
+        settings = {"lr": 0.1, "epochs": 1, "batch_size": 4, **kwargs}
+        with pytest.raises(ConfigError):
+            train_sgd(tiny_model, x, y, rng=rng, **settings)
+
+    @pytest.mark.parametrize("features, label", [(5, 0), (4, 3), (4, -1)],
+                             ids=["features", "label_high", "label_negative"])
+    def test_bad_inputs_rejected(self, tiny_model, rng, features, label):
+        x = rng.normal(size=(6, features))
+        y = np.zeros(6, dtype=int)
+        y[-1] = label
+        with pytest.raises(ConfigError):
+            train_sgd(tiny_model, x, y, lr=0.1, epochs=1, batch_size=4, rng=rng)
+
+
+def _mask_pruning_output(arch, rng):
+    mask = random_mask(arch, rng)
+    mask.layers[-1][1] = False
+    return mask
+
+
+def _mask_dead_hidden(arch, rng):
+    """Every group of the first hidden layer pruned, as min_keep=0 allows."""
+    mask = random_mask(arch, rng)
+    mask.layers[0][:] = False
+    return mask
+
+
+# dims, rows, batch_size, epochs, mask maker
+EXACT_CASES = {
+    "no_mask": ((6, 10, 3), 48, 16, 2, None),
+    "mask_prunes_output": ((6, 10, 3), 48, 16, 2, _mask_pruning_output),
+    "two_hidden": ((6, 10, 8, 3), 48, 16, 2, _mask_pruning_output),
+    "two_hidden_no_mask": ((6, 10, 8, 3), 48, 16, 2, None),
+    "ragged_last_batch": ((6, 10, 3), 50, 16, 3, random_mask),
+    "dead_hidden_layer": ((6, 10, 8, 3), 48, 16, 2, _mask_dead_hidden),
+    "epochs_0": ((6, 10, 3), 48, 16, 0, random_mask),
+    "epochs_0_no_mask": ((6, 10, 3), 48, 16, 0, None),
+}
+
+
+class TestTrainExact:
+    """train_sgd equals the step-by-step reference bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_matches_reference_loop(self, case):
+        dims, rows, batch_size, epochs, make_mask = EXACT_CASES[case]
+        data = np.random.default_rng(21)
+        arch = make_arch(*dims)
+        model = make_model(arch, seed=8)
+        mask = None if make_mask is None else make_mask(arch, data)
+        x = data.normal(size=(rows, dims[0]))
+        y = data.integers(0, dims[-1], size=rows)
+        before = param_bytes(model)
+        settings = dict(lr=0.3, epochs=epochs, batch_size=batch_size, mask=mask)
+
+        got, got_loss = train_sgd(model, x, y, rng=np.random.default_rng(5), **settings)
+        assert param_bytes(model) == before
+        want, want_loss = reference_train(model, x, y, rng=np.random.default_rng(5), **settings)
+        assert param_bytes(got) == param_bytes(want)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert np.isfinite(got_loss)
 
 
 class TestTrain:
