@@ -41,6 +41,11 @@ def _as_str(val: Any, path: str) -> str:
     return val
 
 
+def _as_bool(val: Any, path: str) -> bool:
+    _require(isinstance(val, bool), path, f"expected true or false, got {val!r}")
+    return val
+
+
 def _as_dict(val: Any, path: str) -> dict:
     _require(isinstance(val, dict), path, f"expected a mapping, got {type(val).__name__}")
     return val
@@ -85,11 +90,7 @@ class PruningConfig:
     scoring: str = "weight"  # weight | gradient
     p: int = 2
     schedule: list[float] = field(default_factory=lambda: [0.1] * 5)
-    target_sparsity: float | None = None  # defaults to sum(schedule)
     min_keep: int | list[int] = 1
-
-    def resolved_target(self) -> float:
-        return sum(self.schedule) if self.target_sparsity is None else self.target_sparsity
 
 
 @dataclass
@@ -151,11 +152,6 @@ class ExperimentConfig:
         for i, inc in enumerate(self.pruning.schedule):
             _require(0.0 < inc < 1.0, f"pruning.schedule[{i}]",
                      f"increments must be in (0, 1), got {inc}")
-        target = self.pruning.resolved_target()
-        _require(abs(sum(self.pruning.schedule) - target) < 1e-9,
-                 "pruning.target_sparsity",
-                 f"schedule increments sum to {sum(self.pruning.schedule):.6g}, "
-                 f"not the target {target:.6g}")
         _require(self.consensus.strategy in ("topk", "histogram"), "consensus.strategy",
                  f"must be 'topk' or 'histogram', got {self.consensus.strategy!r}")
         _require(0.0 < self.consensus.agreement <= 1.0, "consensus.agreement",
@@ -199,13 +195,25 @@ class ExperimentConfig:
         return self
 
 
+def _as_type(kind: str, val: Any, path: str) -> Any:
+    """Check ``val`` against a section field's annotation, e.g. ``list[float]``."""
+    if kind == "int | list[int]":
+        kind = "list[int]" if isinstance(val, list) else "int"
+    if kind.startswith("list["):
+        _require(isinstance(val, list), path, f"expected a list, got {val!r}")
+        return [_as_type(kind[5:-1], v, f"{path}[{i}]") for i, v in enumerate(val)]
+    return {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}[kind](val, path)
+
+
 def _build(cls, raw: dict, path: str):
-    """Construct a section dataclass, rejecting unknown keys with their path."""
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    for key in raw:
-        _require(key in known, f"{path}.{key}" if path else key, "unknown key")
+    """Construct a section dataclass, checking each key and value type with its path."""
+    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+    kwargs = {}
+    for key, val in raw.items():
+        _require(key in fields, f"{path}.{key}", "unknown key")
+        kwargs[key] = _as_type(fields[key].type, val, f"{path}.{key}")
     try:
-        return cls(**raw)
+        return cls(**kwargs)
     except TypeError as e:
         raise ConfigError(f"{path}: {e}") from None
 

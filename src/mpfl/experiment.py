@@ -10,12 +10,13 @@ Four algorithms share one harness:
                     training, pruning, and rewinding happen centrally;
 * ``fedavg``      - the unpruned reference: ``mpfl`` with an empty schedule.
 
-The federated algorithms run on one lockstep round loop: each round the
-server broadcasts, every node takes one step (adopt the broadcast, train or
-vote, upload), and the server reduces the uploads in node-id order into the
-next round.  Each protocol is written once, as its node steps and server
-reduces.  On the loopback transport the node steps run inline in node-id
-order, with no threads; over TCP each node runs them on its own thread.
+Each federated protocol is one straight-line loop of lockstep rounds in its
+``run_*`` function.  A round is one ``sessions.exchange``: the server
+broadcasts, every node takes one step (adopt the broadcast, train or vote,
+upload), and the uploads come back in node-id order; the loop then reduces
+them inline into the next round's broadcast.  On the loopback transport the
+node steps run inline in node-id order, with no threads; over TCP each node
+runs them on its own thread.
 All transmitted bytes flow through the framed wire codec, every send is
 booked in the bandwidth ledger, and all results are deterministic functions
 of the config seed.
@@ -28,6 +29,7 @@ import io
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -323,42 +325,13 @@ class _Tcp:
             thread.shutdown()
 
 
-def _drive(
-    cfg: ExperimentConfig,
-    env: Env,
-    ledger: BandwidthLedger,
-    nodes: list[Node],
-    start: Callable[[int, Message, PruneMask, PruneMask], _Round],
-    reduce: Callable[[_Round, list[Message]], _Round | None],
-) -> _Round:
-    """Run a protocol in lockstep from the initial broadcast; return the last round.
-
-    ``start(idx, down, ref, mask)`` builds round ``idx`` from the broadcast
-    that opens it.  ``reduce`` is the server's side of a round: it takes the
-    uploads in node-id order and returns the next round, or None when the
-    run is over.  Both are passed here, not stored on the rounds, so that a
-    protocol's closures form no reference cycle and a run's nodes and data
-    are freed as soon as it returns.
-    """
+def _sessions(cfg: ExperimentConfig, env: Env, ledger: BandwidthLedger,
+              nodes: list[Node]) -> _Loopback | _Tcp:
+    """Open the server's sessions with the nodes over the configured transport."""
     codec = WireCodec(env.arch, cfg.wire.precision_bits, cfg.wire.delta_masks)
     if cfg.transport.kind == "loopback":
-        sessions: _Loopback | _Tcp = _Loopback(codec, ledger, nodes)
-    else:
-        sessions = _Tcp(cfg, codec, ledger, nodes)
-    ones = PruneMask.ones(env.arch)
-    try:
-        rnd = start(1, Message(MsgType.INIT_WEIGHTS, 0, params=env.w0), ones, ones)
-        while rnd.step is not None:
-            # the uploads live only as reduce's argument, so they are freed
-            # before the next round's uploads arrive
-            nxt = reduce(rnd, sessions.exchange(rnd))
-            if nxt is None:
-                return rnd
-            rnd = nxt
-        sessions.exchange(rnd)
-        return rnd
-    finally:
-        sessions.close()
+        return _Loopback(codec, ledger, nodes)
+    return _Tcp(cfg, codec, ledger, nodes)
 
 
 # --- metrics helpers ---------------------------------------------------------
@@ -414,44 +387,41 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         min_keep=cfg.pruning.min_keep,
     )
     rec = _RowRecorder(tag, ledger, cfg.nodes)
-    target = cfg.pruning.resolved_target()
-    last_round = 0  # set when the sync round starts, right after the last vote
+    target = sum(schedule)
     mask_history: list[PruneMask] = []
-    avg = env.w0
-
-    def start(idx: int, down: Message, ref: PruneMask, mask: PruneMask) -> _Round:
-        """Vote until the schedule ends or the target is reached, then sync."""
-        nonlocal last_round
-        if idx <= len(schedule) and mask.sparsity() < target - 1e-9:
-            return _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
-        last_round = idx + cfg.final_rounds
-        return _Round(idx, down, ref, mask, _sync)
-
-    def reduce(rnd: _Round, uploads: list[Message]) -> _Round | None:
-        nonlocal avg
-        if rnd.step is _vote:
-            new_mask = ps.reduce([m.mask for m in uploads], rnd.increment)
+    down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
+    ref = mask = PruneMask.ones(env.arch)
+    idx = 1
+    with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
+        # vote until the schedule ends or the target is reached
+        while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
+            rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
+            new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], rnd.increment)
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate for reporting only
             probe = apply_mask(fedavg([n.model for n in nodes]), new_mask)
-            rec.add(rnd.idx, new_mask.sparsity(), _evaluate(probe, env.test))
+            rec.add(idx, new_mask.sparsity(), _evaluate(probe, env.test))
             mask_history.append(new_mask.copy())
-            down = Message(MsgType.GLOBAL_MASK, rnd.idx, mask=new_mask)
-            return start(rnd.idx + 1, down, rnd.mask, new_mask)
-        avg = apply_mask(fedavg([m.params for m in uploads]), rnd.mask)
-        rec.add(rnd.idx, rnd.mask.sparsity(), _evaluate(avg, env.test))
-        if rnd.idx == last_round:
-            return None
-        down = Message(MsgType.GLOBAL_WEIGHTS, rnd.idx + 1, params=avg)
-        return _Round(rnd.idx + 1, down, rnd.mask, rnd.mask, _train)
-
-    last = _drive(cfg, env, ledger, nodes, start, reduce)
+            down, ref, mask = Message(MsgType.GLOBAL_MASK, idx, mask=new_mask), mask, new_mask
+            idx += 1
+        # sync the local models under the frozen mask, then fine-tune with FedAvg
+        step = _sync
+        for idx in range(idx, idx + cfg.final_rounds + 1):
+            rnd = _Round(idx, down, ref, mask, step)
+            uploads = sessions.exchange(rnd)
+            avg = apply_mask(fedavg([m.params for m in uploads]), mask)
+            rec.add(idx, mask.sparsity(), _evaluate(avg, env.test))
+            down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
+            # free the uploads last, once this round's arrays are allocated
+            # above them: freed first, glibc trims them off the heap top and
+            # each round faults them back in (~300k faults per wide_pfl_tcp run)
+            del uploads
     return RunResult(
         cfg,
         rec.rows,
         ledger,
         avg,
-        last.mask,
+        mask,
         mask_history=mask_history,
         budget_history=list(ps.budget_history),
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
@@ -468,36 +438,32 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     # pruning rounds followed by fine-tuning rounds with no increment
     increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
     avg = env.w0.copy()
-
-    def start(idx: int, down: Message, ref: PruneMask, mask: PruneMask) -> _Round:
-        """Train and upload while rounds remain; the last broadcast ends the run."""
-        if idx <= len(increments):
-            return _Round(idx, down, ref, mask, _train, increments[idx - 1])
-        return _Round(down.round_idx, down, ref, mask, None)
-
-    def reduce(rnd: _Round, uploads: list[Message]) -> _Round:
-        nonlocal avg
-        avg = fedavg([m.params for m in uploads])
-        new_mask = rnd.mask
-        if rnd.increment > 0.0:
-            new_mask = compute_mask(
-                weight_scores(avg, cfg.pruning.p), rnd.increment, rnd.mask, cfg.pruning.min_keep
-            )
-        avg = apply_mask(avg, new_mask)
-        rec.add(rnd.idx, new_mask.sparsity(), _evaluate(avg, env.test))
-        mask_history.append(new_mask.copy())
-        # the broadcast is encoded against the mask the nodes know; the newly
-        # pruned groups arrive as explicit zeros
-        down = Message(MsgType.GLOBAL_WEIGHTS, rnd.idx, params=avg)
-        return start(rnd.idx + 1, down, rnd.mask, new_mask)
-
-    last = _drive(cfg, env, ledger, nodes, start, reduce)
+    down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
+    ref = mask = PruneMask.ones(env.arch)
+    with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
+        for idx, inc in enumerate(increments, start=1):
+            rnd = _Round(idx, down, ref, mask, _train, inc)
+            uploads = sessions.exchange(rnd)
+            avg = fedavg([m.params for m in uploads])
+            new_mask = mask
+            if inc > 0.0:
+                new_mask = compute_mask(weight_scores(avg, cfg.pruning.p), inc, mask,
+                                        cfg.pruning.min_keep)
+            avg = apply_mask(avg, new_mask)
+            rec.add(idx, new_mask.sparsity(), _evaluate(avg, env.test))
+            mask_history.append(new_mask.copy())
+            # the broadcast is encoded against the mask the nodes know; the newly
+            # pruned groups arrive as explicit zeros
+            down, ref, mask = Message(MsgType.GLOBAL_WEIGHTS, idx, params=avg), mask, new_mask
+            del uploads  # freed last: see run_mpfl
+        # the last broadcast ends the run: the nodes take it and answer nothing
+        sessions.exchange(_Round(down.round_idx, down, ref, mask, None))
     return RunResult(
         cfg,
         rec.rows,
         ledger,
         avg,
-        last.mask,
+        mask,
         mask_history=mask_history,
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
     )

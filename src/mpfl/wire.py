@@ -94,25 +94,28 @@ def packed_mask_size(arch: ArchSpec) -> int:
     return sum((n + 7) // 8 for n in arch.groups)
 
 
-def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
-    expected = packed_mask_size(arch)
+def _unpack_bits(buf: bytes, counts: Sequence[int], what: str, need: str) -> list[np.ndarray]:
+    """Split ``buf`` into per-layer bool arrays of ``counts`` bits, byte-aligned
+    per layer; the padding bits must be zero, otherwise the frame was corrupted."""
+    expected = sum((n + 7) // 8 for n in counts)
     if len(buf) != expected:
         raise ProtocolError(
-            f"mask payload is {len(buf)} bytes, layout needs {expected}",
+            f"{what} payload is {len(buf)} bytes, {need} needs {expected}",
             offset=min(len(buf), expected),
         )
     layers, pos = [], 0
-    for n in arch.groups:
+    for n in counts:
         nbytes = (n + 7) // 8
-        chunk = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=pos)
-        bits = np.unpackbits(chunk, count=n, bitorder="little").astype(bool)
-        # padding bits must be zero, otherwise the frame was corrupted
-        tail = np.unpackbits(chunk, bitorder="little")[n:]
-        if np.any(tail):
-            raise ProtocolError("nonzero padding bits in mask payload", offset=pos)
-        layers.append(bits)
+        bits = np.unpackbits(np.frombuffer(buf, np.uint8, nbytes, pos), bitorder="little")
+        if np.any(bits[n:]):
+            raise ProtocolError(f"nonzero padding bits in {what} payload", offset=pos)
+        layers.append(bits[:n].astype(bool))
         pos += nbytes
-    return PruneMask(arch, layers)
+    return layers
+
+
+def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
+    return PruneMask(arch, _unpack_bits(buf, arch.groups, "mask", "layout"))
 
 
 def pack_mask_delta(mask: PruneMask, ref: PruneMask) -> bytes:
@@ -134,22 +137,12 @@ def pack_mask_delta(mask: PruneMask, ref: PruneMask) -> bytes:
 def unpack_mask_delta(buf: bytes, arch: ArchSpec, ref: PruneMask) -> PruneMask:
     if len(buf) == 0:
         return ref.copy()
-    expected = sum((n + 7) // 8 for n in ref.keep_counts())
-    if len(buf) != expected:
-        raise ProtocolError(
-            f"delta mask payload is {len(buf)} bytes, reference needs {expected}",
-            offset=min(len(buf), expected),
-        )
-    layers, pos = [], 0
-    for ref_bits in ref.layers:
-        n_live = int(ref_bits.sum())
-        nbytes = (n_live + 7) // 8
-        chunk = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=pos)
-        live = np.unpackbits(chunk, count=n_live, bitorder="little").astype(bool)
+    lives = _unpack_bits(buf, ref.keep_counts(), "delta mask", "reference")
+    layers = []
+    for ref_bits, live in zip(ref.layers, lives):
         bits = np.zeros_like(ref_bits)
-        bits[np.flatnonzero(ref_bits)] = live
+        bits[ref_bits] = live
         layers.append(bits)
-        pos += nbytes
     return PruneMask(arch, layers)
 
 

@@ -1,7 +1,11 @@
 """Config parsing, validation paths, overrides, and YAML round trips."""
 
-import pytest
+import re
 
+import pytest
+import yaml
+
+from mpfl.cli import main
 from mpfl.config import (
     ALGORITHMS,
     apply_overrides,
@@ -39,10 +43,6 @@ class TestDefaults:
         assert cfg.arch.input_dim == cfg.dataset.features
         assert cfg.arch.classes == cfg.dataset.classes
 
-    def test_target_sparsity_defaults_to_schedule_sum(self):
-        cfg = config_from_dict(minimal_raw())
-        assert cfg.pruning.resolved_target() == pytest.approx(0.5)
-
     def test_algorithms_tuple(self):
         assert set(ALGORITHMS) == {"mpfl", "pruning_fl", "lth_central", "fedavg"}
 
@@ -68,10 +68,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"pruning.schedule\[1\]"):
             config_from_dict(raw)
 
-    def test_schedule_must_sum_to_target(self):
+    def test_target_sparsity_is_an_unknown_key(self):
+        """The target is always the schedule's sum, so it is not a setting."""
         raw = minimal_raw()
-        raw["pruning"] = {"schedule": [0.1, 0.1], "target_sparsity": 0.5}
-        with pytest.raises(ConfigError, match="target"):
+        raw["pruning"] = {"schedule": [0.1, 0.1], "target_sparsity": 0.2}
+        with pytest.raises(ConfigError, match="pruning.target_sparsity: unknown key"):
             config_from_dict(raw)
 
     def test_feature_mismatch_names_both_sides(self):
@@ -131,6 +132,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "section, value, path",
+        [
+            ("training", {"lr": "fast"}, r"training\.lr: expected a number"),
+            ("pruning", {"schedule": 0.1}, r"pruning\.schedule: expected a list"),
+            ("arch", {"hidden": 512}, r"arch\.hidden: expected a list"),
+            ("contamination", [{"node": "0", "kind": "noise"}],
+             r"contamination\[0\]\.node: expected an integer"),
+        ],
+        ids=["lr", "schedule", "hidden", "contamination_node"],
+    )
+    def test_section_value_types_carry_path(self, tmp_path, capsys, section, value, path):
+        raw = minimal_raw()
+        raw[section] = value
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict(raw)
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(cfg_path)]) == 2
+        assert re.match(r"config error: " + path, capsys.readouterr().err)
+
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
@@ -177,11 +199,7 @@ class TestOverrides:
 
     def test_list_index_override(self):
         cfg = config_from_dict(minimal_raw())
-        raw = config_to_dict(cfg)
-        target = sum(raw["pruning"]["schedule"]) - 0.1 + 0.2
-        out = apply_overrides(
-            cfg, {"pruning.schedule.0": 0.2, "pruning.target_sparsity": target}
-        )
+        out = apply_overrides(cfg, {"pruning.schedule.0": 0.2})
         assert out.pruning.schedule[0] == 0.2
 
     def test_unknown_path_rejected(self):

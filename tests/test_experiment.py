@@ -1,5 +1,6 @@
 """End-to-end runs: metrics schema, determinism, artifacts, comparisons."""
 
+import socket
 import threading
 import time
 
@@ -205,6 +206,31 @@ class TestNodeFailure:
         assert (info.value.node_id, info.value.round_idx) == (2, 1)
         assert isinstance(info.value.__cause__, RuntimeError)
         assert "disk on fire" in str(info.value)
+
+    @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
+    def test_failed_tcp_run_releases_threads_and_port(self, monkeypatch, algorithm):
+        from mpfl.federation import Node
+        from mpfl.transport import TcpServer
+
+        addresses = []
+        listen = TcpServer.__init__
+
+        def recording_listen(self, *args, **kwargs):
+            listen(self, *args, **kwargs)
+            addresses.append(self.address)
+
+        def failing_train(self, mask):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+        monkeypatch.setattr(Node, "train", failing_train)
+        threads = threading.active_count()
+        with pytest.raises(NodeError):
+            run(config_from_dict(small_raw(algorithm=algorithm, transport={"kind": "tcp"})))
+        assert threading.active_count() == threads
+        (address,) = addresses
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1.0).close()
 
 
 class TestContaminationRuns:

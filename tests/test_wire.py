@@ -119,6 +119,18 @@ class TestMaskDelta:
         with pytest.raises(ProtocolError):
             pack_mask_delta(bad, ref)
 
+    def test_nonzero_padding_rejected(self):
+        """A delta frame whose padding bit is set is corrupt, as in the full form."""
+        arch = make_arch(1, 8)
+        ref = PruneMask(arch, [np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=bool)])
+        sub = PruneMask(arch, [np.array([1, 0, 1, 0, 1, 0, 0, 0], dtype=bool)])
+        codec = WireCodec(arch, delta_masks=True)
+        frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=sub), ref_mask=ref))
+        assert codec.decode(bytes(frame), ref_mask=ref).mask == sub
+        frame[-1] |= 0x80
+        with pytest.raises(ProtocolError, match="padding"):
+            codec.decode(bytes(frame), ref_mask=ref)
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_delta_roundtrip_property(self, data):
