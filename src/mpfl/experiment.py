@@ -25,14 +25,16 @@ of the config seed.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .data import (
     partition_iid,
     train_test_split,
 )
-from .errors import ConfigError, MpflError, NodeError, TransportError
+from .errors import ConfigError, MpflError, NodeError, ProtocolError, TransportError
 from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy, train_sgd
@@ -230,6 +232,16 @@ def _train(node: Node, rnd: _Round) -> Message:
     return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
 
 
+def _routed(msg: Message, node_id: int, rnd: _Round) -> Message:
+    """The upload, once its routing fields name the session's node and the round."""
+    if (msg.node_id, msg.round_idx) != (node_id, rnd.idx):
+        raise ProtocolError(
+            f"node {node_id} in round {rnd.idx} sent an upload tagged "
+            f"node {msg.node_id}, round {msg.round_idx}"
+        )
+    return msg
+
+
 class _Loopback:
     """In-process sessions: each node's exchange runs inline, in node-id order."""
 
@@ -246,7 +258,7 @@ class _Loopback:
             except Exception as e:
                 raise NodeError(node.node_id, rnd.idx, e) from e
             if rnd.step is not None:
-                uploads.append(server.recv(ref_mask=rnd.mask))
+                uploads.append(_routed(server.recv(ref_mask=rnd.mask), node.node_id, rnd))
         return uploads
 
     def close(self) -> None:
@@ -261,7 +273,9 @@ class _Tcp:
     every node is reading while a large frame goes out.  A node whose step
     fails records the error and closes its socket, so the server's next read
     from it fails at once; the round then raises a NodeError naming the node
-    and the round, chained from the node's error.
+    and the round, chained from the node's error.  A peer that drops without
+    a recorded failure raises a TransportError naming the node the server was
+    writing to or reading from, and the round.
     """
 
     def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
@@ -302,16 +316,16 @@ class _Tcp:
             thread.submit(self._step, node, ep, rnd)
             for thread, (node, _, ep) in zip(self._threads, self._links)
         ]
+        uploads = []
         try:
-            for _, server, _ in self._links:
+            for node, server, _ in self._links:
                 server.send(rnd.down, ref_mask=rnd.ref)
-            if rnd.step is None:
-                uploads = []
-            else:
-                uploads = [server.recv(ref_mask=rnd.mask) for _, server, _ in self._links]
-        except TransportError:
+            if rnd.step is not None:
+                for node, server, _ in self._links:
+                    uploads.append(_routed(server.recv(ref_mask=rnd.mask), node.node_id, rnd))
+        except TransportError as e:
             self._raise_failure()
-            raise
+            raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
         wait(steps)
         self._raise_failure()
         return uploads
@@ -546,9 +560,67 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The loaded OpenBLAS's own thread-count getter and setter, or None.
+
+    The library is found among the files mapped into this process, so nothing
+    new is loaded.  numpy's wheel exports ``scipy_openblas_*_num_threads64_``;
+    plain builds export ``openblas_*_num_threads``.  None on another BLAS or
+    an OS without ``/proc/self/maps``.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in Path(fields[5].strip()).name:
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", "", "_64"):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Pin OpenBLAS to one thread for the block, then restore the caller's count.
+
+    A run's parallel work is across nodes, not inside a GEMM one training
+    batch tall: OpenBLAS's workers would split those GEMMs, then spin between
+    calls and take the cores from the node threads.  OpenBLAS splits
+    a GEMM over its rows and columns, never over the summed dimension, so one
+    thread gives bit-identical results.  The count is process-wide.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     cfg.validate()
-    return _RUNNERS[cfg.algorithm](cfg, env)
+    with _one_blas_thread():
+        return _RUNNERS[cfg.algorithm](cfg, env)
 
 
 def compare(configs: list[ExperimentConfig]) -> tuple[list[RunResult], list[tuple[ExperimentConfig, MpflError]]]:

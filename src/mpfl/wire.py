@@ -90,10 +90,6 @@ def pack_mask(mask: PruneMask) -> bytes:
     return b"".join(parts)
 
 
-def packed_mask_size(arch: ArchSpec) -> int:
-    return sum((n + 7) // 8 for n in arch.groups)
-
-
 def _unpack_bits(buf: bytes, counts: Sequence[int], what: str, need: str) -> list[np.ndarray]:
     """Split ``buf`` into per-layer bool arrays of ``counts`` bits, byte-aligned
     per layer; the padding bits must be zero, otherwise the frame was corrupted."""

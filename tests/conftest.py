@@ -26,6 +26,11 @@ def random_mask(arch: ArchSpec, rng: np.random.Generator, keep_prob: float = 0.7
     return PruneMask(arch=arch, layers=layers)
 
 
+def packed_mask_bits(arch: ArchSpec) -> int:
+    """Bits in a packed mask: each layer's groups padded to whole bytes."""
+    return sum(8 * ((n + 7) // 8) for n in arch.groups)
+
+
 def zero_group_mask(params: ModelParams) -> PruneMask:
     """The mask a model implies: a group is pruned iff its row and bias are all zero."""
     layers = [np.any(params.group_matrix(i) != 0.0, axis=1) for i in range(len(params.weights))]

@@ -1,5 +1,6 @@
 """End-to-end runs: metrics schema, determinism, artifacts, comparisons."""
 
+import dataclasses
 import socket
 import threading
 import time
@@ -7,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
+from mpfl import experiment
 from mpfl.config import config_from_dict
-from mpfl.errors import MpflError, NodeError
+from mpfl.errors import MpflError, NodeError, ProtocolError, TransportError
 from mpfl.experiment import (
     CSV_HEADER,
     MetricsRow,
@@ -183,7 +185,7 @@ class TestDeterminism:
 
 
 class TestNodeFailure:
-    """A node that raises fails the run within the round, naming node and round."""
+    """A node that raises or drops fails the run within the round, naming node and round."""
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
@@ -231,6 +233,79 @@ class TestNodeFailure:
         (address,) = addresses
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=1.0).close()
+
+    def test_dropped_tcp_peer_names_node_and_round(self, monkeypatch):
+        exchange = experiment._node_exchange
+
+        def dropping_exchange(node, ep, rnd):
+            if node.node_id == 2:
+                ep.close()
+                return
+            exchange(node, ep, rnd)
+
+        monkeypatch.setattr(experiment, "_node_exchange", dropping_exchange)
+        cfg = config_from_dict(small_raw(transport={"kind": "tcp"}))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="node 2 in round 1: ") as info:
+            run(cfg)
+        assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, TransportError)
+
+
+class TestUploadRouting:
+    """The server checks each upload's routing fields against its session."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("field, wrong", [("round_idx", 2), ("node_id", 3)])
+    def test_misrouted_upload_rejected(self, monkeypatch, transport, field, wrong):
+        vote = experiment._vote
+
+        def misrouted_vote(node, rnd):
+            msg = vote(node, rnd)
+            return dataclasses.replace(msg, **{field: wrong}) if node.node_id == 2 else msg
+
+        monkeypatch.setattr(experiment, "_vote", misrouted_vote)
+        cfg = config_from_dict(small_raw(transport={"kind": transport}))
+        with pytest.raises(ProtocolError, match="node 2 in round 1 sent an upload tagged"):
+            run(cfg)
+
+
+class TestBlasThreads:
+    """A run pins OpenBLAS to one thread and gives the caller's count back."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        blas = experiment._blas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count setter is loaded in this process")
+        get, set_ = blas
+        before = get()
+        set_(2)  # a count the pin must change and then restore
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_node_steps_see_one_thread(self, monkeypatch, blas_threads, transport):
+        seen = []
+        train = experiment._train
+
+        def recording_train(node, rnd):
+            seen.append(blas_threads())
+            return train(node, rnd)
+
+        monkeypatch.setattr(experiment, "_train", recording_train)
+        run(config_from_dict(small_raw(algorithm="pruning_fl", transport={"kind": transport})))
+        assert len(seen) == 4 * 4 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_count_restored_after_node_error(self, monkeypatch, blas_threads):
+        def failing_train(node, rnd):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(experiment, "_train", failing_train)
+        with pytest.raises(NodeError):
+            run(config_from_dict(small_raw(algorithm="pruning_fl")))
+        assert blas_threads() == 2
 
 
 class TestContaminationRuns:

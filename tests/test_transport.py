@@ -16,10 +16,9 @@ from mpfl.wire import (
     Message,
     MsgType,
     WireCodec,
-    packed_mask_size,
 )
 
-from conftest import make_arch, make_model, random_mask
+from conftest import make_arch, make_model, packed_mask_bits, random_mask
 
 
 @pytest.fixture
@@ -52,7 +51,7 @@ class TestLoopback:
         mask = PruneMask.ones(codec.arch)
         node.send(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
         server.send(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
-        size_bits = packed_mask_size(codec.arch) * 8
+        size_bits = packed_mask_bits(codec.arch)
         assert ledger.total_bits(direction=UP) == size_bits
         assert ledger.total_bits(direction=DOWN) == size_bits
         assert ledger.total_bits(node_id=5) == 2 * size_bits
@@ -114,7 +113,7 @@ class TestTcp:
         def exchange(server_ep, node_ep, ledger):
             node_ep.send(msg)
             server_ep.recv()
-            assert ledger.total_bits(direction=UP) == packed_mask_size(codec.arch) * 8
+            assert ledger.total_bits(direction=UP) == packed_mask_bits(codec.arch)
 
         self._run_pair(codec, exchange)
 

@@ -26,7 +26,6 @@ from mpfl.wire import (
     pack_mask,
     pack_mask_delta,
     pack_params,
-    packed_mask_size,
     packed_params_size,
     savings_ratio,
     unpack_mask,
@@ -36,7 +35,7 @@ from mpfl.wire import (
     vgg16_mask_bits,
 )
 
-from conftest import make_arch, make_model, random_mask
+from conftest import make_arch, make_model, packed_mask_bits, random_mask
 
 
 def as_wire_precision(model, precision_bits):
@@ -57,7 +56,6 @@ class TestMaskPacking:
 
     def test_padding_layout(self):
         arch = make_arch(1, 11, 3)
-        assert packed_mask_size(arch) == 2 + 1
         buf = pack_mask(PruneMask.ones(arch))
         assert len(buf) == 3
         assert buf == bytes([0xFF, 0x07, 0x07])
@@ -329,7 +327,7 @@ class TestLedger:
     def test_mask_accounting_oracle(self, rng):
         """Ten nodes voting for ten rounds book exactly n*r*size bits up."""
         arch = make_arch(8, 64, 10)
-        size_bits = packed_mask_size(arch) * 8
+        size_bits = packed_mask_bits(arch)
         led = BandwidthLedger()
         for rnd in range(1, 11):
             for node in range(10):
