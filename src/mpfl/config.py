@@ -190,7 +190,7 @@ class ExperimentConfig:
             n_layers = len(self.arch.hidden) + 1
             _require(len(self.pruning.min_keep) == n_layers, "pruning.min_keep",
                      f"{len(self.pruning.min_keep)} entries for {n_layers} dense layers")
-        # ArchSpec construction validates layer chaining and positive dims
+        # ArchSpec construction validates the dims
         self.arch.to_spec()
         return self
 

@@ -38,18 +38,12 @@ class Dataset:
         return self.x.shape[0]
 
 
-CLEAN = "clean"
-NOISY = "noisy"
-SHUFFLED = "shuffled-labels"
-
-
 @dataclass
 class Shard:
     """One node's slice of the training set, possibly with private overrides."""
 
     node_id: int
     indices: np.ndarray
-    tag: str = CLEAN
     x_override: np.ndarray | None = None
     y_override: np.ndarray | None = None
 
@@ -78,12 +72,11 @@ def make_blobs(
     classes: int,
     rng: np.random.Generator,
     cluster_std: float = 1.0,
-    center_spread: float = 4.0,
 ) -> Dataset:
     """Gaussian class clusters with uniformly drawn centers, standardized."""
     if samples < classes:
         raise ConfigError("need at least one sample per class")
-    centers = rng.uniform(-center_spread, center_spread, size=(classes, features))
+    centers = rng.uniform(-4.0, 4.0, size=(classes, features))
     y = rng.integers(0, classes, size=samples)
     x = centers[y] + rng.normal(0.0, cluster_std, size=(samples, features))
     return Dataset(standardize(x), y.astype(np.int64), classes)
@@ -192,7 +185,7 @@ def contaminate_noise(
         raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
     x, y = shard.materialize(ds)
     noisy = x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else x.copy()
-    return Shard(shard.node_id, shard.indices.copy(), NOISY, noisy, y.copy())
+    return Shard(shard.node_id, shard.indices.copy(), noisy, y.copy())
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -205,25 +198,11 @@ def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
-def contaminate_labels(
-    ds: Dataset,
-    shard: Shard,
-    rng: np.random.Generator,
-    permutation: np.ndarray | None = None,
-) -> Shard:
-    """Relabel one shard through a class permutation (seeded derangement by
-    default)."""
-    if permutation is None:
-        permutation = random_derangement(ds.num_classes, rng)
-    permutation = np.asarray(permutation)
-    if permutation.shape != (ds.num_classes,) or not np.array_equal(
-        np.sort(permutation), np.arange(ds.num_classes)
-    ):
-        raise ConfigError(
-            f"permutation must rearrange all {ds.num_classes} class ids"
-        )
+def contaminate_labels(ds: Dataset, shard: Shard, rng: np.random.Generator) -> Shard:
+    """Relabel one shard through a seeded class derangement."""
+    permutation = random_derangement(ds.num_classes, rng)
     x, y = shard.materialize(ds)
-    return Shard(shard.node_id, shard.indices.copy(), SHUFFLED, x.copy(), permutation[y])
+    return Shard(shard.node_id, shard.indices.copy(), x.copy(), permutation[y])
 
 
 def train_test_split(

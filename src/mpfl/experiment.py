@@ -56,7 +56,7 @@ from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy, train_sgd
 from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, TcpServer, loopback_pair, tcp_connect
-from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec
+from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask, unpack_mask
 
 log = logging.getLogger(__name__)
 
@@ -677,18 +677,15 @@ def summary_csv(results: list[RunResult]) -> str:
 
 _ARTIFACT_MAGIC = b"MPFM"
 _ARTIFACT_VERSION = 1
+_ARTIFACT_HEAD = struct.Struct("<4sBH")  # magic, version, dense layer count
 
 
 def save_model(path: str | Path, params: ModelParams, mask: PruneMask) -> None:
     """Versioned binary artifact: layer dims, float64 weights, packed mask."""
-    from .wire import pack_mask
-
-    dense = params.arch.dense_layers
-    out = bytearray()
-    out += _ARTIFACT_MAGIC
-    out += struct.pack("<BH", _ARTIFACT_VERSION, len(dense))
-    for spec in dense:
-        out += struct.pack("<II", spec.in_dim, spec.out_dim)
+    shapes = params.arch.shapes
+    out = bytearray(_ARTIFACT_HEAD.pack(_ARTIFACT_MAGIC, _ARTIFACT_VERSION, len(shapes)))
+    for out_dim, in_dim in shapes:
+        out += struct.pack("<II", in_dim, out_dim)
     for w, b in zip(params.weights, params.biases):
         out += np.ascontiguousarray(w, dtype="<f8").tobytes()
         out += np.ascontiguousarray(b, dtype="<f8").tobytes()
@@ -697,30 +694,42 @@ def save_model(path: str | Path, params: ModelParams, mask: PruneMask) -> None:
 
 
 def load_model(path: str | Path) -> tuple[ModelParams, PruneMask]:
-    from .errors import ProtocolError
-    from .wire import unpack_mask
-
+    """Read a ``save_model`` artifact.  The header, the layer table and the total
+    size are checked before any weight is read; a bad one raises
+    ``ProtocolError`` with its byte offset in the artifact.  Nonzero mask
+    padding raises ``ProtocolError`` from the mask decoder."""
     buf = Path(path).read_bytes()
-    if buf[:4] != _ARTIFACT_MAGIC:
-        raise ProtocolError(f"bad artifact magic {buf[:4]!r}", offset=0)
-    version, n_layers = struct.unpack_from("<BH", buf, 4)
+    pos = _ARTIFACT_HEAD.size
+    if len(buf) < pos:
+        raise ProtocolError(f"artifact is {len(buf)} bytes, header needs {pos}", len(buf))
+    magic, version, n_layers = _ARTIFACT_HEAD.unpack_from(buf)
+    if magic != _ARTIFACT_MAGIC:
+        raise ProtocolError(f"bad artifact magic {magic!r}", offset=0)
     if version != _ARTIFACT_VERSION:
         raise ProtocolError(f"unsupported artifact version {version}", offset=4)
-    pos = 7
-    dims = []
-    for _ in range(n_layers):
-        dims.append(struct.unpack_from("<II", buf, pos))
-        pos += 8
-    arch_dims = [dims[0][0]] + [d[1] for d in dims]
-    arch = ArchSpec.mlp(arch_dims)
+    if n_layers < 1:
+        raise ProtocolError("artifact has no layers", offset=5)
+    if len(buf) < pos + 8 * n_layers:
+        raise ProtocolError(f"artifact is {len(buf)} bytes, truncated layer table", len(buf))
+    table = struct.unpack_from(f"<{2 * n_layers}I", buf, pos)
+    dims = [table[0]]
+    for i, (in_dim, out_dim) in enumerate(zip(table[::2], table[1::2])):
+        if in_dim != dims[-1] or min(in_dim, out_dim) == 0:
+            raise ProtocolError(
+                f"layer {i} is {in_dim}x{out_dim}, expected positive dims chaining "
+                f"from {dims[-1]}",
+                offset=pos + 8 * i,
+            )
+        dims.append(out_dim)
+    pos += 8 * n_layers
+    arch = ArchSpec.mlp(dims)
+    size = pos + sum(8 * g * s + (g + 7) // 8 for g, s in zip(arch.groups, arch.group_sizes))
+    if len(buf) != size:
+        raise ProtocolError(f"artifact is {len(buf)} bytes, layout needs {size}", min(len(buf), size))
     weights, biases = [], []
-    for in_dim, out_dim in dims:
-        w = np.frombuffer(buf, dtype="<f8", count=in_dim * out_dim, offset=pos)
-        pos += 8 * in_dim * out_dim
-        weights.append(w.reshape(out_dim, in_dim).astype(np.float64))
-        b = np.frombuffer(buf, dtype="<f8", count=out_dim, offset=pos)
-        pos += 8 * out_dim
-        biases.append(b.astype(np.float64))
-    params = ModelParams(arch, weights, biases)
-    mask = unpack_mask(buf[pos:], arch)
-    return params, mask
+    for out_dim, in_dim in arch.shapes:
+        wb = np.frombuffer(buf, "<f8", out_dim * (in_dim + 1), pos).astype(np.float64)
+        weights.append(wb[: out_dim * in_dim].reshape(out_dim, in_dim))
+        biases.append(wb[out_dim * in_dim :])
+        pos += 8 * wb.size
+    return ModelParams(arch, weights, biases), unpack_mask(buf[pos:], arch)

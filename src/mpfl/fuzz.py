@@ -30,9 +30,9 @@ def _random_params(
 ) -> ModelParams:
     dt = np.float32 if precision_bits == 32 else np.float64
     weights, biases = [], []
-    for spec in arch.dense_layers:
-        w = rng.standard_normal((spec.out_dim, spec.in_dim)).astype(dt)
-        b = rng.standard_normal(spec.out_dim).astype(dt)
+    for out_dim, in_dim in arch.shapes:
+        w = rng.standard_normal((out_dim, in_dim)).astype(dt)
+        b = rng.standard_normal(out_dim).astype(dt)
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
     return ModelParams(arch, weights, biases)

@@ -7,103 +7,60 @@ single bit per neuron, which is what makes the uplink cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, LayoutError
 
-DENSE = "dense"
-RELU = "relu"
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer of the network; only dense layers own parameters."""
-
-    kind: str
-    in_dim: int = 0
-    out_dim: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (DENSE, RELU):
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.kind == DENSE and (self.in_dim <= 0 or self.out_dim <= 0):
-            raise ConfigError(
-                f"dense layer dims must be positive, got {self.in_dim}x{self.out_dim}"
-            )
-
-    @property
-    def groups(self) -> int:
-        """Number of prunable weight groups (one per output neuron)."""
-        return self.out_dim if self.kind == DENSE else 0
-
-    @property
-    def group_size(self) -> int:
-        """Scalars owned by one group: the weight row plus the bias."""
-        return self.in_dim + 1 if self.kind == DENSE else 0
-
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Ordered layer list describing a small dense classifier."""
+    """A dense ReLU classifier given by its widths ``(input, hidden..., classes)``.
 
-    layers: tuple[LayerSpec, ...]
+    Dense layer ``i`` maps ``dims[i]`` inputs to ``dims[i + 1]`` outputs, with a
+    ReLU between consecutive dense layers.
+    """
+
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        dense = self.dense_layers
-        if not dense:
-            raise ConfigError("architecture needs at least one dense layer")
-        for a, b in zip(dense, dense[1:]):
-            if a.out_dim != b.in_dim:
-                raise ConfigError(
-                    f"adjacent dense layers do not chain: {a.out_dim} -> {b.in_dim}"
-                )
+        if len(self.dims) < 2:
+            raise ConfigError("mlp needs at least input and output dims")
+        if min(self.dims) <= 0:
+            raise ConfigError(f"layer dims must be positive, got {list(self.dims)}")
 
     @classmethod
     def mlp(cls, dims: Sequence[int]) -> "ArchSpec":
-        """Dense chain with a ReLU between consecutive dense layers.
-
-        ``dims`` is ``[input, hidden..., classes]``.
-        """
-        if len(dims) < 2:
-            raise ConfigError("mlp needs at least input and output dims")
-        layers: list[LayerSpec] = []
-        for i, (a, b) in enumerate(zip(dims, dims[1:])):
-            layers.append(LayerSpec(DENSE, int(a), int(b)))
-            if i < len(dims) - 2:
-                layers.append(LayerSpec(RELU))
-        return cls(tuple(layers))
+        return cls(tuple(int(d) for d in dims))
 
     @property
-    def dense_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(l for l in self.layers if l.kind == DENSE)
+    def shapes(self) -> tuple[tuple[int, int], ...]:
+        """Weight shape ``(out, in)`` per dense layer."""
+        return tuple(zip(self.dims[1:], self.dims[:-1]))
 
     @property
     def groups(self) -> tuple[int, ...]:
-        """Prunable group count per dense layer."""
-        return tuple(l.groups for l in self.dense_layers)
+        """Prunable group count per dense layer (one per output neuron)."""
+        return self.dims[1:]
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
-        return tuple(l.group_size for l in self.dense_layers)
+        """Scalars owned by one group: the weight row plus the bias."""
+        return tuple(d + 1 for d in self.dims[:-1])
 
     @property
     def in_dim(self) -> int:
-        return self.dense_layers[0].in_dim
+        return self.dims[0]
 
     @property
     def num_classes(self) -> int:
-        return self.dense_layers[-1].out_dim
+        return self.dims[-1]
 
     @property
     def num_groups(self) -> int:
         return sum(self.groups)
-
-    @property
-    def num_params(self) -> int:
-        return sum(g * s for g, s in zip(self.groups, self.group_sizes))
 
 
 @dataclass
@@ -118,20 +75,17 @@ class ModelParams:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        dense = self.arch.dense_layers
-        if len(self.weights) != len(dense) or len(self.biases) != len(dense):
+        shapes = self.arch.shapes
+        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
             raise LayoutError(
-                f"expected {len(dense)} dense layers, got "
+                f"expected {len(shapes)} dense layers, got "
                 f"{len(self.weights)} weight / {len(self.biases)} bias arrays"
             )
-        for i, (spec, w, b) in enumerate(zip(dense, self.weights, self.biases)):
-            if w.shape != (spec.out_dim, spec.in_dim):
-                raise LayoutError(
-                    f"layer {i}: weight shape {w.shape} != "
-                    f"({spec.out_dim}, {spec.in_dim})"
-                )
-            if b.shape != (spec.out_dim,):
-                raise LayoutError(f"layer {i}: bias shape {b.shape} != ({spec.out_dim},)")
+        for i, (shape, w, b) in enumerate(zip(shapes, self.weights, self.biases)):
+            if w.shape != shape:
+                raise LayoutError(f"layer {i}: weight shape {w.shape} != {shape}")
+            if b.shape != shape[:1]:
+                raise LayoutError(f"layer {i}: bias shape {b.shape} != {shape[:1]}")
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -143,16 +97,6 @@ class ModelParams:
     def group_matrix(self, layer: int) -> np.ndarray:
         """Rows are groups: weight row with the bias appended, shape (out, in+1)."""
         return np.hstack([self.weights[layer], self.biases[layer][:, None]])
-
-    @property
-    def num_params(self) -> int:
-        return self.arch.num_params
-
-    def allclose(self, other: "ModelParams", **kw) -> bool:
-        return all(
-            np.allclose(a, b, **kw)
-            for a, b in zip(self.weights + self.biases, other.weights + other.biases)
-        )
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
@@ -205,10 +149,6 @@ class PruneMask:
     @classmethod
     def ones(cls, arch: ArchSpec) -> "PruneMask":
         return cls(arch, [np.ones(n, dtype=bool) for n in arch.groups])
-
-    @classmethod
-    def zeros(cls, arch: ArchSpec) -> "PruneMask":
-        return cls(arch, [np.zeros(n, dtype=bool) for n in arch.groups])
 
     def copy(self) -> "PruneMask":
         return PruneMask(self.arch, [l.copy() for l in self.layers])
@@ -280,8 +220,8 @@ class VoteHistogram:
 def init_params(arch: ArchSpec, rng: np.random.Generator) -> ModelParams:
     """Uniform(-a, a) weights with a = sqrt(6 / (in + out)); zero biases."""
     weights, biases = [], []
-    for spec in arch.dense_layers:
-        a = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weights.append(rng.uniform(-a, a, size=(spec.out_dim, spec.in_dim)))
-        biases.append(np.zeros(spec.out_dim))
+    for out_dim, in_dim in arch.shapes:
+        a = np.sqrt(6.0 / (in_dim + out_dim))
+        weights.append(rng.uniform(-a, a, size=(out_dim, in_dim)))
+        biases.append(np.zeros(out_dim))
     return ModelParams(arch, weights, biases)

@@ -183,15 +183,15 @@ def unpack_params(
         )
     dt = _wire_dtype(precision_bits)
     weights, biases, pos = [], [], 0
-    for spec, bits in zip(arch.dense_layers, mask.layers):
+    for (out_dim, in_dim), bits in zip(arch.shapes, mask.layers):
         n_live = int(bits.sum())
-        count = n_live * spec.group_size
+        count = n_live * (in_dim + 1)
         flat = np.frombuffer(buf, dtype=dt, count=count, offset=pos)
         # arbitrary bytes may decode to signaling NaNs; widening them is fine
         with np.errstate(invalid="ignore"):
-            gm = flat.reshape(n_live, spec.group_size).astype(np.float64)
-        w = np.zeros((spec.out_dim, spec.in_dim))
-        b = np.zeros(spec.out_dim)
+            gm = flat.reshape(n_live, in_dim + 1).astype(np.float64)
+        w = np.zeros((out_dim, in_dim))
+        b = np.zeros(out_dim)
         live = np.flatnonzero(bits)
         w[live] = gm[:, :-1]
         b[live] = gm[:, -1]
@@ -304,10 +304,6 @@ def dense_bits(terms: Iterable[tuple[int, int]], precision_bits: int) -> int:
 def mask_bits(terms: Iterable[tuple[int, int]]) -> int:
     """Bits to send one keep/drop vote per group: just the group count."""
     return sum(groups for groups, _ in terms)
-
-
-def arch_terms(arch: ArchSpec) -> list[tuple[int, int]]:
-    return list(zip(arch.groups, arch.group_sizes))
 
 
 def savings_ratio(dense: int, mask: int) -> float:

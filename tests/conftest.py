@@ -26,6 +26,13 @@ def random_mask(arch: ArchSpec, rng: np.random.Generator, keep_prob: float = 0.7
     return PruneMask(arch=arch, layers=layers)
 
 
+def same_params(a: ModelParams, b: ModelParams) -> bool:
+    """Every weight and bias array equal; +0.0 and -0.0 compare equal."""
+    return a.arch == b.arch and all(
+        np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )
+
+
 def packed_mask_bits(arch: ArchSpec) -> int:
     """Bits in a packed mask: each layer's groups padded to whole bytes."""
     return sum(8 * ((n + 7) // 8) for n in arch.groups)

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from mpfl.data import (
-    CLEAN,
-    NOISY,
-    SHUFFLED,
     Dataset,
     Shard,
     contaminate_labels,
@@ -177,9 +174,6 @@ class TestPartition:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.indices, sb.indices)
 
-    def test_tags_start_clean(self, blobs, rng):
-        assert all(s.tag == CLEAN for s in partition_iid(blobs, 3, rng))
-
     def test_too_many_nodes(self, blobs, rng):
         with pytest.raises(ConfigError):
             partition_iid(blobs, len(blobs) + 1, rng)
@@ -192,7 +186,6 @@ class TestNoiseContamination:
         sigma = 1.0
         noisy = contaminate_noise(blobs, shards[0], sigma, np.random.default_rng(2))
         x, _ = noisy.materialize(blobs)
-        assert noisy.tag == NOISY
         assert x.std() == pytest.approx(np.sqrt(1 + sigma**2), rel=0.1)
 
     def test_sigma_zero_is_identity(self, blobs, rng):
@@ -226,29 +219,7 @@ class TestLabelContamination:
         shards = partition_iid(blobs, 2, rng)
         out = contaminate_labels(blobs, shards[0], rng)
         _, y = out.materialize(blobs)
-        assert out.tag == SHUFFLED
         assert np.all(y != blobs.y[shards[0].indices])
-
-    def test_explicit_permutation(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        perm = np.array([1, 2, 3, 0])
-        out = contaminate_labels(blobs, shards[0], rng, permutation=perm)
-        _, y = out.materialize(blobs)
-        np.testing.assert_array_equal(y, perm[blobs.y[shards[0].indices]])
-
-    def test_applying_inverse_restores(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        perm = random_derangement(4, rng)
-        inv = np.argsort(perm)
-        once = contaminate_labels(blobs, shards[0], rng, permutation=perm)
-        twice = contaminate_labels(blobs, once, rng, permutation=inv)
-        _, y = twice.materialize(blobs)
-        np.testing.assert_array_equal(y, blobs.y[shards[0].indices])
-
-    def test_bad_permutation_rejected(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        with pytest.raises(ConfigError):
-            contaminate_labels(blobs, shards[0], rng, permutation=np.array([0, 0, 1, 2]))
 
     def test_features_untouched(self, blobs, rng):
         shards = partition_iid(blobs, 2, rng)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import socket
+import struct
 import threading
 import time
 
@@ -24,9 +25,11 @@ from mpfl.experiment import (
     summary_csv,
     write_metrics,
 )
+from mpfl.model import PruneMask
+from mpfl.pruning import apply_mask
 from mpfl.wire import UP
 
-from conftest import make_arch, make_model, random_mask, zero_group_mask
+from conftest import make_arch, make_model, same_params, zero_group_mask
 
 
 def small_raw(**extra):
@@ -351,24 +354,47 @@ class TestCompare:
 
 
 class TestModelArtifact:
-    def test_round_trip(self, tmp_path, rng):
-        arch = make_arch(6, 11, 4)
-        params = make_model(arch, seed=5)
-        mask = random_mask(arch, rng)
-        path = tmp_path / "model.mpfm"
-        save_model(path, params, mask)
-        got_params, got_mask = load_model(path)
-        assert got_params.allclose(params, rtol=0, atol=0)
-        assert got_mask == mask
-        assert got_params.arch.groups == arch.groups
+    def test_round_trip(self, tmp_path):
+        # no hidden layer, one, and two
+        for dims in [(8, 3), (8, 16, 3), (8, 16, 12, 3)]:
+            arch = make_arch(*dims)
+            # prunes every third group of every layer, the first included
+            mask = PruneMask(arch, [np.arange(n) % 3 != 0 for n in arch.groups])
+            params = apply_mask(make_model(arch, seed=5), mask)
+            path = tmp_path / "model.mpfm"
+            save_model(path, params, mask)
+            got_params, got_mask = load_model(path)
+            assert got_params.arch.dims == dims
+            assert same_params(got_params, params), dims
+            assert got_mask == mask, dims
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.mpfm"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
-        from mpfl.errors import ProtocolError
-
         with pytest.raises(ProtocolError):
             load_model(p)
+
+    @pytest.mark.parametrize(
+        "corrupt, offset",
+        [
+            (lambda b: b[:5], 5),
+            (lambda b: b[:10], 10),
+            (lambda b: b[:30], 30),
+            (lambda b: b[:5] + struct.pack("<H", 0) + b[7:], 5),
+            (lambda b: b[:11] + struct.pack("<I", 0) + b[15:], 7),
+            (lambda b: b[:15] + struct.pack("<I", 9) + b[19:], 15),
+        ],
+        ids=["cut-header", "cut-layer-table", "cut-weights", "no-layers", "zero-dim", "unchained"],
+    )
+    def test_bad_artifact_raises_with_offset(self, tmp_path, corrupt, offset):
+        """A 4-8-3 artifact: 7 header bytes, then (in, out) u32 pairs at 7 and 15."""
+        arch = make_arch(4, 8, 3)
+        path = tmp_path / "model.mpfm"
+        save_model(path, make_model(arch), PruneMask.ones(arch))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ProtocolError) as err:
+            load_model(path)
+        assert err.value.offset == offset
 
     def test_saved_run_output(self, tmp_path):
         res = run(config_from_dict(small_raw()))
@@ -376,7 +402,7 @@ class TestModelArtifact:
         save_model(path, res.final_model, res.final_mask)
         params, mask = load_model(path)
         assert mask == res.final_mask
-        assert params.allclose(res.final_model, rtol=0, atol=0)
+        assert same_params(params, res.final_model)
 
 
 class TestEnvConsistency:

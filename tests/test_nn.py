@@ -14,7 +14,7 @@ from mpfl.model import Batch, ModelParams, PruneMask, init_params
 from mpfl.nn import accuracy, backward, forward, predict, train_sgd
 from mpfl.pruning import apply_mask
 
-from conftest import make_arch, make_model, random_mask, zero_group_mask
+from conftest import make_arch, make_model, random_mask, same_params, zero_group_mask
 
 
 def scalar_forward(model, x, y):
@@ -307,7 +307,7 @@ class TestTrain:
                          rng=np.random.default_rng(42))
         b, _ = train_sgd(model, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16,
                          rng=np.random.default_rng(42))
-        assert a.allclose(b)
+        assert same_params(a, b)
 
     def test_mask_survives_training(self, rng):
         from mpfl.data import make_blobs

@@ -1,0 +1,143 @@
+"""Print one SHA-256 per run config over everything a run outputs.
+
+A change that must not alter results is checked by running this script on
+the change and on its parent and diffing the two outputs:
+
+    PYTHONPATH=src python3 tools/output_hashes.py > change.txt
+    git archive <parent> | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python3 tools/output_hashes.py > parent.txt
+    diff parent.txt change.txt
+
+Each hash covers the metrics CSV, ``ledger.summary()``, the sorted ledger
+entries, the ``save_model`` artifact bytes, the packed mask history,
+``budget_history`` and ``flagged_nodes``.  A run that raises hashes its error
+message instead, and its line names the error class after the hash.  The
+configs are the 4-node test config under the variants below and the README
+desk config, clean and contaminated, each with all four algorithms over both
+transports.  An optional argument keeps only the config names that contain
+it.  The script uses only the package's public API, so it runs on older trees
+too.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from mpfl.config import config_from_dict
+from mpfl.errors import MpflError
+from mpfl.experiment import rows_to_csv, run, save_model
+from mpfl.wire import pack_mask
+
+ALGORITHMS = ("mpfl", "pruning_fl", "fedavg", "lth_central")
+TRANSPORTS = ("loopback", "tcp")
+
+SMALL = {
+    "seed": 3,
+    "nodes": 4,
+    "final_rounds": 2,
+    "arch": {"input_dim": 10, "hidden": [20], "classes": 3},
+    "dataset": {"kind": "blobs", "samples": 360, "features": 10, "classes": 3},
+    "training": {"lr": 0.1, "epochs_per_round": 2, "batch_size": 32},
+    "pruning": {"schedule": [0.2, 0.2], "min_keep": [1, 3]},
+}
+
+# variant name -> {dotted key path: value} applied to SMALL
+VARIANTS = {
+    "base": {},
+    "histogram-0.5": {"consensus.strategy": "histogram", "consensus.agreement": 0.5},
+    "histogram-0.9": {"consensus.strategy": "histogram", "consensus.agreement": 0.9},
+    "histogram-1.0": {"consensus.strategy": "histogram", "consensus.agreement": 1.0},
+    "gradient-p1": {"pruning.scoring": "gradient", "pruning.p": 1},
+    "delta-headers": {"wire.delta_masks": True, "wire.count_headers": True},
+    "f64": {"wire.precision_bits": 64},
+    "no-final-rounds": {"final_rounds": 0},
+    "no-epochs": {"training.epochs_per_round": 0},
+    "one-node": {"nodes": 1},
+    "no-hidden": {"arch.hidden": [], "pruning.min_keep": [3]},
+    "two-hidden": {"arch.hidden": [20, 12], "pruning.min_keep": [1, 1, 3]},
+    "batch-13": {"training.batch_size": 13},
+    "keep-0": {"pruning.schedule": [0.5] * 3, "pruning.min_keep": 0},
+    "noise-1e300": {"contamination": [{"node": 0, "kind": "noise", "sigma": 1e300}]},
+    "labels": {"contamination": [{"node": 1, "kind": "labels"}]},
+    "early-stop-8": {
+        "nodes": 8,
+        "pruning.schedule": [0.05] * 8,
+        "consensus.strategy": "histogram",
+        "consensus.agreement": 1.0,
+    },
+}
+
+DESK = {
+    "seed": 7,
+    "nodes": 10,
+    "final_rounds": 10,
+    "arch": {"input_dim": 64, "hidden": [512], "classes": 10},
+    "dataset": {"kind": "blobs", "samples": 6000, "features": 64, "classes": 10,
+                "cluster_std": 5.5},
+    "training": {"lr": 0.1, "epochs_per_round": 3, "batch_size": 64},
+    "pruning": {"schedule": [0.1] * 5, "min_keep": [1, 10]},
+}
+DESK_CONTAMINATION = [{"node": 0, "kind": "noise", "sigma": 16.0}, {"node": 1, "kind": "labels"}]
+
+
+def _with(base: dict, changes: dict) -> dict:
+    raw = copy.deepcopy(base)
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        section = raw
+        for key in parents:
+            section = section.setdefault(key, {})
+        section[leaf] = value
+    return raw
+
+
+def configs():
+    """(name, raw config dict) for every run, in a fixed order."""
+    bases = {f"small/{name}": _with(SMALL, changes) for name, changes in VARIANTS.items()}
+    bases["desk/clean"] = DESK
+    bases["desk/contaminated"] = _with(DESK, {"contamination": DESK_CONTAMINATION})
+    for name, base in bases.items():
+        for alg in ALGORITHMS:
+            for transport in TRANSPORTS:
+                raw = _with(base, {"algorithm": alg, "transport.kind": transport})
+                yield f"{name}/{alg}/{transport}", raw
+
+
+def output_hash(raw: dict, scratch: Path) -> str:
+    h = hashlib.sha256()
+    try:
+        res = run(config_from_dict(raw))
+    except MpflError as e:
+        h.update(f"error {type(e).__name__}: {e}".encode())
+        return f"{h.hexdigest()} {type(e).__name__}"
+    h.update(rows_to_csv(res.rows).encode())
+    h.update(repr(res.ledger.summary()).encode())
+    entries = sorted(
+        (e.node_id, e.round_idx, e.direction, e.category, e.bits) for e in res.ledger.entries
+    )
+    h.update(repr(entries).encode())
+    artifact = scratch / "model.mpfm"
+    save_model(artifact, res.final_model, res.final_mask)
+    h.update(artifact.read_bytes())
+    for mask in res.mask_history:
+        h.update(pack_mask(mask))
+    h.update(repr(res.budget_history).encode())
+    h.update(repr(res.flagged_nodes).encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    only = argv[0] if argv else ""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in configs():
+            if only in name:
+                print(name, output_hash(raw, Path(tmp)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
