@@ -87,7 +87,6 @@ class TrainingConfig:
 
 @dataclass
 class PruningConfig:
-    scoring: str = "weight"  # weight | gradient
     p: int = 2
     schedule: list[float] = field(default_factory=lambda: [0.1] * 5)
     min_keep: int | list[int] = 1
@@ -114,13 +113,6 @@ class TransportConfig:
 
 
 @dataclass
-class WireConfig:
-    precision_bits: int = 32
-    delta_masks: bool = False
-    count_headers: bool = False
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 7
     algorithm: str = "mpfl"
@@ -133,7 +125,6 @@ class ExperimentConfig:
     pruning: PruningConfig = field(default_factory=PruningConfig)
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     transport: TransportConfig = field(default_factory=TransportConfig)
-    wire: WireConfig = field(default_factory=WireConfig)
     contamination: list[ContaminationSpec] = field(default_factory=list)
 
     def validate(self) -> "ExperimentConfig":
@@ -146,8 +137,6 @@ class ExperimentConfig:
         _require(self.training.lr > 0, "training.lr", "must be positive")
         _require(self.training.epochs_per_round >= 0, "training.epochs_per_round", "must be >= 0")
         _require(self.training.batch_size >= 1, "training.batch_size", "must be >= 1")
-        _require(self.pruning.scoring in ("weight", "gradient"), "pruning.scoring",
-                 f"must be 'weight' or 'gradient', got {self.pruning.scoring!r}")
         _require(self.pruning.p in (1, 2), "pruning.p", "must be 1 or 2")
         for i, inc in enumerate(self.pruning.schedule):
             _require(0.0 < inc < 1.0, f"pruning.schedule[{i}]",
@@ -156,8 +145,6 @@ class ExperimentConfig:
                  f"must be 'topk' or 'histogram', got {self.consensus.strategy!r}")
         _require(0.0 < self.consensus.agreement <= 1.0, "consensus.agreement",
                  "must be in (0, 1]")
-        _require(self.wire.precision_bits in (32, 64), "wire.precision_bits",
-                 "must be 32 or 64")
         _require(self.transport.kind in ("loopback", "tcp"), "transport.kind",
                  f"must be 'loopback' or 'tcp', got {self.transport.kind!r}")
         _require(self.dataset.kind in ("blobs", "csv", "idx"), "dataset.kind",
@@ -227,7 +214,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         "pruning": PruningConfig,
         "consensus": ConsensusConfig,
         "transport": TransportConfig,
-        "wire": WireConfig,
     }
     kwargs: dict[str, Any] = {}
     for name, cls in sections.items():

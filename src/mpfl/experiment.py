@@ -175,7 +175,6 @@ def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
                 lr=cfg.training.lr,
                 epochs_per_round=cfg.training.epochs_per_round,
                 batch_size=cfg.training.batch_size,
-                scoring=cfg.pruning.scoring,
                 p=cfg.pruning.p,
                 min_keep=cfg.pruning.min_keep,
             )
@@ -342,7 +341,7 @@ class _Tcp:
 def _sessions(cfg: ExperimentConfig, env: Env, ledger: BandwidthLedger,
               nodes: list[Node]) -> _Loopback | _Tcp:
     """Open the server's sessions with the nodes over the configured transport."""
-    codec = WireCodec(env.arch, cfg.wire.precision_bits, cfg.wire.delta_masks)
+    codec = WireCodec(env.arch)
     if cfg.transport.kind == "loopback":
         return _Loopback(codec, ledger, nodes)
     return _Tcp(cfg, codec, ledger, nodes)
@@ -392,7 +391,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     env = env or build_env(cfg)
     schedule = [] if cfg.algorithm == "fedavg" else list(cfg.pruning.schedule)
     tag = "fedavg" if cfg.algorithm == "fedavg" else "mpfl"
-    ledger = BandwidthLedger(count_headers=cfg.wire.count_headers)
+    ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
     ps = ParameterServer(
         env.arch,
@@ -445,7 +444,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
 def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     """Server-side pruning baseline: full weights travel every round."""
     env = env or build_env(cfg)
-    ledger = BandwidthLedger(count_headers=cfg.wire.count_headers)
+    ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
     rec = _RowRecorder("pruning_fl", ledger, cfg.nodes)
     mask_history: list[PruneMask] = []
@@ -505,7 +504,7 @@ def charge_lth_upload(
 def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     """Centralized train / prune / rewind-to-initial over the pooled shards."""
     env = env or build_env(cfg)
-    ledger = BandwidthLedger(count_headers=cfg.wire.count_headers)
+    ledger = BandwidthLedger()
     rec = _RowRecorder("lth_central", ledger, cfg.nodes)
     charge_lth_upload(
         ledger,
@@ -696,8 +695,8 @@ def save_model(path: str | Path, params: ModelParams, mask: PruneMask) -> None:
 def load_model(path: str | Path) -> tuple[ModelParams, PruneMask]:
     """Read a ``save_model`` artifact.  The header, the layer table and the total
     size are checked before any weight is read; a bad one raises
-    ``ProtocolError`` with its byte offset in the artifact.  Nonzero mask
-    padding raises ``ProtocolError`` from the mask decoder."""
+    ``ProtocolError`` with its byte offset in the artifact, and so does nonzero
+    mask padding."""
     buf = Path(path).read_bytes()
     pos = _ARTIFACT_HEAD.size
     if len(buf) < pos:
@@ -732,4 +731,9 @@ def load_model(path: str | Path) -> tuple[ModelParams, PruneMask]:
         weights.append(wb[: out_dim * in_dim].reshape(out_dim, in_dim))
         biases.append(wb[out_dim * in_dim :])
         pos += 8 * wb.size
-    return ModelParams(arch, weights, biases), unpack_mask(buf[pos:], arch)
+    try:
+        mask = unpack_mask(buf[pos:], arch)
+    except ProtocolError as e:
+        # the size is already checked, so only mask padding is left to fail
+        raise ProtocolError("nonzero padding bits in the artifact mask", pos + e.offset) from None
+    return ModelParams(arch, weights, biases), mask

@@ -22,13 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstraintError, LayoutError
-from .model import ArchSpec, ModelParams, PruneMask, ScoreVector, VoteHistogram
-from .nn import backward, train_sgd
-from .model import Batch
+from .model import ArchSpec, ModelParams, PruneMask, VoteHistogram
+from .nn import train_sgd
 from .pruning import (
     _min_keep_per_layer,
     compute_mask,
-    gradient_scores,
     prune_count,
     weight_scores,
 )
@@ -45,7 +43,7 @@ def average_mask(masks: Sequence[PruneMask]) -> VoteHistogram:
         raise ConfigError("cannot average zero masks")
     arch = masks[0].arch
     for m in masks[1:]:
-        if m.arch.groups != arch.groups:
+        if m.arch != arch:
             raise LayoutError("masks disagree on layer layout")
     layers = [
         np.mean([m.layers[i] for m in masks], axis=0, dtype=np.float64)
@@ -80,7 +78,7 @@ def consensus_topk(
     Vote ties are broken by keeping the lower group index.
     """
     arch = hist.arch
-    if prev_mask.arch.groups != arch.groups:
+    if prev_mask.arch != arch:
         raise LayoutError("prev_mask layout does not match the histogram")
     if len(budget) != len(arch.groups):
         raise ConfigError(f"budget has {len(budget)} entries for {len(arch.groups)} layers")
@@ -115,7 +113,7 @@ def consensus_histogram(
     if not 0.0 < agreement <= 1.0:
         raise ConfigError(f"agreement must be in (0, 1], got {agreement}")
     arch = hist.arch
-    if prev_mask.arch.groups != arch.groups:
+    if prev_mask.arch != arch:
         raise LayoutError("prev_mask layout does not match the histogram")
     floors = _min_keep_per_layer(arch, min_keep)
     needed = max(1, int(np.ceil(agreement * hist.n_nodes - 1e-9)))
@@ -140,7 +138,7 @@ def fedavg(models: Sequence[ModelParams]) -> ModelParams:
         raise ConfigError("cannot average zero models")
     arch = models[0].arch
     for m in models[1:]:
-        if m.arch.groups != arch.groups:
+        if m.arch != arch:
             raise LayoutError("models disagree on layout")
     weights = [np.mean([m.weights[i] for m in models], axis=0) for i in range(len(arch.groups))]
     biases = [np.mean([m.biases[i] for m in models], axis=0) for i in range(len(arch.groups))]
@@ -159,7 +157,6 @@ class Node:
     lr: float = 0.1
     epochs_per_round: int = 3
     batch_size: int = 64
-    scoring: str = "weight"  # "weight" or "gradient"
     p: int = 2
     min_keep: int | Sequence[int] = 1
     flagged: bool = False
@@ -178,14 +175,6 @@ class Node:
         )
         return loss
 
-    def scores(self) -> ScoreVector:
-        if self.scoring == "weight":
-            return weight_scores(self.model, self.p)
-        if self.scoring == "gradient":
-            grads = backward(self.model, Batch(self.x, self.y))
-            return gradient_scores(grads, self.p)
-        raise ConfigError(f"unknown scoring mode {self.scoring!r}")
-
     def local_round(self, global_mask: PruneMask, increment: float) -> PruneMask:
         """Train under the current global mask, then vote with a local mask.
 
@@ -197,7 +186,8 @@ class Node:
             self.flagged = True
             log.warning("node %d: non-finite loss, submitting previous mask", self.node_id)
             return global_mask.copy()
-        return compute_mask(self.scores(), increment, global_mask, self.min_keep)
+        return compute_mask(weight_scores(self.model, self.p), increment, global_mask,
+                            self.min_keep)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Codec fuzzing: random round trips and corrupt-frame survival.
 
-Round trips must reproduce every message bit for bit (weights are drawn at
-wire precision so quantization is lossless).  Corrupt frames must either
-decode cleanly or raise ProtocolError; anything else is a crash.
+Round trips must reproduce every message bit for bit (weights are drawn as
+float32 values, the wire type, so quantization is lossless).  Corrupt frames
+must either decode cleanly or raise ProtocolError; anything else is a crash.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ def _random_mask(arch: ArchSpec, rng: np.random.Generator) -> PruneMask:
     return PruneMask(arch, [rng.integers(0, 2, size=n).astype(bool) for n in arch.groups])
 
 
-def _random_params(
-    arch: ArchSpec, rng: np.random.Generator, precision_bits: int
-) -> ModelParams:
-    dt = np.float32 if precision_bits == 32 else np.float64
+def _random_params(arch: ArchSpec, rng: np.random.Generator) -> ModelParams:
     weights, biases = [], []
     for out_dim, in_dim in arch.shapes:
-        w = rng.standard_normal((out_dim, in_dim)).astype(dt)
-        b = rng.standard_normal(out_dim).astype(dt)
+        w = rng.standard_normal((out_dim, in_dim)).astype(np.float32)
+        b = rng.standard_normal(out_dim).astype(np.float32)
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
     return ModelParams(arch, weights, biases)
@@ -43,25 +40,21 @@ def _random_case(rng: np.random.Generator):
     from .pruning import apply_mask
 
     arch = _random_arch(rng)
-    precision = 32 if rng.integers(0, 2) else 64
-    delta = bool(rng.integers(0, 2))
-    codec = WireCodec(arch, precision, delta_masks=delta)
+    codec = WireCodec(arch)
     mtype = _VARIANTS[int(rng.integers(0, len(_VARIANTS)))]
     round_idx = int(rng.integers(0, 2**16))
     node_id = int(rng.integers(0, 64))
+    ref = _random_mask(arch, rng)
 
     if mtype in (MsgType.MASK_UPLOAD, MsgType.GLOBAL_MASK):
-        ref = _random_mask(arch, rng)
-        mask = ref.intersect(_random_mask(arch, rng))  # delta needs mask <= ref
         msg = Message(
             mtype,
             round_idx,
             node_id=node_id if mtype == MsgType.MASK_UPLOAD else None,
-            mask=mask,
+            mask=_random_mask(arch, rng),
         )
         return codec, msg, ref
-    ref = _random_mask(arch, rng)
-    params = apply_mask(_random_params(arch, rng, precision), ref)
+    params = apply_mask(_random_params(arch, rng), ref)
     msg = Message(
         mtype,
         round_idx,

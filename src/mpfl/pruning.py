@@ -14,32 +14,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, LayoutError
-from .model import ArchSpec, Gradients, ModelParams, PruneMask, ScoreVector
+from .model import ArchSpec, ModelParams, PruneMask, ScoreVector
 
 _RANK_EPS = 1e-9  # guards ceil() against float fuzz in fraction * count
 
 
-def _group_norms(params: ModelParams, p: int) -> ScoreVector:
+def weight_scores(model: ModelParams, p: int = 2) -> ScoreVector:
+    """Per-group p-norm of the model weights (row + bias)."""
     if p not in (1, 2):
         raise ConfigError(f"score norm must be p=1 or p=2, got {p}")
     layers = []
-    for i in range(len(params.weights)):
-        gm = params.group_matrix(i)
+    for i in range(len(model.weights)):
+        gm = model.group_matrix(i)
         if p == 1:
             layers.append(np.abs(gm).sum(axis=1))
         else:
             layers.append(np.sqrt((gm * gm).sum(axis=1)))
-    return ScoreVector(params.arch, layers)
-
-
-def weight_scores(model: ModelParams, p: int = 2) -> ScoreVector:
-    """Per-group p-norm of the model weights (row + bias)."""
-    return _group_norms(model, p)
-
-
-def gradient_scores(grads: Gradients, p: int = 2) -> ScoreVector:
-    """Per-group p-norm of a gradient with the model's layout."""
-    return _group_norms(grads, p)
+    return ScoreVector(model.arch, layers)
 
 
 def nearest_rank(n: int, fraction: float) -> int:
@@ -87,7 +78,7 @@ def compute_mask(
     if not 0.0 <= sparsity < 1.0:
         raise ConfigError(f"sparsity increment must be in [0, 1), got {sparsity}")
     arch = scores.arch
-    if prev_mask.arch.groups != arch.groups:
+    if prev_mask.arch != arch:
         raise LayoutError("prev_mask layout does not match the score layout")
     floors = _min_keep_per_layer(arch, min_keep)
 
@@ -106,7 +97,7 @@ def compute_mask(
 
 def apply_mask(model: ModelParams, mask: PruneMask) -> ModelParams:
     """Zero the weight row and bias of every pruned group."""
-    if mask.arch.groups != model.arch.groups:
+    if mask.arch != model.arch:
         raise LayoutError("mask layout does not match the model")
     weights, biases = [], []
     for w, b, bits in zip(model.weights, model.biases, mask.layers):

@@ -112,7 +112,6 @@ class Endpoint:
             self.send_direction,
             message_category(msg.mtype),
             payload_bits=(len(frame) - overhead) * 8,
-            overhead_bits=overhead * 8,
         )
         self.channel.send_bytes(frame)
         return frame

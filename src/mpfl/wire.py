@@ -15,12 +15,8 @@ The payload carries only model content (mask bits or weight scalars); the
 sender id is framing, not payload, so ledger totals match the content sizes
 exactly.  Masks are bit-packed 8 groups per byte, little-endian bit order
 within each byte, each layer zero-padded to a whole byte.  Weights travel as
-little-endian float32 or float64 of the live groups only: both ends know the
-reference mask, so pruned groups are never resent.
-
-Delta mask mode goes one step further: an unchanged mask is an empty payload,
-and otherwise only the bits of groups still live in the reference mask are
-sent.  Over a monotone mask sequence this never exceeds the full encoding.
+little-endian float32 of the live groups only: both ends know the reference
+mask, so pruned groups are never resent.
 """
 
 from __future__ import annotations
@@ -90,103 +86,62 @@ def pack_mask(mask: PruneMask) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_bits(buf: bytes, counts: Sequence[int], what: str, need: str) -> list[np.ndarray]:
-    """Split ``buf`` into per-layer bool arrays of ``counts`` bits, byte-aligned
-    per layer; the padding bits must be zero, otherwise the frame was corrupted."""
-    expected = sum((n + 7) // 8 for n in counts)
+def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
+    """Per-layer keep bits, byte-aligned per layer; the padding bits must be
+    zero, otherwise the payload was corrupted."""
+    expected = sum((n + 7) // 8 for n in arch.groups)
     if len(buf) != expected:
         raise ProtocolError(
-            f"{what} payload is {len(buf)} bytes, {need} needs {expected}",
+            f"mask payload is {len(buf)} bytes, layout needs {expected}",
             offset=min(len(buf), expected),
         )
     layers, pos = [], 0
-    for n in counts:
+    for n in arch.groups:
         nbytes = (n + 7) // 8
         bits = np.unpackbits(np.frombuffer(buf, np.uint8, nbytes, pos), bitorder="little")
         if np.any(bits[n:]):
-            raise ProtocolError(f"nonzero padding bits in {what} payload", offset=pos)
+            # the padding bits sit in the layer's last byte
+            raise ProtocolError("nonzero padding bits in mask payload", offset=pos + n // 8)
         layers.append(bits[:n].astype(bool))
         pos += nbytes
-    return layers
-
-
-def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
-    return PruneMask(arch, _unpack_bits(buf, arch.groups, "mask", "layout"))
-
-
-def pack_mask_delta(mask: PruneMask, ref: PruneMask) -> bytes:
-    """Delta form: empty if unchanged, else only bits of groups live in ``ref``."""
-    if ref.arch.groups != mask.arch.groups:
-        raise LayoutError("delta reference layout does not match the mask")
-    if not mask.issubset(ref):
-        # encoding would silently drop the groups kept outside the reference
-        raise ProtocolError("delta mask keeps groups outside the reference")
-    if mask == ref:
-        return b""
-    parts = []
-    for bits, ref_bits in zip(mask.layers, ref.layers):
-        live = bits[ref_bits]
-        parts.append(np.packbits(live.astype(np.uint8), bitorder="little").tobytes())
-    return b"".join(parts)
-
-
-def unpack_mask_delta(buf: bytes, arch: ArchSpec, ref: PruneMask) -> PruneMask:
-    if len(buf) == 0:
-        return ref.copy()
-    lives = _unpack_bits(buf, ref.keep_counts(), "delta mask", "reference")
-    layers = []
-    for ref_bits, live in zip(ref.layers, lives):
-        bits = np.zeros_like(ref_bits)
-        bits[ref_bits] = live
-        layers.append(bits)
     return PruneMask(arch, layers)
 
 
 # --- weight packing ---------------------------------------------------------
 
-def _wire_dtype(precision_bits: int) -> np.dtype:
-    if precision_bits == 32:
-        return np.dtype("<f4")
-    if precision_bits == 64:
-        return np.dtype("<f8")
-    raise ConfigError(f"wire precision must be 32 or 64 bits, got {precision_bits}")
+_WIRE_DTYPE = np.dtype("<f4")
 
 
-def pack_params(params: ModelParams, mask: PruneMask, precision_bits: int) -> bytes:
+def pack_params(params: ModelParams, mask: PruneMask) -> bytes:
     """Live groups only, layer by layer, each group as its row plus bias."""
-    if mask.arch.groups != params.arch.groups:
+    if mask.arch != params.arch:
         raise LayoutError("mask layout does not match the params")
-    dt = _wire_dtype(precision_bits)
     parts = []
     for i, bits in enumerate(mask.layers):
         gm = params.group_matrix(i)[bits]
-        parts.append(np.ascontiguousarray(gm, dtype=dt).tobytes())
+        parts.append(np.ascontiguousarray(gm, dtype=_WIRE_DTYPE).tobytes())
     return b"".join(parts)
 
 
-def packed_params_size(arch: ArchSpec, mask: PruneMask, precision_bits: int) -> int:
-    scalar = _wire_dtype(precision_bits).itemsize
+def packed_params_size(arch: ArchSpec, mask: PruneMask) -> int:
     return sum(
-        int(bits.sum()) * size * scalar
+        int(bits.sum()) * size * _WIRE_DTYPE.itemsize
         for bits, size in zip(mask.layers, arch.group_sizes)
     )
 
 
-def unpack_params(
-    buf: bytes, arch: ArchSpec, mask: PruneMask, precision_bits: int
-) -> ModelParams:
-    expected = packed_params_size(arch, mask, precision_bits)
+def unpack_params(buf: bytes, arch: ArchSpec, mask: PruneMask) -> ModelParams:
+    expected = packed_params_size(arch, mask)
     if len(buf) != expected:
         raise ProtocolError(
             f"weight payload is {len(buf)} bytes, layout needs {expected}",
             offset=min(len(buf), expected),
         )
-    dt = _wire_dtype(precision_bits)
     weights, biases, pos = [], [], 0
     for (out_dim, in_dim), bits in zip(arch.shapes, mask.layers):
         n_live = int(bits.sum())
         count = n_live * (in_dim + 1)
-        flat = np.frombuffer(buf, dtype=dt, count=count, offset=pos)
+        flat = np.frombuffer(buf, dtype=_WIRE_DTYPE, count=count, offset=pos)
         # arbitrary bytes may decode to signaling NaNs; widening them is fine
         with np.errstate(invalid="ignore"):
             gm = flat.reshape(n_live, in_dim + 1).astype(np.float64)
@@ -197,7 +152,7 @@ def unpack_params(
         b[live] = gm[:, -1]
         weights.append(w)
         biases.append(b)
-        pos += count * dt.itemsize
+        pos += count * _WIRE_DTYPE.itemsize
     return ModelParams(arch, weights, biases)
 
 
@@ -205,26 +160,21 @@ def unpack_params(
 
 @dataclass
 class WireCodec:
-    """Encodes and decodes frames for one architecture and wire precision.
+    """Encodes and decodes frames for one architecture.
 
-    ``ref_mask`` names the mask both ends already agree on: the previous
-    global mask for mask messages (used by delta mode), and the live-group
-    layout for weight messages (all-ones for the initial broadcast).
+    ``ref_mask`` names the live-group layout both ends already agree on for
+    weight messages (all-ones for the initial broadcast); mask messages
+    ignore it and always carry the full mask.
     """
 
     arch: ArchSpec
-    precision_bits: int = 32
-    delta_masks: bool = False
 
     def encode(self, msg: Message, ref_mask: PruneMask | None = None) -> bytes:
         if msg.mtype in _MASK_TYPES:
-            if self.delta_masks and ref_mask is not None:
-                payload = pack_mask_delta(msg.mask, ref_mask)
-            else:
-                payload = pack_mask(msg.mask)
+            payload = pack_mask(msg.mask)
         else:
             mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-            payload = pack_params(msg.params, mask, self.precision_bits)
+            payload = pack_params(msg.params, mask)
         head = _HEADER.pack(MAGIC, VERSION, int(msg.mtype), msg.round_idx, len(payload))
         if msg.mtype in _UPLOADS:
             head += _NODE_ID.pack(msg.node_id)
@@ -233,13 +183,10 @@ class WireCodec:
     def decode(self, frame: bytes, ref_mask: PruneMask | None = None) -> Message:
         mtype, round_idx, node_id, payload = self.split_frame(frame)
         if mtype in _MASK_TYPES:
-            if self.delta_masks and ref_mask is not None:
-                mask = unpack_mask_delta(payload, self.arch, ref_mask)
-            else:
-                mask = unpack_mask(payload, self.arch)
+            mask = unpack_mask(payload, self.arch)
             return Message(mtype, round_idx, node_id=node_id, mask=mask)
         mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-        params = unpack_params(payload, self.arch, mask, self.precision_bits)
+        params = unpack_params(payload, self.arch, mask)
         return Message(mtype, round_idx, node_id=node_id, params=params)
 
     @staticmethod
@@ -375,11 +322,9 @@ class LedgerEntry:
 class BandwidthLedger:
     """Exact bit counts of every transmitted payload, never estimated.
 
-    By default only payload bits are counted; framing overhead can be folded
-    in with ``count_headers`` for end-to-end byte budgeting.
+    Only payload bits are counted; framing overhead is never booked.
     """
 
-    count_headers: bool = False
     entries: list[LedgerEntry] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -390,16 +335,14 @@ class BandwidthLedger:
         direction: str,
         category: str,
         payload_bits: int,
-        overhead_bits: int = 0,
     ) -> None:
-        if payload_bits < 0 or overhead_bits < 0:
+        if payload_bits < 0:
             raise ConfigError("bit counts must be non-negative")
         if direction not in (UP, DOWN):
             raise ConfigError(f"direction must be {UP!r} or {DOWN!r}")
-        bits = payload_bits + (overhead_bits if self.count_headers else 0)
         with self._lock:
             self.entries.append(
-                LedgerEntry(node_id, round_idx, direction, category, bits)
+                LedgerEntry(node_id, round_idx, direction, category, payload_bits)
             )
 
     def charge_data_upload(self, node_id: int, bits: int) -> None:

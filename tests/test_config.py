@@ -35,7 +35,6 @@ class TestDefaults:
         assert cfg.final_rounds == 10
         assert cfg.pruning.schedule == [0.1] * 5
         assert cfg.consensus.strategy == "topk"
-        assert cfg.wire.precision_bits == 32
         assert cfg.transport.kind == "loopback"
 
     def test_empty_config_is_self_consistent(self):
@@ -122,9 +121,10 @@ class TestValidation:
             config_from_dict(raw)
 
     def test_wire_precision_gate(self):
+        """Weights always travel as float32: there is no wire section."""
         raw = minimal_raw()
-        raw["wire"] = {"precision_bits": 16}
-        with pytest.raises(ConfigError, match="precision"):
+        raw["wire"] = {"precision_bits": 64}
+        with pytest.raises(ConfigError, match="wire: unknown key"):
             config_from_dict(raw)
 
     def test_type_errors_carry_path(self):

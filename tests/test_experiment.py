@@ -140,11 +140,19 @@ class TestRunShape:
         sp = [r.global_sparsity for r in res.rows]
         assert sp == sorted(sp)
 
-    def test_gradient_scoring_runs(self):
+    def test_gradient_scoring_runs(self, tmp_path, capsys):
+        """Groups are scored by their weight norms only: ``mpfl run`` rejects a
+        ``pruning.scoring`` key as a config error, with exit code 2."""
+        import yaml
+
+        from mpfl.cli import main
+
         raw = small_raw()
         raw["pruning"]["scoring"] = "gradient"
-        res = run(config_from_dict(raw))
-        assert res.final_mask.sparsity() > 0
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "pruning.scoring: unknown key" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -383,11 +391,14 @@ class TestModelArtifact:
             (lambda b: b[:5] + struct.pack("<H", 0) + b[7:], 5),
             (lambda b: b[:11] + struct.pack("<I", 0) + b[15:], 7),
             (lambda b: b[:15] + struct.pack("<I", 9) + b[19:], 15),
+            (lambda b: b[:-1] + bytes([b[-1] ^ 0x80]), 560),
         ],
-        ids=["cut-header", "cut-layer-table", "cut-weights", "no-layers", "zero-dim", "unchained"],
+        ids=["cut-header", "cut-layer-table", "cut-weights", "no-layers", "zero-dim", "unchained",
+             "mask-padding"],
     )
     def test_bad_artifact_raises_with_offset(self, tmp_path, corrupt, offset):
-        """A 4-8-3 artifact: 7 header bytes, then (in, out) u32 pairs at 7 and 15."""
+        """A 4-8-3 artifact: 7 header bytes, then (in, out) u32 pairs at 7 and 15,
+        weights from 23, and the two mask bytes at 559 and 560."""
         arch = make_arch(4, 8, 3)
         path = tmp_path / "model.mpfm"
         save_model(path, make_model(arch), PruneMask.ones(arch))

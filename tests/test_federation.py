@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpfl.errors import ConstraintError
+from mpfl.errors import ConstraintError, LayoutError
 from mpfl.federation import (
     HISTOGRAM,
     TOPK,
@@ -45,6 +45,12 @@ class TestAverageMask:
         hist = average_mask([m])
         for hl, ml in zip(hist.layers, m.layers):
             np.testing.assert_array_equal(hl, ml.astype(float))
+
+    def test_layout_mismatch(self):
+        """4-8-3 and 5-8-3 have the same group counts but not the same layout."""
+        masks = [PruneMask.ones(make_arch(4, 8, 3)), PruneMask.ones(make_arch(5, 8, 3))]
+        with pytest.raises(LayoutError):
+            average_mask(masks)
 
 
 class TestKeepBudget:
@@ -187,6 +193,11 @@ class TestFedavg:
     def test_identity_on_one(self, tiny_model):
         assert same_params(fedavg([tiny_model]), tiny_model)
 
+    def test_layout_mismatch(self):
+        models = [make_model(make_arch(4, 8, 3)), make_model(make_arch(5, 8, 3))]
+        with pytest.raises(LayoutError):
+            fedavg(models)
+
 
 class TestParameterServer:
     def _nodes_unanimous_votes(self, arch, rng, n=4):
@@ -273,9 +284,3 @@ class TestNode:
         assert node.flagged
         assert vote == PruneMask.ones(arch)
 
-    def test_gradient_scoring_mode(self):
-        arch = make_arch(4, 8, 3)
-        node = self._node(arch, seed=42)
-        node.scoring = "gradient"
-        vote = node.local_round(PruneMask.ones(arch), 0.25)
-        assert vote.issubset(PruneMask.ones(arch))

@@ -16,7 +16,6 @@ from mpfl.model import ModelParams, PruneMask, ScoreVector
 from mpfl.pruning import (
     apply_mask,
     compute_mask,
-    gradient_scores,
     nearest_rank,
     prune_count,
     weight_scores,
@@ -72,14 +71,6 @@ class TestScores:
         model = ModelParams(arch, [np.array([[3.0]])], [np.array([4.0])])
         assert weight_scores(model, p=2).layers[0][0] == pytest.approx(5.0)
         assert weight_scores(model, p=1).layers[0][0] == pytest.approx(7.0)
-
-    def test_gradient_scores_same_rule(self):
-        arch = make_arch(4, 6, 3)
-        grads = make_model(arch, seed=8)
-        a = gradient_scores(grads, p=2)
-        b = weight_scores(grads, p=2)
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la, lb)
 
     def test_rejects_other_norms(self, tiny_model):
         with pytest.raises(ConfigError):

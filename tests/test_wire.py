@@ -23,12 +23,10 @@ from mpfl.wire import (
     mask_bits,
     message_category,
     pack_mask,
-    pack_mask_delta,
     pack_params,
     packed_params_size,
     savings_ratio,
     unpack_mask,
-    unpack_mask_delta,
     unpack_params,
     vgg16_dense_bits,
     vgg16_mask_bits,
@@ -37,12 +35,11 @@ from mpfl.wire import (
 from conftest import make_arch, make_model, packed_mask_bits, random_mask, same_params
 
 
-def as_wire_precision(model, precision_bits):
-    """Round parameters to the wire float type so encode/decode is lossless."""
-    dt = np.float32 if precision_bits == 32 else np.float64
+def as_wire_precision(model):
+    """Round parameters to float32, the wire type, so encode/decode is lossless."""
     out = model.copy()
     for arr in out.weights + out.biases:
-        arr[...] = arr.astype(dt).astype(np.float64)
+        arr[...] = arr.astype(np.float32).astype(np.float64)
     return out
 
 
@@ -70,9 +67,13 @@ class TestMaskPacking:
             unpack_mask(b"\x00\x00", arch)
 
     def test_nonzero_padding_rejected(self):
+        """The offset names the byte that holds the bad padding bit."""
         arch = make_arch(1, 3)
         with pytest.raises(ProtocolError, match="padding"):
             unpack_mask(bytes([0b1111]), arch)
+        with pytest.raises(ProtocolError, match="padding") as err:
+            unpack_mask(bytes([0xFF, 0b11111]), make_arch(1, 12))
+        assert err.value.offset == 1
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -84,103 +85,45 @@ class TestMaskPacking:
         assert unpack_mask(pack_mask(mask), arch) == mask
 
 
-class TestMaskDelta:
-    def test_unchanged_is_empty(self, rng):
-        arch = make_arch(3, 9, 4)
-        ref = random_mask(arch, rng)
-        assert pack_mask_delta(ref.copy(), ref) == b""
-        assert unpack_mask_delta(b"", arch, ref) == ref
-
-    def test_roundtrip_subset(self, rng):
-        arch = make_arch(3, 9, 4)
-        ref = random_mask(arch, rng)
-        sub = ref.intersect(random_mask(arch, rng))
-        if sub == ref:
-            sub.layers[0][np.flatnonzero(sub.layers[0])[0]] = False
-        buf = pack_mask_delta(sub, ref)
-        assert unpack_mask_delta(buf, arch, ref) == sub
-
-    def test_never_larger_than_full_encoding(self, rng):
-        """Over a monotone mask sequence the delta form never loses."""
-        arch = make_arch(2, 17, 11, 5)
-        mask = PruneMask.ones(arch)
-        for step in range(6):
-            nxt = mask.intersect(random_mask(arch, np.random.default_rng(step), 0.8))
-            assert len(pack_mask_delta(nxt, mask)) <= len(pack_mask(nxt))
-            mask = nxt
-
-    def test_non_subset_rejected(self, rng):
-        arch = make_arch(1, 8)
-        ref = PruneMask(arch, [np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)])
-        bad = PruneMask(arch, [np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=bool)])
-        with pytest.raises(ProtocolError):
-            pack_mask_delta(bad, ref)
-
-    def test_nonzero_padding_rejected(self):
-        """A delta frame whose padding bit is set is corrupt, as in the full form."""
-        arch = make_arch(1, 8)
-        ref = PruneMask(arch, [np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=bool)])
-        sub = PruneMask(arch, [np.array([1, 0, 1, 0, 1, 0, 0, 0], dtype=bool)])
-        codec = WireCodec(arch, delta_masks=True)
-        frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=sub), ref_mask=ref))
-        assert codec.decode(bytes(frame), ref_mask=ref).mask == sub
-        frame[-1] |= 0x80
-        with pytest.raises(ProtocolError, match="padding"):
-            codec.decode(bytes(frame), ref_mask=ref)
-
-    @given(st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_delta_roundtrip_property(self, data):
-        dims = data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=4))
-        arch = make_arch(*dims)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        ref = random_mask(arch, rng)
-        sub = ref.intersect(random_mask(arch, rng))
-        buf = pack_mask_delta(sub, ref)
-        assert unpack_mask_delta(buf, arch, ref) == sub
-        assert len(buf) <= len(pack_mask(sub))
-
-
 class TestParamsPacking:
-    @pytest.mark.parametrize("precision", [32, 64])
-    def test_roundtrip_under_mask(self, precision, rng):
+    def test_roundtrip_under_mask(self, rng):
         arch = make_arch(4, 9, 3)
         mask = random_mask(arch, rng)
         from mpfl.pruning import apply_mask
 
-        model = as_wire_precision(apply_mask(make_model(arch, seed=5), mask), precision)
-        buf = pack_params(model, mask, precision)
-        assert len(buf) == packed_params_size(arch, mask, precision)
-        back = unpack_params(buf, arch, mask, precision)
+        model = as_wire_precision(apply_mask(make_model(arch, seed=5), mask))
+        buf = pack_params(model, mask)
+        assert len(buf) == packed_params_size(arch, mask)
+        back = unpack_params(buf, arch, mask)
         assert same_params(back, model)
 
     def test_only_live_groups_travel(self):
         arch = make_arch(4, 10)
         mask = PruneMask(arch, [np.r_[np.ones(3, bool), np.zeros(7, bool)]])
         # 3 live groups x (4 weights + 1 bias) x 4 bytes
-        assert packed_params_size(arch, mask, 32) == 3 * 5 * 4
+        assert packed_params_size(arch, mask) == 3 * 5 * 4
 
     def test_wrong_length_rejected(self, rng):
         arch = make_arch(2, 4)
         mask = PruneMask.ones(arch)
         with pytest.raises(ProtocolError):
-            unpack_params(b"\x00" * 7, arch, mask, 32)
+            unpack_params(b"\x00" * 7, arch, mask)
 
     def test_pruned_groups_decode_to_zero(self, rng):
         arch = make_arch(3, 6)
         mask = random_mask(arch, rng, keep_prob=0.5)
-        model = as_wire_precision(make_model(arch, seed=6), 32)
+        model = as_wire_precision(make_model(arch, seed=6))
         from mpfl.pruning import apply_mask
 
         masked = apply_mask(model, mask)
-        back = unpack_params(pack_params(masked, mask, 32), arch, mask, 32)
+        back = unpack_params(pack_params(masked, mask), arch, mask)
         dead = ~mask.layers[0]
         np.testing.assert_array_equal(back.weights[0][dead], 0.0)
 
 
 class TestCodecFraming:
-    def _codec(self, **kw):
-        return WireCodec(make_arch(3, 6, 2), **kw)
+    def _codec(self):
+        return WireCodec(make_arch(3, 6, 2))
 
     def test_frame_layout(self):
         codec = self._codec()
@@ -206,8 +149,8 @@ class TestCodecFraming:
         assert header_overhead_bytes(MsgType.MASK_UPLOAD) == 18
 
     def test_weight_message_roundtrip(self):
-        codec = self._codec(precision_bits=64)
-        model = make_model(codec.arch, seed=9)
+        codec = self._codec()
+        model = as_wire_precision(make_model(codec.arch, seed=9))
         frame = codec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model))
         got = codec.decode(frame)
         assert same_params(got.params, model)
@@ -287,12 +230,16 @@ class TestLedger:
         assert led.total_bits(round_idx=1, direction=DOWN) == 500
 
     def test_headers_excluded_by_default(self):
+        """A send books its frame minus the 14-byte header, 18 with a node id."""
+        from mpfl.transport import loopback_pair
+
+        arch = make_arch(3, 6, 2)
         led = BandwidthLedger()
-        led.record(0, 1, UP, CAT_MASK, 100, overhead_bits=80)
-        assert led.total_bits() == 100
-        led2 = BandwidthLedger(count_headers=True)
-        led2.record(0, 1, UP, CAT_MASK, 100, overhead_bits=80)
-        assert led2.total_bits() == 180
+        server, node = loopback_pair(5, WireCodec(arch), led)
+        mask = PruneMask.ones(arch)
+        down = server.send(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
+        up = node.send(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
+        assert [e.bits for e in led.entries] == [(len(down) - 14) * 8, (len(up) - 18) * 8]
 
     def test_data_upload_category(self):
         led = BandwidthLedger()

@@ -51,9 +51,7 @@ VARIANTS = {
     "histogram-0.5": {"consensus.strategy": "histogram", "consensus.agreement": 0.5},
     "histogram-0.9": {"consensus.strategy": "histogram", "consensus.agreement": 0.9},
     "histogram-1.0": {"consensus.strategy": "histogram", "consensus.agreement": 1.0},
-    "gradient-p1": {"pruning.scoring": "gradient", "pruning.p": 1},
-    "delta-headers": {"wire.delta_masks": True, "wire.count_headers": True},
-    "f64": {"wire.precision_bits": 64},
+    "p1": {"pruning.p": 1},
     "no-final-rounds": {"final_rounds": 0},
     "no-epochs": {"training.epochs_per_round": 0},
     "one-node": {"nodes": 1},
