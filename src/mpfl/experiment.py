@@ -11,12 +11,14 @@ Four algorithms share one harness:
 * ``fedavg``      - the unpruned reference: ``mpfl`` with an empty schedule.
 
 Each federated protocol is one straight-line loop of lockstep rounds in its
-``run_*`` function.  A round is one ``sessions.exchange``: the server
-broadcasts, every node takes one step (adopt the broadcast, train or vote,
-upload), and the uploads come back in node-id order; the loop then reduces
-them inline into the next round's broadcast.  On the loopback transport the
-node steps run inline in node-id order, with no threads; over TCP each node
-runs them on its own thread.
+``run_*`` function.  A round is one ``sessions.exchange``: the server encodes
+the broadcast once and sends that frame on every link, every node takes one
+step (decode the broadcast into its own model, train it in place or vote,
+upload), and the uploads come back in node-id order, each decoded into one
+model per link that lives as long as the session; the loop then reduces them
+inline into the next round's broadcast.  On the loopback transport the node
+steps run inline in node-id order, with no threads; over TCP each node runs
+them on its own thread.
 All transmitted bytes flow through the framed wire codec, every send is
 booked in the bandwidth ledger, and all results are deterministic functions
 of the config seed.
@@ -24,10 +26,12 @@ of the config seed.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import ctypes
 import functools
 import io
+import itertools
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -56,7 +60,7 @@ from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy, train_sgd
 from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, TcpServer, loopback_pair, tcp_connect
-from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask, unpack_mask
+from .wire import DOWN, BandwidthLedger, Message, MsgType, WireCodec, pack_mask, unpack_mask
 
 log = logging.getLogger(__name__)
 
@@ -205,12 +209,10 @@ class _Round:
 
 
 def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
-    """A node's side of one round: adopt the broadcast, step, upload."""
-    msg = ep.recv(ref_mask=rnd.ref)
-    if msg.params is not None:
-        node.model = msg.params
+    """A node's side of one round: decode the broadcast into its model, step, upload."""
+    ep.recv(node.model, rnd.ref)
     if rnd.step is not None:
-        ep.send(rnd.step(node, rnd), ref_mask=rnd.mask)
+        ep.send(ep.codec.encode(rnd.step(node, rnd), rnd.mask))
 
 
 def _vote(node: Node, rnd: _Round) -> Message:
@@ -220,9 +222,9 @@ def _vote(node: Node, rnd: _Round) -> Message:
 
 
 def _sync(node: Node, rnd: _Round) -> Message:
-    """Upload the local model pruned to the global mask, without training."""
-    params = apply_mask(node.model, rnd.mask)
-    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=params)
+    """Upload the local model without training; encoding against the global
+    mask drops the pruned groups."""
+    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
 
 
 def _train(node: Node, rnd: _Round) -> Message:
@@ -245,19 +247,23 @@ class _Loopback:
     """In-process sessions: each node's exchange runs inline, in node-id order."""
 
     def __init__(self, codec: WireCodec, ledger: BandwidthLedger, nodes: list[Node]):
-        self._links = [(node, *loopback_pair(node.node_id, codec, ledger)) for node in nodes]
+        self._codec = codec
+        self._links = [
+            (node, *loopback_pair(node.node_id, codec, ledger), node.model.copy()) for node in nodes
+        ]
 
     def exchange(self, rnd: _Round) -> list[Message]:
         """Broadcast, run every node's step, and gather the uploads in node-id order."""
+        frame = self._codec.encode(rnd.down, rnd.ref)
         uploads = []
-        for node, server, ep in self._links:
-            server.send(rnd.down, ref_mask=rnd.ref)
+        for node, server, ep, buf in self._links:
+            server.send(frame)
             try:
                 _node_exchange(node, ep, rnd)
             except Exception as e:
                 raise NodeError(node.node_id, rnd.idx, e) from e
             if rnd.step is not None:
-                uploads.append(_routed(server.recv(ref_mask=rnd.mask), node.node_id, rnd))
+                uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
         return uploads
 
     def close(self) -> None:
@@ -279,8 +285,9 @@ class _Tcp:
 
     def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
                  nodes: list[Node]):
+        self._codec = codec
         self._failures: list[tuple[int, int, Exception]] = []
-        self._links: list[tuple[Node, Endpoint, Endpoint]] = []
+        self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
         self._threads = [ThreadPoolExecutor(1) for _ in nodes]
         self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
         try:
@@ -291,7 +298,8 @@ class _Tcp:
             ]
             server = dict(self._listener.accept_node(codec, ledger) for _ in nodes)
             self._links = [
-                (node, server[node.node_id], c.result()) for node, c in zip(nodes, connects)
+                (node, server[node.node_id], c.result(), node.model.copy())
+                for node, c in zip(nodes, connects)
             ]
         except BaseException:
             self.close()
@@ -311,17 +319,18 @@ class _Tcp:
 
     def exchange(self, rnd: _Round) -> list[Message]:
         """Broadcast, run every node's step, and gather the uploads in node-id order."""
+        frame = self._codec.encode(rnd.down, rnd.ref)
         steps = [
             thread.submit(self._step, node, ep, rnd)
-            for thread, (node, _, ep) in zip(self._threads, self._links)
+            for thread, (node, _, ep, _) in zip(self._threads, self._links)
         ]
         uploads = []
         try:
-            for node, server, _ in self._links:
-                server.send(rnd.down, ref_mask=rnd.ref)
+            for node, server, _, _ in self._links:
+                server.send(frame)
             if rnd.step is not None:
-                for node, server, _ in self._links:
-                    uploads.append(_routed(server.recv(ref_mask=rnd.mask), node.node_id, rnd))
+                for node, server, _, buf in self._links:
+                    uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
         except TransportError as e:
             self._raise_failure()
             raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
@@ -330,7 +339,7 @@ class _Tcp:
         return uploads
 
     def close(self) -> None:
-        for _, server, ep in self._links:
+        for _, server, ep, _ in self._links:
             server.close()
             ep.close()
         self._listener.close()
@@ -365,18 +374,19 @@ class _RowRecorder:
 
     @property
     def rows(self) -> list[MetricsRow]:
-        return [
-            MetricsRow(
-                self.algorithm,
-                round_idx,
-                sparsity,
-                acc,
-                self.ledger.total_bits(direction=UP, round_idx=round_idx) // self.n,
-                self.ledger.total_bits(direction=DOWN, round_idx=round_idx) // self.n,
-                self.ledger.total_bits(round_le=round_idx),
-            )
-            for round_idx, sparsity, acc in self._points
-        ]
+        # one pass over the ledger: each round's [up, down] bits, then running totals
+        per_round: dict[int, list[int]] = {}
+        for e in self.ledger.entries:
+            per_round.setdefault(e.round_idx, [0, 0])[e.direction == DOWN] += e.bits
+        rounds = sorted(per_round)
+        running = list(itertools.accumulate(sum(per_round[r]) for r in rounds))
+        rows = []
+        for round_idx, sparsity, acc in self._points:
+            up, down = per_round.get(round_idx, (0, 0))
+            seen = bisect.bisect_right(rounds, round_idx)
+            rows.append(MetricsRow(self.algorithm, round_idx, sparsity, acc, up // self.n,
+                                   down // self.n, running[seen - 1] if seen else 0))
+        return rows
 
 
 def _evaluate(model: ModelParams, test: Dataset) -> float:
@@ -425,10 +435,6 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
             avg = apply_mask(fedavg([m.params for m in uploads]), mask)
             rec.add(idx, mask.sparsity(), _evaluate(avg, env.test))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
-            # free the uploads last, once this round's arrays are allocated
-            # above them: freed first, glibc trims them off the heap top and
-            # each round faults them back in (~300k faults per wide_pfl_tcp run)
-            del uploads
     return RunResult(
         cfg,
         rec.rows,
@@ -468,7 +474,6 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
             # the broadcast is encoded against the mask the nodes know; the newly
             # pruned groups arrive as explicit zeros
             down, ref, mask = Message(MsgType.GLOBAL_WEIGHTS, idx, params=avg), mask, new_mask
-            del uploads  # freed last: see run_mpfl
         # the last broadcast ends the run: the nodes take it and answer nothing
         sessions.exchange(_Round(down.round_idx, down, ref, mask, None))
     return RunResult(
@@ -524,7 +529,7 @@ def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     rnd = 0
     for inc in cfg.pruning.schedule:
         rnd += 1
-        params, _ = train_sgd(
+        train_sgd(
             params, x, y,
             lr=cfg.training.lr,
             epochs=cfg.training.epochs_per_round,
@@ -538,7 +543,7 @@ def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         mask_history.append(mask.copy())
         # rewind: surviving groups restart from the initial weights
         params = apply_mask(env.w0, mask)
-    params, _ = train_sgd(
+    train_sgd(
         params, x, y,
         lr=cfg.training.lr,
         epochs=cfg.training.epochs_per_round * max(1, cfg.final_rounds),

@@ -133,21 +133,32 @@ def consensus_histogram(
 
 
 def fedavg(models: Sequence[ModelParams]) -> ModelParams:
-    """Unweighted FedAvg: the coordinate mean of the node models."""
+    """Unweighted FedAvg: the coordinate mean of the node models, summed one by
+    one into zeros and divided once, as ``np.mean`` reduces the stacked models,
+    so the bits match it (-0.0 included) without the stacked copy."""
     if not models:
         raise ConfigError("cannot average zero models")
     arch = models[0].arch
     for m in models[1:]:
         if m.arch != arch:
             raise LayoutError("models disagree on layout")
-    weights = [np.mean([m.weights[i] for m in models], axis=0) for i in range(len(arch.groups))]
-    biases = [np.mean([m.biases[i] for m in models], axis=0) for i in range(len(arch.groups))]
-    return ModelParams(arch, weights, biases)
+    avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
+    acc = avg.weights + avg.biases
+    for m in models:
+        for a, v in zip(acc, m.weights + m.biases):
+            a += v
+    for a in acc:
+        a /= len(models)
+    return avg
 
 
 @dataclass
 class Node:
-    """One training participant: a data shard plus a private model copy."""
+    """One training participant: a data shard plus a model it owns.
+
+    The node decodes every weight broadcast into its model's arrays and trains
+    them in place.
+    """
 
     node_id: int
     x: np.ndarray
@@ -162,8 +173,8 @@ class Node:
     flagged: bool = False
 
     def train(self, mask: PruneMask) -> float:
-        """Masked local SGD on the shard; returns the last batch loss."""
-        self.model, loss = train_sgd(
+        """Masked local SGD on the shard, in place; returns the last batch loss."""
+        return train_sgd(
             self.model,
             self.x,
             self.y,
@@ -173,7 +184,6 @@ class Node:
             rng=self.rng,
             mask=mask,
         )
-        return loss
 
     def local_round(self, global_mask: PruneMask, increment: float) -> PruneMask:
         """Train under the current global mask, then vote with a local mask.

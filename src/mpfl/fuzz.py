@@ -1,8 +1,9 @@
 """Codec fuzzing: random round trips and corrupt-frame survival.
 
 Round trips must reproduce every message bit for bit (weights are drawn as
-float32 values, the wire type, so quantization is lossless).  Corrupt frames
-must either decode cleanly or raise ProtocolError; anything else is a crash.
+float32 values, the wire type, so quantization is lossless), decoded into a
+destination full of NaN.  Corrupt frames must either decode cleanly or raise
+ProtocolError; anything else is a crash.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def _random_params(arch: ArchSpec, rng: np.random.Generator) -> ModelParams:
         weights.append(w.astype(np.float64))
         biases.append(b.astype(np.float64))
     return ModelParams(arch, weights, biases)
+
+
+def _garbage(arch: ArchSpec) -> ModelParams:
+    """A decode destination full of NaN: a round trip must overwrite every entry."""
+    return ModelParams(
+        arch, [np.full(s, np.nan) for s in arch.shapes], [np.full(n, np.nan) for n in arch.groups]
+    )
 
 
 def _random_case(rng: np.random.Generator):
@@ -83,7 +91,7 @@ def roundtrip_fuzz(cases: int, seed: int = 0) -> int:
     ok = 0
     for _ in range(cases):
         codec, msg, ref = _random_case(rng)
-        decoded = codec.decode(codec.encode(msg, ref), ref)
+        decoded = codec.decode(codec.encode(msg, ref), _garbage(codec.arch), ref)
         ok += _equal(msg, decoded)
     return ok
 
@@ -112,7 +120,7 @@ def corrupt_frame_fuzz(cases: int, seed: int = 0) -> int:
         codec, msg, ref = _random_case(rng)
         frame = _corrupt(codec.encode(msg, ref), rng)
         try:
-            codec.decode(frame, ref)
+            codec.decode(frame, _garbage(codec.arch), ref)
         except ProtocolError:
             pass
         survived += 1

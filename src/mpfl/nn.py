@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, LayoutError
 from .model import Batch, Gradients, ModelParams, PruneMask
-from .pruning import apply_mask
 
 
 def _check_input(model: ModelParams, batch: Batch) -> None:
@@ -85,6 +84,13 @@ def accuracy(model: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float((predict(model, x) == y).mean())
 
 
+def _zero_pruned(model: ModelParams, mask: PruneMask) -> None:
+    # the same multiply as apply_mask, so values match it bit for bit
+    for w, b, bits in zip(model.weights, model.biases, mask.layers):
+        w *= bits[:, None]
+        b *= bits
+
+
 def train_sgd(
     model: ModelParams,
     x: np.ndarray,
@@ -95,12 +101,12 @@ def train_sgd(
     batch_size: int,
     rng: np.random.Generator,
     mask: PruneMask | None = None,
-) -> tuple[ModelParams, float]:
-    """Plain minibatch SGD; returns the trained model and the last batch loss.
+) -> float:
+    """Plain minibatch SGD on ``model``, in place; returns the last batch loss.
 
-    Each step updates a private copy in place, w -= lr * g, then re-zeroes the
-    pruned groups, so with a mask the loss being optimized is the masked one
-    throughout.  The caller's model is never modified.
+    With a mask, the model's pruned groups are zeroed first and again after
+    every step, w -= lr * g, so the loss being optimized is the masked one
+    throughout.
     """
     if lr < 0 or epochs < 0 or batch_size <= 0:
         raise ConfigError(
@@ -108,11 +114,13 @@ def train_sgd(
         )
     full = Batch(x, y)
     _check_input(model, full)
-    model = model.copy() if mask is None else apply_mask(model, mask)
+    if mask is not None:
+        if mask.arch != model.arch:
+            raise LayoutError("mask layout does not match the model")
+        _zero_pruned(model, mask)
     if epochs == 0:
         # no steps taken: report the current loss rather than a bogus NaN
-        _, loss = forward(model, full)
-        return model, loss
+        return forward(model, full)[1]
     weights, biases = model.weights, model.biases
     last_loss = float("nan")
     n = x.shape[0]
@@ -121,12 +129,12 @@ def train_sgd(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             g_w, g_b, last_loss = _gradients(weights, biases, x[idx], y[idx])
+            # g *= lr, then w -= g: the bits of w -= lr * g, without a temporary
             for w, b, gw, gb in zip(weights, biases, g_w, g_b):
-                w -= lr * gw
-                b -= lr * gb
+                gw *= lr
+                w -= gw
+                gb *= lr
+                b -= gb
             if mask is not None:
-                # the same multiply as apply_mask, so values match it bit for bit
-                for w, b, bits in zip(weights, biases, mask.layers):
-                    w *= bits[:, None]
-                    b *= bits
-    return model, last_loss
+                _zero_pruned(model, mask)
+    return last_loss

@@ -1,8 +1,9 @@
 """Loopback and TCP transports carrying identical frame bytes.
 
-An Endpoint owns one side of one node<->server channel.  Every send runs the
-frame through the shared codec and books the payload bits in the ledger, so
-the two transports are interchangeable byte for byte.  Loopback frames wait
+An Endpoint owns one side of one node<->server channel.  It sends frames the
+shared codec encoded and books their payload bits in the ledger, so the two
+transports are interchangeable byte for byte.  A received weight frame is
+decoded into a model the caller owns.  Loopback frames wait
 in in-process buffers and a read never blocks; TCP reads block up to the
 socket timeout.
 
@@ -18,17 +19,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ProtocolError, TransportError
-from .model import PruneMask
-from .wire import (
-    DOWN,
-    UP,
-    BandwidthLedger,
-    Message,
-    WireCodec,
-    header_overhead_bytes,
-    message_category,
-)
+from .errors import TransportError
+from .model import ModelParams, PruneMask
+from .wire import DOWN, UP, BandwidthLedger, Message, WireCodec, message_category
 
 _PREAMBLE = struct.Struct("<I")
 _DEFAULT_TIMEOUT = 30.0
@@ -66,24 +59,21 @@ class _SocketChannel:
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def read_into(self, view: memoryview) -> None:
+        """Fill ``view`` from the socket."""
+        while view:
             try:
-                chunk = self.sock.recv(remaining)
+                n = self.sock.recv_into(view)
             except socket.timeout:
                 raise TransportError("tcp recv timed out") from None
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from e
-            if not chunk:
+            if not n:
                 raise TransportError("connection closed mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            view = view[n:]
 
-    def recv_bytes(self) -> bytes:
-        return WireCodec.read_frame(self._read_exact)
+    def recv_bytes(self) -> bytearray:
+        return WireCodec.read_frame(self.read_into)
 
     def close(self) -> None:
         try:
@@ -102,23 +92,22 @@ class Endpoint:
     send_direction: str  # UP for node endpoints, DOWN for the server side
     peer_node_id: int
 
-    def send(self, msg: Message, ref_mask: PruneMask | None = None) -> bytes:
-        frame = self.codec.encode(msg, ref_mask)
-        overhead = header_overhead_bytes(msg.mtype)
+    def send(self, frame: bytes) -> None:
+        """Book and ship one encoded frame; a broadcast sends the same frame on every link."""
+        mtype, round_idx, _, payload = WireCodec.split_frame(frame)
         # the channel is labeled with the node it serves, in both directions
         self.ledger.record(
             self.peer_node_id,
-            msg.round_idx,
+            round_idx,
             self.send_direction,
-            message_category(msg.mtype),
-            payload_bits=(len(frame) - overhead) * 8,
+            message_category(mtype),
+            payload_bits=len(payload) * 8,
         )
         self.channel.send_bytes(frame)
-        return frame
 
-    def recv(self, ref_mask: PruneMask | None = None) -> Message:
-        frame = self.channel.recv_bytes()
-        return self.codec.decode(frame, ref_mask)
+    def recv(self, into: ModelParams, ref_mask: PruneMask | None = None) -> Message:
+        """The next message; a weight frame is decoded into ``into``."""
+        return self.codec.decode(self.channel.recv_bytes(), into, ref_mask)
 
     def close(self) -> None:
         close = getattr(self.channel, "close", None)
@@ -157,7 +146,9 @@ class TcpServer:
         except socket.timeout:
             raise TransportError("accept timed out") from None
         chan = _SocketChannel(sock, self.timeout)
-        (node_id,) = _PREAMBLE.unpack(chan._read_exact(_PREAMBLE.size))
+        hello = bytearray(_PREAMBLE.size)
+        chan.read_into(memoryview(hello))
+        (node_id,) = _PREAMBLE.unpack(hello)
         return node_id, Endpoint(chan, codec, ledger, DOWN, node_id)
 
     def close(self) -> None:

@@ -112,15 +112,23 @@ def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
 _WIRE_DTYPE = np.dtype("<f4")
 
 
-def pack_params(params: ModelParams, mask: PruneMask) -> bytes:
-    """Live groups only, layer by layer, each group as its row plus bias."""
+def pack_params(params: ModelParams, mask: PruneMask, out) -> None:
+    """Write the live groups into ``out``, a writable buffer of exactly
+    ``packed_params_size`` bytes: layer by layer, each group as its row plus
+    bias."""
     if mask.arch != params.arch:
         raise LayoutError("mask layout does not match the params")
-    parts = []
-    for i, bits in enumerate(mask.layers):
-        gm = params.group_matrix(i)[bits]
-        parts.append(np.ascontiguousarray(gm, dtype=_WIRE_DTYPE).tobytes())
-    return b"".join(parts)
+    flat = np.frombuffer(out, _WIRE_DTYPE)
+    if flat.nbytes != packed_params_size(params.arch, mask):
+        raise LayoutError("buffer size does not match the live groups")
+    pos = 0
+    for w, b, bits in zip(params.weights, params.biases, mask.layers):
+        live = np.flatnonzero(bits)
+        width = w.shape[1] + 1
+        rows = flat[pos : pos + live.size * width].reshape(live.size, width)
+        rows[:, :-1] = w[live]
+        rows[:, -1] = b[live]
+        pos += rows.size
 
 
 def packed_params_size(arch: ArchSpec, mask: PruneMask) -> int:
@@ -130,30 +138,30 @@ def packed_params_size(arch: ArchSpec, mask: PruneMask) -> int:
     )
 
 
-def unpack_params(buf: bytes, arch: ArchSpec, mask: PruneMask) -> ModelParams:
-    expected = packed_params_size(arch, mask)
+def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
+    """Scatter the live groups of ``buf`` into ``into`` and zero every other group."""
+    if mask.arch != into.arch:
+        raise LayoutError("mask layout does not match the destination")
+    expected = packed_params_size(into.arch, mask)
     if len(buf) != expected:
         raise ProtocolError(
             f"weight payload is {len(buf)} bytes, layout needs {expected}",
             offset=min(len(buf), expected),
         )
-    weights, biases, pos = [], [], 0
-    for (out_dim, in_dim), bits in zip(arch.shapes, mask.layers):
-        n_live = int(bits.sum())
-        count = n_live * (in_dim + 1)
-        flat = np.frombuffer(buf, dtype=_WIRE_DTYPE, count=count, offset=pos)
+    flat = np.frombuffer(buf, _WIRE_DTYPE)
+    pos = 0
+    for w, b, bits in zip(into.weights, into.biases, mask.layers):
+        live = np.flatnonzero(bits)
+        width = w.shape[1] + 1
+        rows = flat[pos : pos + live.size * width].reshape(live.size, width)
         # arbitrary bytes may decode to signaling NaNs; widening them is fine
         with np.errstate(invalid="ignore"):
-            gm = flat.reshape(n_live, in_dim + 1).astype(np.float64)
-        w = np.zeros((out_dim, in_dim))
-        b = np.zeros(out_dim)
-        live = np.flatnonzero(bits)
-        w[live] = gm[:, :-1]
-        b[live] = gm[:, -1]
-        weights.append(w)
-        biases.append(b)
-        pos += count * _WIRE_DTYPE.itemsize
-    return ModelParams(arch, weights, biases)
+            w[live] = rows[:, :-1]
+            b[live] = rows[:, -1]
+        dead = np.flatnonzero(~bits)
+        w[dead] = 0.0
+        b[dead] = 0.0
+        pos += rows.size
 
 
 # --- frame codec ------------------------------------------------------------
@@ -169,45 +177,39 @@ class WireCodec:
 
     arch: ArchSpec
 
-    def encode(self, msg: Message, ref_mask: PruneMask | None = None) -> bytes:
+    def encode(self, msg: Message, ref_mask: PruneMask | None = None) -> bytearray:
+        head = header_overhead_bytes(msg.mtype)
         if msg.mtype in _MASK_TYPES:
-            payload = pack_mask(msg.mask)
+            frame = bytearray(head) + pack_mask(msg.mask)
         else:
             mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-            payload = pack_params(msg.params, mask)
-        head = _HEADER.pack(MAGIC, VERSION, int(msg.mtype), msg.round_idx, len(payload))
+            frame = bytearray(head + packed_params_size(self.arch, mask))
+            pack_params(msg.params, mask, memoryview(frame)[head:])
+        length = len(frame) - head
+        _HEADER.pack_into(frame, 0, MAGIC, VERSION, int(msg.mtype), msg.round_idx, length)
         if msg.mtype in _UPLOADS:
-            head += _NODE_ID.pack(msg.node_id)
-        return head + payload
+            _NODE_ID.pack_into(frame, _HEADER.size, msg.node_id)
+        return frame
 
-    def decode(self, frame: bytes, ref_mask: PruneMask | None = None) -> Message:
+    def decode(self, frame, into: ModelParams, ref_mask: PruneMask | None = None) -> Message:
+        """A weight frame is decoded into ``into``, which becomes the message's params."""
         mtype, round_idx, node_id, payload = self.split_frame(frame)
         if mtype in _MASK_TYPES:
             mask = unpack_mask(payload, self.arch)
             return Message(mtype, round_idx, node_id=node_id, mask=mask)
         mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-        params = unpack_params(payload, self.arch, mask)
-        return Message(mtype, round_idx, node_id=node_id, params=params)
+        unpack_params(payload, mask, into)
+        return Message(mtype, round_idx, node_id=node_id, params=into)
 
     @staticmethod
-    def split_frame(frame: bytes) -> tuple[MsgType, int, int | None, bytes]:
-        """Validate framing and return (type, round, node_id, payload)."""
+    def split_frame(frame) -> tuple[MsgType, int, int | None, memoryview]:
+        """Validate framing and return (type, round, node_id, payload view)."""
         if len(frame) < _HEADER.size:
             raise ProtocolError(
                 f"frame is {len(frame)} bytes, header needs {_HEADER.size}",
                 offset=len(frame),
             )
-        magic, version, tag, round_idx, length = _HEADER.unpack_from(frame)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad magic {magic!r}", offset=0)
-        if version != VERSION:
-            raise ProtocolError(f"unsupported version {version}", offset=4)
-        try:
-            mtype = MsgType(tag)
-        except ValueError:
-            raise ProtocolError(f"unknown message type {tag}", offset=5) from None
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"payload length {length} exceeds cap", offset=10)
+        mtype, round_idx, length = _check_header(frame)
         pos = _HEADER.size
         node_id = None
         if mtype in _UPLOADS:
@@ -215,7 +217,7 @@ class WireCodec:
                 raise ProtocolError("frame truncated before node id", offset=len(frame))
             (node_id,) = _NODE_ID.unpack_from(frame, pos)
             pos += _NODE_ID.size
-        payload = frame[pos:]
+        payload = memoryview(frame)[pos:]
         if len(payload) != length:
             raise ProtocolError(
                 f"payload is {len(payload)} bytes, header says {length}",
@@ -224,16 +226,33 @@ class WireCodec:
         return mtype, round_idx, node_id, payload
 
     @staticmethod
-    def read_frame(read_exact) -> bytes:
-        """Reassemble one frame from a ``read_exact(n) -> bytes`` callable."""
-        head = read_exact(_HEADER.size)
-        magic, version, tag, _, length = _HEADER.unpack_from(head)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad magic {magic!r}", offset=0)
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"payload length {length} exceeds cap", offset=10)
-        extra = _NODE_ID.size if tag in (int(t) for t in _UPLOADS) else 0
-        return head + read_exact(extra + length)
+    def read_frame(read_into) -> bytearray:
+        """Reassemble one frame from a ``read_into(view)`` callable that fills
+        ``view``.  The header is checked before the body is read, so a bad one
+        fails at once instead of waiting for a body that never comes."""
+        head = bytearray(_HEADER.size)
+        read_into(memoryview(head))
+        mtype, _, length = _check_header(head)
+        frame = bytearray(header_overhead_bytes(mtype) + length)
+        frame[: _HEADER.size] = head
+        read_into(memoryview(frame)[_HEADER.size :])
+        return frame
+
+
+def _check_header(frame) -> tuple[MsgType, int, int]:
+    """(type, round, payload length) from a frame's first 14 bytes, once valid."""
+    magic, version, tag, round_idx, length = _HEADER.unpack_from(frame)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}", offset=0)
+    if version != VERSION:
+        raise ProtocolError(f"unsupported version {version}", offset=4)
+    try:
+        mtype = MsgType(tag)
+    except ValueError:
+        raise ProtocolError(f"unknown message type {tag}", offset=5) from None
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"payload length {length} exceeds cap", offset=10)
+    return mtype, round_idx, length
 
 
 # --- bandwidth arithmetic ---------------------------------------------------
@@ -355,7 +374,6 @@ class BandwidthLedger:
         category: str | None = None,
         node_id: int | None = None,
         round_idx: int | None = None,
-        round_le: int | None = None,
     ) -> int:
         with self._lock:
             return sum(
@@ -365,7 +383,6 @@ class BandwidthLedger:
                 and (category is None or e.category == category)
                 and (node_id is None or e.node_id == node_id)
                 and (round_idx is None or e.round_idx == round_idx)
-                and (round_le is None or e.round_idx <= round_le)
             )
 
     def per_node_bits(self) -> dict[int, int]:

@@ -101,7 +101,9 @@ class TestRunShape:
         assert sync.bits_up_per_node > 0
         assert sync.bits_up_per_node == res.ledger.total_bits(direction=UP, round_idx=sync.round_idx) // 8
         for row in res.rows:
-            assert row.cumulative_bits == res.ledger.total_bits(round_le=row.round_idx)
+            assert row.cumulative_bits == sum(
+                e.bits for e in res.ledger.entries if e.round_idx <= row.round_idx
+            )
 
     def test_sparsity_is_monotone_nondecreasing(self):
         res = run(config_from_dict(small_raw()))
@@ -261,6 +263,71 @@ class TestNodeFailure:
             run(cfg)
         assert time.monotonic() - start < 5.0
         assert isinstance(info.value.__cause__, TransportError)
+
+
+class TestWeightPath:
+    """Each broadcast is encoded once a round; nodes decode into their own models."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_one_encode_per_broadcast(self, monkeypatch, transport):
+        from mpfl.wire import DOWN, WireCodec
+
+        encode = WireCodec.encode
+        calls = []
+
+        def counting_encode(self, msg, ref_mask=None):
+            calls.append(msg.mtype)
+            return encode(self, msg, ref_mask)
+
+        monkeypatch.setattr(WireCodec, "encode", counting_encode)
+        raw = small_raw(algorithm="pruning_fl", transport={"kind": transport})
+        res = run(config_from_dict(raw))
+        rounds, nodes = len(raw["pruning"]["schedule"]) + raw["final_rounds"], raw["nodes"]
+        # a broadcast and an upload per node each round, then the closing broadcast
+        assert len(calls) == rounds * (1 + nodes) + 1
+        # broadcast r goes out in round r + 1, encoded against the mask round r started from
+        arch = res.final_mask.arch
+        refs = [PruneMask.ones(arch)] * 2 + res.mask_history[:-1]
+        want = [
+            (r, n, 32 * sum(k * s for k, s in zip(refs[r].keep_counts(), arch.group_sizes)))
+            for r in range(rounds + 1)
+            for n in range(nodes)
+        ]
+        got = sorted((e.round_idx, e.node_id, e.bits) for e in res.ledger.entries
+                     if e.direction == DOWN)
+        assert got == want
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_pruned_group_arrives_as_zero(self, monkeypatch, transport):
+        """A group the server prunes was live, and nonzero, in each node's model;
+        the next broadcast, decoded into that model, zeroes it."""
+        from mpfl.transport import Endpoint
+
+        recv = Endpoint.recv
+        seen = []
+
+        def recording_recv(self, into, ref_mask=None):
+            before = into.copy()
+            msg = recv(self, into, ref_mask)
+            if self.send_direction == UP:
+                assert msg.params is into
+                seen.append((msg.round_idx, before, into.copy()))
+            return msg
+
+        monkeypatch.setattr(Endpoint, "recv", recording_recv)
+        res = run(config_from_dict(small_raw(algorithm="pruning_fl", transport={"kind": transport})))
+        ones = PruneMask.ones(res.final_mask.arch)
+        overwritten = 0
+        for r, before, got in seen:
+            if r == 0:
+                continue
+            old = res.mask_history[r - 2] if r >= 2 else ones
+            for li, (keep_old, keep_new) in enumerate(zip(old.layers, res.mask_history[r - 1].layers)):
+                pruned = keep_old & ~keep_new
+                np.testing.assert_array_equal(got.weights[li][pruned], 0.0)
+                np.testing.assert_array_equal(got.biases[li][pruned], 0.0)
+                overwritten += np.count_nonzero(before.weights[li][pruned])
+        assert overwritten > 0
 
 
 class TestUploadRouting:

@@ -198,6 +198,23 @@ class TestFedavg:
         with pytest.raises(LayoutError):
             fedavg(models)
 
+    def test_bytes_match_numpy_mean(self):
+        """Ten models with -0.0 entries, one of them -0.0 in every model: the
+        bytes equal np.mean over the stacked arrays."""
+        arch = make_arch(6, 9, 4)
+        rng = np.random.default_rng(4)
+        models = [make_model(arch, seed=s) for s in range(10)]
+        for m in models:
+            for a in m.weights + m.biases:
+                a[rng.random(a.shape) < 0.3] = -0.0
+                a.flat[0] = -0.0
+        avg = fedavg(models)
+        for i in range(len(arch.shapes)):
+            want_w = np.mean([m.weights[i] for m in models], axis=0)
+            want_b = np.mean([m.biases[i] for m in models], axis=0)
+            assert avg.weights[i].tobytes() == want_w.tobytes()
+            assert avg.biases[i].tobytes() == want_b.tobytes()
+
 
 class TestParameterServer:
     def _nodes_unanimous_votes(self, arch, rng, n=4):

@@ -64,9 +64,12 @@ def numeric_gradient(model, batch, h=1e-5):
 
 
 def one_step(model, x, y, lr, mask=None):
-    """A single SGD step of train_sgd: one epoch, one batch holding every row."""
-    return train_sgd(model, x, y, lr=lr, epochs=1, batch_size=len(x),
+    """A single SGD step of train_sgd on a copy of ``model``: one epoch, one
+    batch holding every row.  Returns the stepped copy and the loss."""
+    stepped = model.copy()
+    loss = train_sgd(stepped, x, y, lr=lr, epochs=1, batch_size=len(x),
                      rng=np.random.default_rng(0), mask=mask)
+    return stepped, loss
 
 
 def reference_train(model, x, y, *, lr, epochs, batch_size, rng, mask=None):
@@ -272,13 +275,14 @@ class TestTrainExact:
         mask = None if make_mask is None else make_mask(arch, data)
         x = data.normal(size=(rows, dims[0]))
         y = data.integers(0, dims[-1], size=rows)
-        before = param_bytes(model)
         settings = dict(lr=0.3, epochs=epochs, batch_size=batch_size, mask=mask)
 
-        got, got_loss = train_sgd(model, x, y, rng=np.random.default_rng(5), **settings)
-        assert param_bytes(model) == before
         want, want_loss = reference_train(model, x, y, rng=np.random.default_rng(5), **settings)
-        assert param_bytes(got) == param_bytes(want)
+        arrays = model.weights + model.biases
+        got_loss = train_sgd(model, x, y, rng=np.random.default_rng(5), **settings)
+        # trained in place: the model keeps its arrays, and they hold the result
+        assert all(a is b for a, b in zip(model.weights + model.biases, arrays))
+        assert param_bytes(model) == param_bytes(want)
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         assert np.isfinite(got_loss)
 
@@ -291,11 +295,11 @@ class TestTrain:
         arch = make_arch(8, 16, 3)
         model = make_model(arch, seed=11)
         _, start = forward(model, Batch(x=ds.x, y=ds.y))
-        trained, last = train_sgd(
+        last = train_sgd(
             model, ds.x, ds.y, lr=0.2, epochs=10, batch_size=32, rng=np.random.default_rng(1)
         )
         assert last < start / 2
-        assert accuracy(trained, ds.x, ds.y) > 0.9
+        assert accuracy(model, ds.x, ds.y) > 0.9
 
     def test_deterministic_given_seed(self, rng):
         from mpfl.data import make_blobs
@@ -303,10 +307,9 @@ class TestTrain:
         ds = make_blobs(100, 5, 2, rng)
         arch = make_arch(5, 8, 2)
         model = make_model(arch, seed=13)
-        a, _ = train_sgd(model, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16,
-                         rng=np.random.default_rng(42))
-        b, _ = train_sgd(model, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16,
-                         rng=np.random.default_rng(42))
+        a, b = model.copy(), model.copy()
+        train_sgd(a, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42))
+        train_sgd(b, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42))
         assert same_params(a, b)
 
     def test_mask_survives_training(self, rng):
@@ -316,9 +319,9 @@ class TestTrain:
         arch = make_arch(6, 12, 3)
         model = make_model(arch, seed=17)
         mask = random_mask(arch, np.random.default_rng(3))
-        trained, _ = train_sgd(model, ds.x, ds.y, lr=0.1, epochs=4, batch_size=16,
-                               rng=np.random.default_rng(5), mask=mask)
-        assert zero_group_mask(trained).issubset(mask)
+        train_sgd(model, ds.x, ds.y, lr=0.1, epochs=4, batch_size=16,
+                  rng=np.random.default_rng(5), mask=mask)
+        assert zero_group_mask(model).issubset(mask)
 
 
 class TestPredictAccuracy:

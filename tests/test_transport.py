@@ -1,16 +1,19 @@
 """Loopback and TCP endpoints must move identical bytes and book them once."""
 
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from mpfl.errors import TransportError
+from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
 from mpfl.transport import TcpServer, loopback_pair, tcp_connect
 from mpfl.wire import (
     CAT_MASK,
     DOWN,
+    MAGIC,
     UP,
     BandwidthLedger,
     Message,
@@ -31,8 +34,8 @@ class TestLoopback:
         ledger = BandwidthLedger()
         server, node = loopback_pair(0, codec, ledger)
         mask = random_mask(codec.arch, rng)
-        node.send(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask))
-        got = server.recv()
+        node.send(codec.encode(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask)))
+        got = server.recv(make_model(codec.arch))
         assert got.mask == mask
         assert got.round_idx == 2
 
@@ -40,8 +43,10 @@ class TestLoopback:
         ledger = BandwidthLedger()
         server, node = loopback_pair(1, codec, ledger)
         model = make_model(codec.arch, seed=3)
-        server.send(Message(MsgType.INIT_WEIGHTS, 0, params=model))
-        got = node.recv()
+        server.send(codec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model)))
+        dest = make_model(codec.arch, seed=4)
+        got = node.recv(dest)
+        assert got.params is dest
         # float32 wire precision rounds the doubles, and nothing else changes
         rounded = ModelParams(
             model.arch,
@@ -54,8 +59,8 @@ class TestLoopback:
         ledger = BandwidthLedger()
         server, node = loopback_pair(5, codec, ledger)
         mask = PruneMask.ones(codec.arch)
-        node.send(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
-        server.send(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
+        node.send(codec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask)))
+        server.send(codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask)))
         size_bits = packed_mask_bits(codec.arch)
         assert ledger.total_bits(direction=UP) == size_bits
         assert ledger.total_bits(direction=DOWN) == size_bits
@@ -67,14 +72,14 @@ class TestLoopback:
         server, _ = loopback_pair(0, codec, ledger)
         server.timeout = 0.05
         with pytest.raises(TransportError):
-            server.recv()
+            server.recv(make_model(codec.arch))
 
 
 class TestTcp:
-    def _run_pair(self, codec, exchange):
+    def _run_pair(self, codec, exchange, timeout=30.0):
         """Run ``exchange(server_ep, node_ep)`` over a real socket pair."""
         ledger = BandwidthLedger()
-        srv = TcpServer("127.0.0.1", 0)
+        srv = TcpServer("127.0.0.1", 0, timeout=timeout)
         host, port = srv.address
         result = {}
 
@@ -98,14 +103,16 @@ class TestTcp:
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
         lo_ledger = BandwidthLedger()
-        _, lo_node = loopback_pair(7, codec, lo_ledger)
-        lo_frame = lo_node.send(msg)
+        lo_server, lo_node = loopback_pair(7, codec, lo_ledger)
+        lo_node.send(codec.encode(msg))
+        lo_frame = lo_server.channel.recv_bytes()
 
         frames = {}
 
         def exchange(server_ep, node_ep, ledger):
-            frames["tcp"] = node_ep.send(msg)
-            got = server_ep.recv()
+            node_ep.send(codec.encode(msg))
+            frames["tcp"] = server_ep.channel.recv_bytes()
+            got = codec.decode(frames["tcp"], make_model(codec.arch))
             assert got.mask == mask
 
         self._run_pair(codec, exchange)
@@ -116,8 +123,8 @@ class TestTcp:
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
         def exchange(server_ep, node_ep, ledger):
-            node_ep.send(msg)
-            server_ep.recv()
+            node_ep.send(codec.encode(msg))
+            server_ep.recv(make_model(codec.arch))
             assert ledger.total_bits(direction=UP) == packed_mask_bits(codec.arch)
 
         self._run_pair(codec, exchange)
@@ -126,9 +133,28 @@ class TestTcp:
         def exchange(server_ep, node_ep, ledger):
             node_ep.close()
             with pytest.raises(TransportError):
-                server_ep.recv()
+                server_ep.recv(make_model(codec.arch))
 
         self._run_pair(codec, exchange)
+
+    @pytest.mark.parametrize(
+        "version, tag, match, offset",
+        [(2, 5, "unsupported version 2", 4), (1, 9, "unknown message type 9", 5)],
+        ids=["bad_version", "unknown_type"],
+    )
+    def test_bad_header_fails_before_the_body(self, codec, version, tag, match, offset):
+        """The header announces a 1 MiB body that never comes: the read fails on
+        the header at once instead of waiting out the socket timeout."""
+
+        def exchange(server_ep, node_ep, ledger):
+            node_ep.channel.send_bytes(struct.pack("<4sBBII", MAGIC, version, tag, 0, 1 << 20))
+            t0 = time.perf_counter()
+            with pytest.raises(ProtocolError, match=match) as err:
+                server_ep.recv(make_model(codec.arch))
+            assert time.perf_counter() - t0 < 1.0
+            assert err.value.offset == offset
+
+        self._run_pair(codec, exchange, timeout=3.0)
 
     def test_connect_refused(self, codec):
         ledger = BandwidthLedger()

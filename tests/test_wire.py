@@ -92,10 +92,29 @@ class TestParamsPacking:
         from mpfl.pruning import apply_mask
 
         model = as_wire_precision(apply_mask(make_model(arch, seed=5), mask))
-        buf = pack_params(model, mask)
-        assert len(buf) == packed_params_size(arch, mask)
-        back = unpack_params(buf, arch, mask)
+        buf = bytearray(packed_params_size(arch, mask))
+        pack_params(model, mask, buf)
+        back = make_model(arch, seed=6)
+        unpack_params(buf, mask, back)
         assert same_params(back, model)
+
+    def test_decode_overwrites_garbage(self, rng):
+        """Decoding into a model whose pruned rows hold garbage equals a fresh decode."""
+        arch = make_arch(4, 9, 3)
+        mask = random_mask(arch, rng)
+        buf = bytearray(packed_params_size(arch, mask))
+        pack_params(make_model(arch, seed=5), mask, buf)
+        fresh = ModelParams(arch, [np.zeros(s) for s in arch.shapes],
+                            [np.zeros(n) for n in arch.groups])
+        unpack_params(buf, mask, fresh)
+        reused = make_model(arch, seed=7)
+        for w, b in zip(reused.weights, reused.biases):
+            w += 1e30
+            b[...] = np.nan
+        unpack_params(buf, mask, reused)
+        assert [a.tobytes() for a in reused.weights + reused.biases] == [
+            a.tobytes() for a in fresh.weights + fresh.biases
+        ]
 
     def test_only_live_groups_travel(self):
         arch = make_arch(4, 10)
@@ -107,7 +126,7 @@ class TestParamsPacking:
         arch = make_arch(2, 4)
         mask = PruneMask.ones(arch)
         with pytest.raises(ProtocolError):
-            unpack_params(b"\x00" * 7, arch, mask)
+            unpack_params(b"\x00" * 7, mask, make_model(arch))
 
     def test_pruned_groups_decode_to_zero(self, rng):
         arch = make_arch(3, 6)
@@ -115,8 +134,10 @@ class TestParamsPacking:
         model = as_wire_precision(make_model(arch, seed=6))
         from mpfl.pruning import apply_mask
 
-        masked = apply_mask(model, mask)
-        back = unpack_params(pack_params(masked, mask), arch, mask)
+        buf = bytearray(packed_params_size(arch, mask))
+        pack_params(apply_mask(model, mask), mask, buf)
+        back = make_model(arch, seed=7)
+        unpack_params(buf, mask, back)
         dead = ~mask.layers[0]
         np.testing.assert_array_equal(back.weights[0][dead], 0.0)
 
@@ -140,7 +161,7 @@ class TestCodecFraming:
         mask = PruneMask.ones(codec.arch)
         frame = codec.encode(Message(MsgType.MASK_UPLOAD, 3, node_id=42, mask=mask))
         assert int.from_bytes(frame[14:18], "little") == 42
-        got = codec.decode(frame)
+        got = codec.decode(frame, make_model(codec.arch))
         assert got.node_id == 42
         assert got.mask == mask
 
@@ -152,39 +173,39 @@ class TestCodecFraming:
         codec = self._codec()
         model = as_wire_precision(make_model(codec.arch, seed=9))
         frame = codec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model))
-        got = codec.decode(frame)
+        got = codec.decode(frame, make_model(codec.arch, seed=10))
         assert same_params(got.params, model)
 
     def test_bad_magic(self):
         codec = self._codec()
         frame = codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch)))
         with pytest.raises(ProtocolError, match="magic"):
-            codec.decode(b"XXXX" + frame[4:])
+            codec.decode(b"XXXX" + frame[4:], make_model(codec.arch))
 
     def test_bad_version(self):
         codec = self._codec()
         frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
         frame[4] = 9
         with pytest.raises(ProtocolError, match="version"):
-            codec.decode(bytes(frame))
+            codec.decode(bytes(frame), make_model(codec.arch))
 
     def test_unknown_type(self):
         codec = self._codec()
         frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
         frame[5] = 0
         with pytest.raises(ProtocolError, match="type"):
-            codec.decode(bytes(frame))
+            codec.decode(bytes(frame), make_model(codec.arch))
 
     def test_truncation(self):
         codec = self._codec()
         frame = codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch)))
         with pytest.raises(ProtocolError):
-            codec.decode(frame[:-1])
+            codec.decode(frame[:-1], make_model(codec.arch))
 
     def test_error_reports_offset(self):
         codec = self._codec()
         try:
-            codec.decode(b"XXXXxxxxxxxxxxxx")
+            codec.decode(b"XXXXxxxxxxxxxxxx", make_model(codec.arch))
         except ProtocolError as e:
             assert "offset 0" in str(e)
         else:
@@ -195,7 +216,7 @@ class TestCodecFraming:
         frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
         frame[10] += 1
         with pytest.raises(ProtocolError):
-            codec.decode(bytes(frame))
+            codec.decode(bytes(frame), make_model(codec.arch))
 
 
 class TestBandwidthArithmetic:
@@ -237,8 +258,11 @@ class TestLedger:
         led = BandwidthLedger()
         server, node = loopback_pair(5, WireCodec(arch), led)
         mask = PruneMask.ones(arch)
-        down = server.send(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
-        up = node.send(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
+        codec = WireCodec(arch)
+        down = codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
+        up = codec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
+        server.send(down)
+        node.send(up)
         assert [e.bits for e in led.entries] == [(len(down) - 14) * 8, (len(up) - 18) * 8]
 
     def test_data_upload_category(self):

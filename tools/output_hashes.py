@@ -12,11 +12,11 @@ Each hash covers the metrics CSV, ``ledger.summary()``, the sorted ledger
 entries, the ``save_model`` artifact bytes, the packed mask history,
 ``budget_history`` and ``flagged_nodes``.  A run that raises hashes its error
 message instead, and its line names the error class after the hash.  The
-configs are the 4-node test config under the variants below and the README
-desk config, clean and contaminated, each with all four algorithms over both
-transports.  An optional argument keeps only the config names that contain
-it.  The script uses only the package's public API, so it runs on older trees
-too.
+configs are the 4-node test config under the variants below, the README desk
+config, clean and contaminated, and the benchmark's wide layout, each with all
+four algorithms over both transports.  An optional argument keeps only the
+config names that contain it.  The script uses only the package's public API,
+so it runs on older trees too.
 """
 
 from __future__ import annotations
@@ -81,6 +81,18 @@ DESK = {
 }
 DESK_CONTAMINATION = [{"node": 0, "kind": "noise", "sigma": 16.0}, {"node": 1, "kind": "labels"}]
 
+# the wide_pfl_tcp benchmark layout, cut to five fine-tuning rounds
+WIDE = {
+    "seed": 7,
+    "nodes": 10,
+    "final_rounds": 5,
+    "arch": {"input_dim": 64, "hidden": [2048], "classes": 10},
+    "dataset": {"kind": "blobs", "samples": 130, "features": 64, "classes": 10,
+                "cluster_std": 3.5},
+    "training": {"lr": 0.1, "epochs_per_round": 1, "batch_size": 64},
+    "pruning": {"schedule": [0.1] * 5, "min_keep": [1, 10]},
+}
+
 
 def _with(base: dict, changes: dict) -> dict:
     raw = copy.deepcopy(base)
@@ -98,6 +110,7 @@ def configs():
     bases = {f"small/{name}": _with(SMALL, changes) for name, changes in VARIANTS.items()}
     bases["desk/clean"] = DESK
     bases["desk/contaminated"] = _with(DESK, {"contamination": DESK_CONTAMINATION})
+    bases["wide"] = WIDE
     for name, base in bases.items():
         for alg in ALGORITHMS:
             for transport in TRANSPORTS:
