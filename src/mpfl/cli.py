@@ -38,7 +38,10 @@ def _parse_set(values: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key.path=value, got {item!r}")
         key, _, raw = item.partition("=")
-        overrides[key.strip()] = yaml.safe_load(raw)
+        try:
+            overrides[key.strip()] = yaml.safe_load(raw)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"--set {item!r}: value is not YAML: {e}") from None
     return overrides
 
 

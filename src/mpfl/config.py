@@ -2,14 +2,16 @@
 
 Every run is fully described by one file plus an optional set of flag
 overrides; all randomness flows from the single ``seed``.  ``load_config``
-and ``dump_config`` round-trip exactly.
+and ``dump_config`` round-trip exactly.  The dataclasses below are the schema:
+the loader reads each key's type and default from their fields.
 """
 
-from __future__ import annotations
-
-from dataclasses import asdict, dataclass, field
+# no ``from __future__ import annotations``: the loader reads the fields'
+# annotations as types
+import types
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin
 
 import yaml
 
@@ -38,16 +40,6 @@ def _as_float(val: Any, path: str) -> float:
 
 def _as_str(val: Any, path: str) -> str:
     _require(isinstance(val, str), path, f"expected a string, got {val!r}")
-    return val
-
-
-def _as_bool(val: Any, path: str) -> bool:
-    _require(isinstance(val, bool), path, f"expected true or false, got {val!r}")
-    return val
-
-
-def _as_dict(val: Any, path: str) -> dict:
-    _require(isinstance(val, dict), path, f"expected a mapping, got {type(val).__name__}")
     return val
 
 
@@ -182,61 +174,35 @@ class ExperimentConfig:
         return self
 
 
-def _as_type(kind: str, val: Any, path: str) -> Any:
-    """Check ``val`` against a section field's annotation, e.g. ``list[float]``."""
-    if kind == "int | list[int]":
-        kind = "list[int]" if isinstance(val, list) else "int"
-    if kind.startswith("list["):
+def _as_type(kind: Any, val: Any, path: str) -> Any:
+    """Check ``val`` against a field's type, e.g. ``list[float]``, building a section."""
+    if isinstance(kind, types.UnionType):  # int | list[int]
+        kind = next(k for k in get_args(kind) if (get_origin(k) is list) == isinstance(val, list))
+    if get_origin(kind) is list:
         _require(isinstance(val, list), path, f"expected a list, got {val!r}")
-        return [_as_type(kind[5:-1], v, f"{path}[{i}]") for i, v in enumerate(val)]
-    return {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}[kind](val, path)
+        return [_as_type(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(val)]
+    if is_dataclass(kind):
+        return _build(kind, val, path)
+    return {int: _as_int, float: _as_float, str: _as_str}[kind](val, path)
 
 
-def _build(cls, raw: dict, path: str):
-    """Construct a section dataclass, checking each key and value type with its path."""
-    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+def _build(cls, raw: Any, path: str):
+    """Construct a config dataclass, checking each key and value type with its path."""
+    _require(isinstance(raw, dict), path or "config", f"expected a mapping, got {type(raw).__name__}")
+    fields = cls.__dataclass_fields__
     kwargs = {}
     for key, val in raw.items():
-        _require(key in fields, f"{path}.{key}", "unknown key")
-        kwargs[key] = _as_type(fields[key].type, val, f"{path}.{key}")
+        sub = f"{path}.{key}" if path else key
+        _require(key in fields, sub, "unknown key")
+        kwargs[key] = _as_type(fields[key].type, val, sub)
     try:
         return cls(**kwargs)
     except TypeError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(f"{path or 'config'}: {e}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(_as_dict(raw, "config"))
-    sections = {
-        "arch": ArchConfig,
-        "dataset": DatasetConfig,
-        "training": TrainingConfig,
-        "pruning": PruningConfig,
-        "consensus": ConsensusConfig,
-        "transport": TransportConfig,
-    }
-    kwargs: dict[str, Any] = {}
-    for name, cls in sections.items():
-        if name in raw:
-            kwargs[name] = _build(cls, _as_dict(raw.pop(name), name), name)
-    cont = raw.pop("contamination", [])
-    _require(isinstance(cont, list), "contamination", "expected a list")
-    kwargs["contamination"] = [
-        _build(ContaminationSpec, _as_dict(c, f"contamination[{i}]"), f"contamination[{i}]")
-        for i, c in enumerate(cont)
-    ]
-    for key in ("seed", "nodes", "final_rounds", "version"):
-        if key in raw:
-            kwargs[key] = _as_int(raw.pop(key), key)
-    if "algorithm" in raw:
-        kwargs["algorithm"] = _as_str(raw.pop("algorithm"), "algorithm")
-    for key in raw:
-        raise ConfigError(f"{key}: unknown key")
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from None
-    return cfg.validate()
+    return _build(ExperimentConfig, raw, "").validate()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -262,19 +228,24 @@ def dump_config(cfg: ExperimentConfig, path: str | Path | None = None) -> str:
     return text
 
 
+def _slot(cursor: Any, step: str, dotted: str) -> str | int:
+    """The dict key or list index that one step of a dotted path names in ``cursor``."""
+    if isinstance(cursor, list):
+        _require(step.isdigit() and int(step) < len(cursor), dotted,
+                 f"no index {step!r} in a list of {len(cursor)}")
+        return int(step)
+    _require(isinstance(cursor, dict) and step in cursor, dotted, "unknown key path")
+    return step
+
+
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, Any]) -> ExperimentConfig:
-    """Re-build the config with dotted-path overrides (flag wins over file)."""
+    """Re-build the config with dotted-path overrides (flag wins over file); a
+    numeric step indexes a list at any depth."""
     raw = config_to_dict(cfg)
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *parents, leaf = dotted.split(".")
         cursor: Any = raw
-        for p in parts[:-1]:
-            _require(isinstance(cursor, dict) and p in cursor, dotted, "unknown key path")
-            cursor = cursor[p]
-        leaf = parts[-1]
-        if leaf.isdigit() and isinstance(cursor, list):
-            cursor[int(leaf)] = value
-        else:
-            _require(isinstance(cursor, dict) and leaf in cursor, dotted, "unknown key path")
-            cursor[leaf] = value
+        for step in parents:
+            cursor = cursor[_slot(cursor, step, dotted)]
+        cursor[_slot(cursor, leaf, dotted)] = value
     return config_from_dict(raw)

@@ -9,6 +9,7 @@ shard stay bit-identical.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,7 +145,8 @@ def _read_idx(path: Path) -> np.ndarray:
         raise DataError(f"{path}: truncated dimension list (offset {len(buf)})")
     dims = struct.unpack_from(f">{ndim}I", buf, 4)
     dt = _IDX_DTYPES[dtype_code]
-    expected = head + int(np.prod(dims)) * dt.itemsize
+    # Python ints: an int64 product of large dims can wrap to a size that fits
+    expected = head + math.prod(dims) * dt.itemsize
     if len(buf) != expected:
         raise DataError(f"{path}: payload is {len(buf) - head} bytes, dims need "
                         f"{expected - head} (offset {head})")

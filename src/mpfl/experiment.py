@@ -36,7 +36,7 @@ import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -57,7 +57,7 @@ from .data import (
 from .errors import ConfigError, MpflError, NodeError, ProtocolError, TransportError
 from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
-from .nn import accuracy, train_sgd
+from .nn import accuracy
 from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, TcpServer, loopback_pair, tcp_connect
 from .wire import DOWN, BandwidthLedger, Message, MsgType, WireCodec, pack_mask, unpack_mask
@@ -176,11 +176,8 @@ def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
                 y=y,
                 model=env.w0.copy(),
                 rng=np.random.default_rng(seq),
-                lr=cfg.training.lr,
-                epochs_per_round=cfg.training.epochs_per_round,
-                batch_size=cfg.training.batch_size,
-                p=cfg.pruning.p,
-                min_keep=cfg.pruning.min_keep,
+                training=cfg.training,
+                pruning=cfg.pruning,
             )
         )
     return nodes
@@ -292,15 +289,18 @@ class _Tcp:
         self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
         try:
             host, port = self._listener.address
-            connects = [
-                thread.submit(tcp_connect, host, port, node.node_id, codec, ledger)
-                for thread, node in zip(self._threads, nodes)
-            ]
-            server = dict(self._listener.accept_node(codec, ledger) for _ in nodes)
-            self._links = [
-                (node, server[node.node_id], c.result(), node.model.copy())
-                for node, c in zip(nodes, connects)
-            ]
+            # one node at a time: the listen backlog completes the connect
+            # before the accept, and the preamble must name that node
+            for node in nodes:
+                ep = tcp_connect(host, port, node.node_id, codec, ledger)
+                try:
+                    peer, server = self._listener.accept_node(codec, ledger)
+                except BaseException:
+                    ep.close()
+                    raise
+                self._links.append((node, server, ep, node.model.copy()))
+                if peer != node.node_id:
+                    raise TransportError(f"node {node.node_id} connected as node {peer}")
         except BaseException:
             self.close()
             raise
@@ -403,12 +403,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     tag = "fedavg" if cfg.algorithm == "fedavg" else "mpfl"
     ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
-    ps = ParameterServer(
-        env.arch,
-        strategy=cfg.consensus.strategy,
-        agreement=cfg.consensus.agreement,
-        min_keep=cfg.pruning.min_keep,
-    )
+    ps = ParameterServer(cfg.consensus, cfg.pruning.min_keep)
     rec = _RowRecorder(tag, ledger, cfg.nodes)
     target = sum(schedule)
     mask_history: list[PruneMask] = []
@@ -419,7 +414,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
-            new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], rnd.increment)
+            new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], mask, rnd.increment)
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate for reporting only
             probe = apply_mask(fedavg([n.model for n in nodes]), new_mask)
@@ -522,38 +517,24 @@ def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     x = np.concatenate([p[0] for p in parts])
     y = np.concatenate([p[1] for p in parts])
 
-    rng = np.random.default_rng(env.central_seed)
+    # one worker holds the pool and trains it with the central seed
+    pool = Node(0, x, y, env.w0.copy(), np.random.default_rng(env.central_seed),
+                cfg.training, cfg.pruning)
     mask = PruneMask.ones(env.arch)
-    params = env.w0.copy()
     mask_history: list[PruneMask] = []
-    rnd = 0
-    for inc in cfg.pruning.schedule:
-        rnd += 1
-        train_sgd(
-            params, x, y,
-            lr=cfg.training.lr,
-            epochs=cfg.training.epochs_per_round,
-            batch_size=cfg.training.batch_size,
-            rng=rng,
-            mask=mask,
-        )
-        rec.add(rnd, mask.sparsity(), _evaluate(params, env.test))
-        mask = compute_mask(weight_scores(params, cfg.pruning.p), inc, mask,
+    for rnd, inc in enumerate(cfg.pruning.schedule, start=1):
+        pool.train(mask)
+        rec.add(rnd, mask.sparsity(), _evaluate(pool.model, env.test))
+        mask = compute_mask(weight_scores(pool.model, cfg.pruning.p), inc, mask,
                             cfg.pruning.min_keep)
         mask_history.append(mask.copy())
         # rewind: surviving groups restart from the initial weights
-        params = apply_mask(env.w0, mask)
-    train_sgd(
-        params, x, y,
-        lr=cfg.training.lr,
-        epochs=cfg.training.epochs_per_round * max(1, cfg.final_rounds),
-        batch_size=cfg.training.batch_size,
-        rng=rng,
-        mask=mask,
-    )
-    rnd += 1
-    rec.add(rnd, mask.sparsity(), _evaluate(params, env.test))
-    return RunResult(cfg, rec.rows, ledger, params, mask, mask_history=mask_history)
+        pool.model = apply_mask(env.w0, mask)
+    pool.training = replace(cfg.training,
+                            epochs_per_round=cfg.training.epochs_per_round * max(1, cfg.final_rounds))
+    pool.train(mask)
+    rec.add(len(cfg.pruning.schedule) + 1, mask.sparsity(), _evaluate(pool.model, env.test))
+    return RunResult(cfg, rec.rows, ledger, pool.model, mask, mask_history=mask_history)
 
 
 _RUNNERS = {

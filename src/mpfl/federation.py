@@ -10,7 +10,8 @@ strategies:
 * ``histogram`` - keep groups whose vote fraction clears an agreement level,
   so outlier voters get filtered but the achieved sparsity is data-dependent.
 
-Both are intersected with the previous global mask: pruning never reverts.
+Both choose only among the groups live in the previous global mask, so pruning
+never reverts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ConsensusConfig, PruningConfig, TrainingConfig
 from .errors import ConfigError, ConstraintError, LayoutError
-from .model import ArchSpec, ModelParams, PruneMask, VoteHistogram
+from .model import ModelParams, PruneMask, VoteHistogram
 from .nn import train_sgd
 from .pruning import (
     _min_keep_per_layer,
@@ -165,25 +167,15 @@ class Node:
     y: np.ndarray
     model: ModelParams
     rng: np.random.Generator
-    lr: float = 0.1
-    epochs_per_round: int = 3
-    batch_size: int = 64
-    p: int = 2
-    min_keep: int | Sequence[int] = 1
+    training: TrainingConfig
+    pruning: PruningConfig
     flagged: bool = False
 
     def train(self, mask: PruneMask) -> float:
         """Masked local SGD on the shard, in place; returns the last batch loss."""
-        return train_sgd(
-            self.model,
-            self.x,
-            self.y,
-            lr=self.lr,
-            epochs=self.epochs_per_round,
-            batch_size=self.batch_size,
-            rng=self.rng,
-            mask=mask,
-        )
+        t = self.training
+        return train_sgd(self.model, self.x, self.y, lr=t.lr, epochs=t.epochs_per_round,
+                         batch_size=t.batch_size, rng=self.rng, mask=mask)
 
     def local_round(self, global_mask: PruneMask, increment: float) -> PruneMask:
         """Train under the current global mask, then vote with a local mask.
@@ -196,39 +188,33 @@ class Node:
             self.flagged = True
             log.warning("node %d: non-finite loss, submitting previous mask", self.node_id)
             return global_mask.copy()
-        return compute_mask(weight_scores(self.model, self.p), increment, global_mask,
-                            self.min_keep)
+        return compute_mask(weight_scores(self.model, self.pruning.p), increment, global_mask,
+                            self.pruning.min_keep)
 
 
 @dataclass
 class ParameterServer:
-    """Holds the global mask and reduces the nodes' mask votes each round."""
+    """Reduces the nodes' mask votes each round into the next global mask."""
 
-    arch: ArchSpec
-    strategy: str = TOPK
-    agreement: float = 0.9
-    min_keep: int | Sequence[int] = 1
-    global_mask: PruneMask = field(init=False)
+    consensus: ConsensusConfig
+    min_keep: int | Sequence[int]
     budget_history: list[list[int]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if self.strategy not in (TOPK, HISTOGRAM):
-            raise ConfigError(f"unknown consensus strategy {self.strategy!r}")
-        self.global_mask = PruneMask.ones(self.arch)
+        if self.consensus.strategy not in (TOPK, HISTOGRAM):
+            raise ConfigError(f"unknown consensus strategy {self.consensus.strategy!r}")
 
-    def reduce(self, masks: Sequence[PruneMask], increment: float) -> PruneMask:
-        """One consensus round; the result is monotone non-increasing."""
+    def reduce(self, masks: Sequence[PruneMask], prev: PruneMask, increment: float) -> PruneMask:
+        """One consensus round on top of the global mask ``prev``; the result
+        keeps a subset of its groups."""
         hist = average_mask(masks)
-        prev = self.global_mask
-        if self.strategy == TOPK:
+        if self.consensus.strategy == TOPK:
             budget = keep_budget(prev, increment, self.min_keep)
             new = consensus_topk(hist, budget, prev, self.min_keep)
         else:
             # the histogram strategy has no schedule budget: monotonicity is
             # the binding constraint, so the budget is the live count
             budget = prev.keep_counts()
-            new = consensus_histogram(hist, self.agreement, prev, self.min_keep)
-        new = new.intersect(prev)
+            new = consensus_histogram(hist, self.consensus.agreement, prev, self.min_keep)
         self.budget_history.append(budget)
-        self.global_mask = new
         return new

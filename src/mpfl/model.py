@@ -167,10 +167,6 @@ class PruneMask:
         """Fraction of groups pruned."""
         return 1.0 - self.num_kept() / self.num_groups
 
-    def intersect(self, other: "PruneMask") -> "PruneMask":
-        _check_mask_layout(self.arch, other.layers)
-        return PruneMask(self.arch, [a & b for a, b in zip(self.layers, other.layers)])
-
     def issubset(self, other: "PruneMask") -> bool:
         """True if every group kept here is also kept in ``other``."""
         return all(bool(np.all(b | ~a)) for a, b in zip(self.layers, other.layers))

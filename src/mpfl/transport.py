@@ -147,7 +147,11 @@ class TcpServer:
             raise TransportError("accept timed out") from None
         chan = _SocketChannel(sock, self.timeout)
         hello = bytearray(_PREAMBLE.size)
-        chan.read_into(memoryview(hello))
+        try:
+            chan.read_into(memoryview(hello))
+        except TransportError:
+            chan.close()
+            raise
         (node_id,) = _PREAMBLE.unpack(hello)
         return node_id, Endpoint(chan, codec, ledger, DOWN, node_id)
 

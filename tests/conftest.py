@@ -26,6 +26,11 @@ def random_mask(arch: ArchSpec, rng: np.random.Generator, keep_prob: float = 0.7
     return PruneMask(arch=arch, layers=layers)
 
 
+def both(a: PruneMask, b: PruneMask) -> PruneMask:
+    """The groups kept in both masks."""
+    return PruneMask(a.arch, [x & y for x, y in zip(a.layers, b.layers)])
+
+
 def same_params(a: ModelParams, b: ModelParams) -> bool:
     """Every weight and bias array equal; +0.0 and -0.0 compare equal."""
     return a.arch == b.arch and all(

@@ -72,6 +72,10 @@ class TestRunCommand:
     def test_bad_set_syntax_exits_2(self, config_file):
         assert main(["run", "-c", str(config_file), "--set", "training.lr"]) == 2
 
+    def test_set_value_not_yaml_exits_2(self, config_file, capsys):
+        assert main(["run", "-c", str(config_file), "--set", "seed=["]) == 2
+        assert "--set 'seed=['" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_combined_outputs(self, config_file, tmp_path, capsys):

@@ -202,6 +202,18 @@ class TestOverrides:
         out = apply_overrides(cfg, {"pruning.schedule.0": 0.2})
         assert out.pruning.schedule[0] == 0.2
 
+    def test_list_index_past_the_end_rejected(self):
+        cfg = config_from_dict(minimal_raw())
+        with pytest.raises(ConfigError, match=r"pruning\.schedule\.5: no index"):
+            apply_overrides(cfg, {"pruning.schedule.5": 0.2})
+
+    def test_list_index_inside_the_path(self):
+        cfg = config_from_dict(minimal_raw(contamination=[{"node": 1, "kind": "noise"}]))
+        out = apply_overrides(cfg, {"contamination.0.sigma": 2.0})
+        assert out.contamination[0].sigma == 2.0
+        with pytest.raises(ConfigError, match=r"contamination\.1\.sigma: no index"):
+            apply_overrides(cfg, {"contamination.1.sigma": 2.0})
+
     def test_unknown_path_rejected(self):
         cfg = config_from_dict(minimal_raw())
         with pytest.raises(ConfigError, match="training.momentum"):

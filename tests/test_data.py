@@ -155,6 +155,14 @@ class TestIdx:
         with pytest.raises(DataError, match="payload"):
             load_idx(p, p)
 
+    def test_dims_product_does_not_wrap(self, tmp_path):
+        """Four dims of 2**16 multiply to 2**64, which wraps to 0 in int64: a
+        bare 20-byte header must not pass as a file with an empty payload."""
+        p = tmp_path / "x.idx"
+        p.write_bytes(struct.pack(">HBB", 0, 0x08, 4) + struct.pack(">4I", *[65536] * 4))
+        with pytest.raises(DataError, match="payload is 0 bytes"):
+            load_idx(p, p)
+
 
 class TestPartition:
     def test_disjoint_cover(self, blobs, rng):

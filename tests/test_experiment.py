@@ -264,6 +264,36 @@ class TestNodeFailure:
         assert time.monotonic() - start < 5.0
         assert isinstance(info.value.__cause__, TransportError)
 
+    def test_misnamed_tcp_peer_names_both_ids(self, monkeypatch):
+        """A preamble naming the wrong node fails setup with a TransportError,
+        which ``compare`` isolates, and leaves no thread or port behind."""
+        from mpfl.transport import TcpServer
+
+        connect = experiment.tcp_connect
+        addresses = []
+        listen = TcpServer.__init__
+
+        def misnamed_connect(host, port, node_id, *args, **kwargs):
+            return connect(host, port, 99 if node_id == 0 else node_id, *args, **kwargs)
+
+        def recording_listen(self, *args, **kwargs):
+            listen(self, *args, **kwargs)
+            addresses.append(self.address)
+
+        monkeypatch.setattr(experiment, "tcp_connect", misnamed_connect)
+        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+        threads = threading.active_count()
+        cfg = config_from_dict(small_raw(transport={"kind": "tcp"}))
+        results, failures = compare([cfg])
+        assert results == []
+        ((_, err),) = failures
+        assert isinstance(err, TransportError)
+        assert "node 0 connected as node 99" in str(err)
+        assert threading.active_count() == threads
+        (address,) = addresses
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1.0).close()
+
 
 class TestWeightPath:
     """Each broadcast is encoded once a round; nodes decode into their own models."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpfl.errors import ConstraintError, LayoutError
+from mpfl.config import ConsensusConfig, PruningConfig, TrainingConfig
+from mpfl.errors import ConfigError, ConstraintError, LayoutError
 from mpfl.federation import (
     HISTOGRAM,
     TOPK,
@@ -20,7 +21,7 @@ from mpfl.federation import (
 from mpfl.model import ModelParams, PruneMask, ScoreVector, VoteHistogram
 from mpfl.pruning import compute_mask, weight_scores
 
-from conftest import make_arch, make_model, random_mask, same_params
+from conftest import both, make_arch, make_model, random_mask, same_params
 
 
 def mask_of(arch, *layer_bits):
@@ -178,7 +179,7 @@ class TestConsensusNonLinearity:
         inter = masks[0]
         for m in masks[1:]:
             union = PruneMask(arch, [a | b for a, b in zip(union.layers, m.layers)])
-            inter = inter.intersect(m)
+            inter = both(inter, m)
         assert got.issubset(union)
         assert inter.issubset(got)
 
@@ -227,33 +228,32 @@ class TestParameterServer:
 
     def test_topk_trajectory_is_monotone(self, rng):
         arch = make_arch(3, 8, 4)
-        ps = ParameterServer(arch, strategy=TOPK)
-        prev = ps.global_mask.copy()
+        ps = ParameterServer(ConsensusConfig(strategy=TOPK), min_keep=1)
+        prev = PruneMask.ones(arch)
         for _ in range(3):
-            masks = [random_mask(arch, rng).intersect(prev) for _ in range(5)]
-            new = ps.reduce(masks, 0.2)
+            masks = [both(random_mask(arch, rng), prev) for _ in range(5)]
+            new = ps.reduce(masks, prev, 0.2)
             assert new.issubset(prev)
             prev = new
 
     def test_topk_budget_achieved(self, rng):
         arch = make_arch(2, 10, 5)
-        ps = ParameterServer(arch, strategy=TOPK)
+        ps = ParameterServer(ConsensusConfig(strategy=TOPK), min_keep=1)
         masks = self._nodes_unanimous_votes(arch, rng)
-        new = ps.reduce(masks, 0.25)
+        new = ps.reduce(masks, PruneMask.ones(arch), 0.25)
         assert new.keep_counts() == ps.budget_history[-1]
 
     def test_histogram_budget_is_live_count(self, rng):
         arch = make_arch(2, 6, 3)
-        ps = ParameterServer(arch, strategy=HISTOGRAM, agreement=0.9)
-        before = ps.global_mask.keep_counts()
-        ps.reduce([random_mask(arch, rng) for _ in range(4)], 0.2)
-        assert ps.budget_history[-1] == before
+        ps = ParameterServer(ConsensusConfig(strategy=HISTOGRAM, agreement=0.9), min_keep=1)
+        prev = random_mask(arch, rng)
+        new = ps.reduce([random_mask(arch, rng) for _ in range(4)], prev, 0.2)
+        assert ps.budget_history[-1] == prev.keep_counts()
+        assert new.issubset(prev)
 
     def test_unknown_strategy_rejected(self):
-        from mpfl.errors import ConfigError
-
         with pytest.raises(ConfigError):
-            ParameterServer(make_arch(2, 3), strategy="median")
+            ParameterServer(ConsensusConfig(strategy="median"), min_keep=1)
 
 
 class TestNode:
@@ -268,9 +268,8 @@ class TestNode:
             y=ds.y,
             model=make_model(arch, seed=seed),
             rng=np.random.default_rng(seed + 1),
-            lr=lr,
-            epochs_per_round=2,
-            batch_size=16,
+            training=TrainingConfig(lr=lr, epochs_per_round=2, batch_size=16),
+            pruning=PruningConfig(),
         )
 
     def test_local_round_votes_subset(self):

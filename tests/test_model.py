@@ -13,7 +13,7 @@ from mpfl.model import (
     init_params,
 )
 
-from conftest import make_arch, make_model, random_mask, same_params
+from conftest import both, make_arch, make_model, random_mask, same_params
 
 
 class TestArchSpec:
@@ -84,16 +84,9 @@ class TestPruneMask:
         # 4 of 11 groups pruned
         assert mask.sparsity() == pytest.approx(4 / 11)
 
-    def test_intersect(self, tiny_arch, rng):
-        a = random_mask(tiny_arch, rng)
-        b = random_mask(tiny_arch, rng)
-        c = a.intersect(b)
-        for la, lb, lc in zip(a.layers, b.layers, c.layers):
-            np.testing.assert_array_equal(lc, la & lb)
-
     def test_issubset(self, tiny_arch, rng):
         a = random_mask(tiny_arch, rng)
-        b = a.intersect(random_mask(tiny_arch, rng))
+        b = both(a, random_mask(tiny_arch, rng))
         assert b.issubset(a)
         if b != a:
             assert not a.issubset(b)

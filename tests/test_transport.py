@@ -70,7 +70,6 @@ class TestLoopback:
     def test_recv_timeout(self, codec):
         ledger = BandwidthLedger()
         server, _ = loopback_pair(0, codec, ledger)
-        server.timeout = 0.05
         with pytest.raises(TransportError):
             server.recv(make_model(codec.arch))
 
@@ -183,3 +182,21 @@ class TestSessionPreamble:
         server_ep.close()
         eps["node"].close()
         srv.close()
+
+    def test_missing_preamble_closes_the_session(self, codec, monkeypatch):
+        """A peer that hangs up before its hello fails the accept, and the
+        accepted socket is closed rather than left to the garbage collector."""
+        import socket
+
+        from mpfl import transport
+
+        closed = []
+        close = transport._SocketChannel.close
+        monkeypatch.setattr(transport._SocketChannel, "close",
+                            lambda self: (closed.append(self), close(self)))
+        srv = TcpServer("127.0.0.1", 0, timeout=5.0)
+        socket.create_connection(srv.address, timeout=5.0).close()
+        with pytest.raises(TransportError, match="closed"):
+            srv.accept_node(codec, BandwidthLedger())
+        srv.close()
+        assert len(closed) == 1
