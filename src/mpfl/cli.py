@@ -67,7 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args.config, args)
     result = run(cfg)
     out = Path(args.out)
-    stem = result.rows[-1].algorithm if result.rows else cfg.algorithm
+    stem = result.rows[-1].algorithm
     _write_run(result, out, stem)
     if args.dump_config:
         dump_config(cfg, out / f"{stem}_config.yaml")
@@ -80,6 +80,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if result.flagged_nodes:
         print(f"flagged nodes (training diverged): {result.flagged_nodes}")
+    if result.rejected_uploads:
+        print(f"rejected uploads (round, node; non-finite): {result.rejected_uploads}")
     return 0
 
 
@@ -92,8 +94,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     (out / "combined_metrics.csv").write_text(rows_to_csv(combined))
     (out / "summary.csv").write_text(summary_csv(results))
     for r in results:
-        stem = r.rows[-1].algorithm if r.rows else r.config.algorithm
-        _write_run(r, out, stem)
+        _write_run(r, out, r.rows[-1].algorithm)
     print(summary_csv(results), end="")
     for cfg, err in failures:
         print(f"FAILED {cfg.algorithm}: {err}", file=sys.stderr)

@@ -126,6 +126,8 @@ class ExperimentConfig:
                  f"must be one of {ALGORITHMS}, got {self.algorithm!r}")
         _require(self.nodes >= 1, "nodes", "need at least one node")
         _require(self.final_rounds >= 0, "final_rounds", "must be >= 0")
+        _require(self.algorithm != "pruning_fl" or self.pruning.schedule or self.final_rounds,
+                 "final_rounds", "pruning_fl needs at least one round: a schedule or a final round")
         _require(self.training.lr > 0, "training.lr", "must be positive")
         _require(self.training.epochs_per_round >= 0, "training.epochs_per_round", "must be >= 0")
         _require(self.training.batch_size >= 1, "training.batch_size", "must be >= 1")

@@ -1,9 +1,10 @@
 """Dataset loading, IID partitioning, and node contamination.
 
 Sources: synthetic Gaussian blobs, labeled CSV, and IDX binary pairs.  All
-features are standardized per-feature after loading.  Contamination produces
-a private copy of one shard's arrays; the parent dataset and every other
-shard stay bit-identical.
+features are standardized per-feature after loading.  A node's shard is its
+sorted row indices into the training set, gathered once into its own feature
+and label arrays.  Contamination returns new arrays, so the parent dataset and
+every other shard stay bit-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,24 +38,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass
-class Shard:
-    """One node's slice of the training set, possibly with private overrides."""
-
-    node_id: int
-    indices: np.ndarray
-    x_override: np.ndarray | None = None
-    y_override: np.ndarray | None = None
-
-    def materialize(self, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        x = self.x_override if self.x_override is not None else ds.x[self.indices]
-        y = self.y_override if self.y_override is not None else ds.y[self.indices]
-        return x, y
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -140,10 +123,14 @@ def _read_idx(path: Path) -> np.ndarray:
         raise DataError(f"{path}: bad magic bytes (offset 0)")
     if dtype_code not in _IDX_DTYPES:
         raise DataError(f"{path}: unknown dtype code 0x{dtype_code:02x} (offset 2)")
+    if ndim < 1:
+        raise DataError(f"{path}: no dimensions (offset 3)")
     head = 4 + 4 * ndim
     if len(buf) < head:
         raise DataError(f"{path}: truncated dimension list (offset {len(buf)})")
     dims = struct.unpack_from(f">{ndim}I", buf, 4)
+    if dims[0] == 0:
+        raise DataError(f"{path}: no samples (offset 4)")
     dt = _IDX_DTYPES[dtype_code]
     # Python ints: an int64 product of large dims can wrap to a size that fits
     expected = head + math.prod(dims) * dt.itemsize
@@ -170,24 +157,20 @@ def load_idx(features_path: str | Path, labels_path: str | Path) -> Dataset:
     return Dataset(standardize(x), y, int(y.max()) + 1)
 
 
-def partition_iid(ds: Dataset, n_nodes: int, rng: np.random.Generator) -> list[Shard]:
-    """Seeded shuffle then round-robin: disjoint shards covering the set,
-    sizes differing by at most one."""
+def partition_iid(ds: Dataset, n_nodes: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Seeded shuffle then round-robin: each node's sorted row indices, disjoint,
+    covering the set, sizes differing by at most one."""
     if n_nodes < 1 or n_nodes > len(ds):
         raise ConfigError(f"cannot split {len(ds)} samples across {n_nodes} nodes")
     perm = rng.permutation(len(ds))
-    return [Shard(i, np.sort(perm[i::n_nodes])) for i in range(n_nodes)]
+    return [np.sort(perm[i::n_nodes]) for i in range(n_nodes)]
 
 
-def contaminate_noise(
-    ds: Dataset, shard: Shard, sigma: float, rng: np.random.Generator
-) -> Shard:
-    """Additive Gaussian feature noise on one shard's private copy."""
+def contaminate_noise(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """New features: ``x`` plus Gaussian noise of standard deviation ``sigma``."""
     if sigma < 0:
         raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
-    x, y = shard.materialize(ds)
-    noisy = x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else x.copy()
-    return Shard(shard.node_id, shard.indices.copy(), noisy, y.copy())
+    return x + rng.normal(0.0, sigma, size=x.shape) if sigma > 0 else x.copy()
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,11 +183,9 @@ def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
-def contaminate_labels(ds: Dataset, shard: Shard, rng: np.random.Generator) -> Shard:
-    """Relabel one shard through a seeded class derangement."""
-    permutation = random_derangement(ds.num_classes, rng)
-    x, y = shard.materialize(ds)
-    return Shard(shard.node_id, shard.indices.copy(), x.copy(), permutation[y])
+def contaminate_labels(y: np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
+    """New labels: ``y`` relabeled through a seeded class derangement."""
+    return random_derangement(num_classes, rng)[y]
 
 
 def train_test_split(

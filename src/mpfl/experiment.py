@@ -45,7 +45,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import (
     Dataset,
-    Shard,
     contaminate_labels,
     contaminate_noise,
     load_csv,
@@ -54,13 +53,15 @@ from .data import (
     partition_iid,
     train_test_split,
 )
-from .errors import ConfigError, MpflError, NodeError, ProtocolError, TransportError
+from .errors import (ConfigError, ConstraintError, MpflError, NodeError, ProtocolError,
+                     TransportError)
 from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy
 from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, TcpServer, loopback_pair, tcp_connect
-from .wire import DOWN, BandwidthLedger, Message, MsgType, WireCodec, pack_mask, unpack_mask
+from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask,
+                   unpack_mask)
 
 log = logging.getLogger(__name__)
 
@@ -107,10 +108,12 @@ class RunResult:
     mask_history: list[PruneMask] = field(default_factory=list)
     budget_history: list[list[int]] = field(default_factory=list)
     flagged_nodes: list[int] = field(default_factory=list)
+    # (round, node) of each non-finite weight upload left out of a FedAvg
+    rejected_uploads: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def final_accuracy(self) -> float:
-        return self.rows[-1].test_accuracy if self.rows else float("nan")
+        return self.rows[-1].test_accuracy
 
 
 @dataclass
@@ -120,7 +123,7 @@ class Env:
     arch: ArchSpec
     train: Dataset
     test: Dataset
-    shards: list[Shard]
+    shards: list[tuple[np.ndarray, np.ndarray]]  # each node's (x, y), by node id
     w0: ModelParams
     node_seeds: list[np.random.SeedSequence]
     central_seed: np.random.SeedSequence
@@ -153,34 +156,25 @@ def build_env(cfg: ExperimentConfig) -> Env:
         )
 
     train, test = train_test_split(ds, d.test_fraction, data_rng)
-    shards = partition_iid(train, cfg.nodes, data_rng)
+    shards = [(train.x[idx], train.y[idx]) for idx in partition_iid(train, cfg.nodes, data_rng)]
     for entry, seq in zip(cfg.contamination, cont_seq.spawn(max(1, len(cfg.contamination)))):
         rng = np.random.default_rng(seq)
+        x, y = shards[entry.node]
         if entry.kind == "noise":
-            shards[entry.node] = contaminate_noise(train, shards[entry.node], entry.sigma, rng)
+            shards[entry.node] = (contaminate_noise(x, entry.sigma, rng), y)
         else:
-            shards[entry.node] = contaminate_labels(train, shards[entry.node], rng)
+            shards[entry.node] = (x, contaminate_labels(y, train.num_classes, rng))
 
     w0 = init_params(arch, np.random.default_rng(init_seq))
     return Env(arch, train, test, shards, w0, node_seeds, central_seq)
 
 
 def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
-    nodes = []
-    for shard, seq in zip(env.shards, env.node_seeds):
-        x, y = shard.materialize(env.train)
-        nodes.append(
-            Node(
-                node_id=shard.node_id,
-                x=x,
-                y=y,
-                model=env.w0.copy(),
-                rng=np.random.default_rng(seq),
-                training=cfg.training,
-                pruning=cfg.pruning,
-            )
-        )
-    return nodes
+    # nodes never write their shard, so they share the env's arrays
+    return [
+        Node(i, x, y, env.w0.copy(), np.random.default_rng(seq), cfg.training, cfg.pruning)
+        for i, ((x, y), seq) in enumerate(zip(env.shards, env.node_seeds))
+    ]
 
 
 # --- lockstep rounds ---------------------------------------------------------
@@ -389,16 +383,32 @@ class _RowRecorder:
         return rows
 
 
-def _evaluate(model: ModelParams, test: Dataset) -> float:
-    return accuracy(model, test.x, test.y)
+def _finite_average(models: list[tuple[int, ModelParams]],
+                    idx: int) -> tuple[ModelParams, list[int]]:
+    """FedAvg of the round's finite models, and the ids of the nodes whose
+    model is not finite; with no finite model left, the round fails."""
+    bad = [node_id for node_id, model in models if not model.is_finite()]
+    if len(bad) == len(models):
+        raise ConstraintError(f"round {idx}: no node has a finite model to average")
+    return fedavg([model for node_id, model in models if node_id not in bad]), bad
+
+
+def _average_uploads(uploads: list[Message], idx: int,
+                     rejected: list[tuple[int, int]]) -> ModelParams:
+    """FedAvg of the round's weight uploads, leaving out, logging and
+    recording as (round, node) each one that is not finite."""
+    avg, bad = _finite_average([(m.node_id, m.params) for m in uploads], idx)
+    for node_id in bad:
+        log.warning("round %d: node %d's upload is not finite, left out", idx, node_id)
+        rejected.append((idx, node_id))
+    return avg
 
 
 # --- the protocols -----------------------------------------------------------
 
 
-def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
+def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Mask-voting run; with an empty schedule this is plain FedAvg."""
-    env = env or build_env(cfg)
     schedule = [] if cfg.algorithm == "fedavg" else list(cfg.pruning.schedule)
     tag = "fedavg" if cfg.algorithm == "fedavg" else "mpfl"
     ledger = BandwidthLedger()
@@ -407,6 +417,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     rec = _RowRecorder(tag, ledger, cfg.nodes)
     target = sum(schedule)
     mask_history: list[PruneMask] = []
+    rejected: list[tuple[int, int]] = []
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
     ref = mask = PruneMask.ones(env.arch)
     idx = 1
@@ -416,9 +427,11 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
             new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], mask, rnd.increment)
             # every node has finished its step, so the local models are
-            # stable: evaluate the would-be aggregate for reporting only
-            probe = apply_mask(fedavg([n.model for n in nodes]), new_mask)
-            rec.add(idx, new_mask.sparsity(), _evaluate(probe, env.test))
+            # stable: evaluate the would-be aggregate of the finite ones for
+            # reporting only
+            probe = _finite_average([(n.node_id, n.model) for n in nodes], idx)[0]
+            probe = apply_mask(probe, new_mask)
+            rec.add(idx, new_mask.sparsity(), accuracy(probe, env.test.x, env.test.y))
             mask_history.append(new_mask.copy())
             down, ref, mask = Message(MsgType.GLOBAL_MASK, idx, mask=new_mask), mask, new_mask
             idx += 1
@@ -426,9 +439,10 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         step = _sync
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
-            uploads = sessions.exchange(rnd)
-            avg = apply_mask(fedavg([m.params for m in uploads]), mask)
-            rec.add(idx, mask.sparsity(), _evaluate(avg, env.test))
+            # every upload was decoded against ``mask``, which wrote +0.0 into
+            # each pruned group, so the average is already masked
+            avg = _average_uploads(sessions.exchange(rnd), idx, rejected)
+            rec.add(idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
         cfg,
@@ -439,32 +453,31 @@ def run_mpfl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         mask_history=mask_history,
         budget_history=list(ps.budget_history),
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
+        rejected_uploads=rejected,
     )
 
 
-def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
+def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Server-side pruning baseline: full weights travel every round."""
-    env = env or build_env(cfg)
     ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
     rec = _RowRecorder("pruning_fl", ledger, cfg.nodes)
     mask_history: list[PruneMask] = []
-    # pruning rounds followed by fine-tuning rounds with no increment
+    rejected: list[tuple[int, int]] = []
+    # pruning rounds, then fine-tuning rounds with no increment (at least one round)
     increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
-    avg = env.w0.copy()
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
     ref = mask = PruneMask.ones(env.arch)
     with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train, inc)
-            uploads = sessions.exchange(rnd)
-            avg = fedavg([m.params for m in uploads])
+            avg = _average_uploads(sessions.exchange(rnd), idx, rejected)
             new_mask = mask
             if inc > 0.0:
                 new_mask = compute_mask(weight_scores(avg, cfg.pruning.p), inc, mask,
                                         cfg.pruning.min_keep)
             avg = apply_mask(avg, new_mask)
-            rec.add(idx, new_mask.sparsity(), _evaluate(avg, env.test))
+            rec.add(idx, new_mask.sparsity(), accuracy(avg, env.test.x, env.test.y))
             mask_history.append(new_mask.copy())
             # the broadcast is encoded against the mask the nodes know; the newly
             # pruned groups arrive as explicit zeros
@@ -479,15 +492,15 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
         mask,
         mask_history=mask_history,
         flagged_nodes=[n.node_id for n in nodes if n.flagged],
+        rejected_uploads=rejected,
     )
 
 
-def lth_upload_bits(samples: int, features: int, raw_feature_bits: int,
-                    label_bits: int = 8) -> int:
-    """One-shot raw-dataset upload cost: features plus one label per sample."""
-    if min(samples, features, raw_feature_bits, label_bits) < 0:
+def lth_upload_bits(samples: int, features: int, raw_feature_bits: int) -> int:
+    """One-shot raw-dataset upload cost: features plus one 8-bit label per sample."""
+    if min(samples, features, raw_feature_bits) < 0:
         raise ConfigError("upload accounting takes non-negative counts")
-    return samples * (features * raw_feature_bits + label_bits)
+    return samples * (features * raw_feature_bits + 8)
 
 
 def charge_lth_upload(
@@ -498,24 +511,22 @@ def charge_lth_upload(
 ) -> None:
     """Book each node's raw shard upload; accounting only, nothing moves."""
     for node_id, n in enumerate(shard_sizes):
-        ledger.charge_data_upload(node_id, lth_upload_bits(n, features, raw_feature_bits))
+        ledger.record(node_id, 0, UP, CAT_DATA, lth_upload_bits(n, features, raw_feature_bits))
 
 
-def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
+def run_lth_central(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Centralized train / prune / rewind-to-initial over the pooled shards."""
-    env = env or build_env(cfg)
     ledger = BandwidthLedger()
     rec = _RowRecorder("lth_central", ledger, cfg.nodes)
     charge_lth_upload(
         ledger,
-        [len(s) for s in env.shards],
+        [len(y) for _, y in env.shards],
         env.train.x.shape[1],
         cfg.dataset.raw_feature_bits,
     )
     # the pool is exactly what the nodes uploaded, contamination included
-    parts = [s.materialize(env.train) for s in env.shards]
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
+    x = np.concatenate([x for x, _ in env.shards])
+    y = np.concatenate([y for _, y in env.shards])
 
     # one worker holds the pool and trains it with the central seed
     pool = Node(0, x, y, env.w0.copy(), np.random.default_rng(env.central_seed),
@@ -524,7 +535,7 @@ def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     mask_history: list[PruneMask] = []
     for rnd, inc in enumerate(cfg.pruning.schedule, start=1):
         pool.train(mask)
-        rec.add(rnd, mask.sparsity(), _evaluate(pool.model, env.test))
+        rec.add(rnd, mask.sparsity(), accuracy(pool.model, env.test.x, env.test.y))
         mask = compute_mask(weight_scores(pool.model, cfg.pruning.p), inc, mask,
                             cfg.pruning.min_keep)
         mask_history.append(mask.copy())
@@ -533,7 +544,8 @@ def run_lth_central(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
     pool.training = replace(cfg.training,
                             epochs_per_round=cfg.training.epochs_per_round * max(1, cfg.final_rounds))
     pool.train(mask)
-    rec.add(len(cfg.pruning.schedule) + 1, mask.sparsity(), _evaluate(pool.model, env.test))
+    rec.add(len(cfg.pruning.schedule) + 1, mask.sparsity(),
+            accuracy(pool.model, env.test.x, env.test.y))
     return RunResult(cfg, rec.rows, ledger, pool.model, mask, mask_history=mask_history)
 
 
@@ -603,8 +615,11 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def run(cfg: ExperimentConfig, env: Env | None = None) -> RunResult:
+    """Run one config, on ``env`` if given, else on the env built from it."""
     cfg.validate()
     with _one_blas_thread():
+        if env is None:
+            env = build_env(cfg)
         return _RUNNERS[cfg.algorithm](cfg, env)
 
 

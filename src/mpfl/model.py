@@ -102,10 +102,6 @@ class ModelParams:
         return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
 
 
-# Gradients share ModelParams' layout exactly; the alias keeps signatures honest.
-Gradients = ModelParams
-
-
 @dataclass(frozen=True)
 class Batch:
     """A minibatch of feature rows and integer class labels."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, LayoutError
-from .model import Batch, Gradients, ModelParams, PruneMask
+from .model import Batch, ModelParams, PruneMask
 
 
 def _check_input(model: ModelParams, batch: Batch) -> None:
@@ -68,11 +68,11 @@ def forward(model: ModelParams, batch: Batch) -> tuple[np.ndarray, float]:
     return logits, _mean_nll(_log_softmax(logits), batch.y)
 
 
-def backward(model: ModelParams, batch: Batch) -> Gradients:
+def backward(model: ModelParams, batch: Batch) -> ModelParams:
     """Exact gradient of the batch-mean loss, same layout as the model."""
     _check_input(model, batch)
     g_w, g_b, _ = _gradients(model.weights, model.biases, batch.x, batch.y)
-    return Gradients(model.arch, g_w, g_b)
+    return ModelParams(model.arch, g_w, g_b)
 
 
 def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -100,13 +100,12 @@ def train_sgd(
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
-    mask: PruneMask | None = None,
+    mask: PruneMask,
 ) -> float:
-    """Plain minibatch SGD on ``model``, in place; returns the last batch loss.
+    """Masked minibatch SGD on ``model``, in place; returns the last batch loss.
 
-    With a mask, the model's pruned groups are zeroed first and again after
-    every step, w -= lr * g, so the loss being optimized is the masked one
-    throughout.
+    The model's pruned groups are zeroed first and again after every step,
+    w -= lr * g, so the loss being optimized is the masked one throughout.
     """
     if lr < 0 or epochs < 0 or batch_size <= 0:
         raise ConfigError(
@@ -114,10 +113,9 @@ def train_sgd(
         )
     full = Batch(x, y)
     _check_input(model, full)
-    if mask is not None:
-        if mask.arch != model.arch:
-            raise LayoutError("mask layout does not match the model")
-        _zero_pruned(model, mask)
+    if mask.arch != model.arch:
+        raise LayoutError("mask layout does not match the model")
+    _zero_pruned(model, mask)
     if epochs == 0:
         # no steps taken: report the current loss rather than a bogus NaN
         return forward(model, full)[1]
@@ -135,6 +133,5 @@ def train_sgd(
                 w -= gw
                 gb *= lr
                 b -= gb
-            if mask is not None:
-                _zero_pruned(model, mask)
+            _zero_pruned(model, mask)
     return last_loss

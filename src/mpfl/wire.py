@@ -21,11 +21,12 @@ mask, so pruned groups are never resent.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -300,19 +301,12 @@ VGG16_MASK_FACTORS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _product(factors: Sequence[int]) -> int:
-    out = 1
-    for f in factors:
-        out *= f
-    return out
-
-
 def vgg16_dense_bits() -> int:
-    return sum(_product(t) for t in VGG16_DENSE_FACTORS)
+    return sum(math.prod(t) for t in VGG16_DENSE_FACTORS)
 
 
 def vgg16_mask_bits() -> int:
-    return sum(_product(t) for t in VGG16_MASK_FACTORS)
+    return sum(math.prod(t) for t in VGG16_MASK_FACTORS)
 
 
 # --- ledger -----------------------------------------------------------------
@@ -364,25 +358,13 @@ class BandwidthLedger:
                 LedgerEntry(node_id, round_idx, direction, category, payload_bits)
             )
 
-    def charge_data_upload(self, node_id: int, bits: int) -> None:
-        """Book a one-shot raw-data upload (an accounting entry, no transfer)."""
-        self.record(node_id, 0, UP, CAT_DATA, bits)
-
-    def total_bits(
-        self,
-        direction: str | None = None,
-        category: str | None = None,
-        node_id: int | None = None,
-        round_idx: int | None = None,
-    ) -> int:
+    def total_bits(self, direction: str | None = None, category: str | None = None) -> int:
         with self._lock:
             return sum(
                 e.bits
                 for e in self.entries
                 if (direction is None or e.direction == direction)
                 and (category is None or e.category == category)
-                and (node_id is None or e.node_id == node_id)
-                and (round_idx is None or e.round_idx == round_idx)
             )
 
     def per_node_bits(self) -> dict[int, int]:

@@ -48,7 +48,7 @@ class TestLthArithmetic:
         led = BandwidthLedger()
         charge_lth_upload(led, [10, 12], 4, 32)
         assert led.total_bits(category=CAT_DATA) == lth_upload_bits(10, 4, 32) + lth_upload_bits(12, 4, 32)
-        assert led.total_bits(node_id=1) == lth_upload_bits(12, 4, 32)
+        assert led.per_node_bits() == {0: lth_upload_bits(10, 4, 32), 1: lth_upload_bits(12, 4, 32)}
 
 
 class TestLthCentral:
@@ -122,10 +122,7 @@ class TestVotingAgreesOnSymmetricInstances:
 
         def symmetric_env(cfg):
             env = build_env(cfg)
-            proto = env.shards[0]
-            env.shards = [
-                type(proto)(i, proto.indices.copy()) for i in range(cfg.nodes)
-            ]
+            env.shards = [env.shards[0]] * cfg.nodes
             env.node_seeds = [env.node_seeds[0]] * cfg.nodes
             return env
 

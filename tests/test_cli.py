@@ -110,6 +110,13 @@ class TestCompareCommand:
         # the good run still produced its files
         assert (out / "mpfl_metrics.csv").exists()
 
+    def test_pruning_fl_without_rounds_exits_2(self, config_file, tmp_path, capsys):
+        code = main(["compare", "-c", str(config_file), "-o", str(tmp_path / "cmp"),
+                     "--set", "algorithm=pruning_fl", "--set", "pruning.schedule=[]",
+                     "--set", "final_rounds=0"])
+        assert code == 2
+        assert "pruning_fl needs at least one round" in capsys.readouterr().err
+
 
 class TestBitsCommand:
     def test_vgg16_preset_json(self, capsys):

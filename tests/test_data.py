@@ -7,7 +7,6 @@ import pytest
 
 from mpfl.data import (
     Dataset,
-    Shard,
     contaminate_labels,
     contaminate_noise,
     load_csv,
@@ -18,12 +17,25 @@ from mpfl.data import (
     standardize,
     train_test_split,
 )
+from mpfl.config import config_from_dict
 from mpfl.errors import ConfigError, DataError
+from mpfl.experiment import build_env
 
 
 @pytest.fixture
 def blobs(rng):
     return make_blobs(400, 6, 4, rng)
+
+
+def env_shards(contamination):
+    """The shards of a 3-node blobs env with the given contamination."""
+    cfg = config_from_dict({
+        "nodes": 3,
+        "arch": {"input_dim": 6, "hidden": [8], "classes": 4},
+        "dataset": {"kind": "blobs", "samples": 120, "features": 6, "classes": 4},
+        "contamination": contamination,
+    })
+    return build_env(cfg).shards
 
 
 class TestDataset:
@@ -163,24 +175,38 @@ class TestIdx:
         with pytest.raises(DataError, match="payload is 0 bytes"):
             load_idx(p, p)
 
+    def test_zero_dims_rejected(self, tmp_path):
+        fx, fy = tmp_path / "x.idx", tmp_path / "y.idx"
+        fx.write_bytes(struct.pack(">HBB", 0, 0x08, 0) + b"\x07")
+        self._write_idx(fy, np.zeros(1, np.uint8), 0x08, ">u1")
+        with pytest.raises(DataError, match=r"x\.idx: no dimensions"):
+            load_idx(fx, fy)
+
+    def test_zero_rows_rejected(self, tmp_path):
+        fx, fy = tmp_path / "x.idx", tmp_path / "y.idx"
+        self._write_idx(fx, np.zeros((0, 4), np.uint8), 0x08, ">u1")
+        self._write_idx(fy, np.zeros(0, np.uint8), 0x08, ">u1")
+        with pytest.raises(DataError, match=r"x\.idx: no samples"):
+            load_idx(fx, fy)
+
 
 class TestPartition:
     def test_disjoint_cover(self, blobs, rng):
         shards = partition_iid(blobs, 7, rng)
-        all_idx = np.concatenate([s.indices for s in shards])
+        all_idx = np.concatenate(shards)
         assert len(all_idx) == len(blobs)
         assert len(np.unique(all_idx)) == len(blobs)
 
     def test_sizes_within_one(self, blobs, rng):
         shards = partition_iid(blobs, 7, rng)
-        sizes = [len(s.indices) for s in shards]
+        sizes = [len(s) for s in shards]
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic(self, blobs):
         a = partition_iid(blobs, 5, np.random.default_rng(11))
         b = partition_iid(blobs, 5, np.random.default_rng(11))
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+            np.testing.assert_array_equal(sa, sb)
 
     def test_too_many_nodes(self, blobs, rng):
         with pytest.raises(ConfigError):
@@ -190,30 +216,29 @@ class TestPartition:
 class TestNoiseContamination:
     def test_variance_grows_by_sigma_squared(self, blobs, rng):
         """Independent noise adds variance: std(x + e) ~ sqrt(1 + sigma^2)."""
-        shards = partition_iid(blobs, 2, rng)
+        shard = partition_iid(blobs, 2, rng)[0]
         sigma = 1.0
-        noisy = contaminate_noise(blobs, shards[0], sigma, np.random.default_rng(2))
-        x, _ = noisy.materialize(blobs)
+        x = contaminate_noise(blobs.x[shard], sigma, np.random.default_rng(2))
         assert x.std() == pytest.approx(np.sqrt(1 + sigma**2), rel=0.1)
 
     def test_sigma_zero_is_identity(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        out = contaminate_noise(blobs, shards[0], 0.0, rng)
-        x, y = out.materialize(blobs)
-        np.testing.assert_array_equal(x, blobs.x[shards[0].indices])
-        np.testing.assert_array_equal(y, blobs.y[shards[0].indices])
+        x = blobs.x[partition_iid(blobs, 2, rng)[0]]
+        out = contaminate_noise(x, 0.0, rng)
+        assert out is not x
+        np.testing.assert_array_equal(out, x)
 
     def test_other_shards_untouched(self, blobs, rng):
-        shards = partition_iid(blobs, 3, rng)
-        before = blobs.x.copy()
-        contaminate_noise(blobs, shards[1], 5.0, rng)
-        np.testing.assert_array_equal(blobs.x, before)
-        assert shards[0].x_override is None
-        assert shards[2].x_override is None
+        clean = env_shards([])
+        noisy = env_shards([{"node": 1, "kind": "noise", "sigma": 5.0}])
+        for node in (0, 2):
+            for a, b in zip(noisy[node], clean[node]):
+                np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(noisy[1][0], clean[1][0])
+        np.testing.assert_array_equal(noisy[1][1], clean[1][1])
 
     def test_negative_sigma_rejected(self, blobs, rng):
         with pytest.raises(ConfigError):
-            contaminate_noise(blobs, partition_iid(blobs, 2, rng)[0], -1.0, rng)
+            contaminate_noise(blobs.x, -1.0, rng)
 
 
 class TestLabelContamination:
@@ -224,16 +249,17 @@ class TestLabelContamination:
             assert not np.any(perm == np.arange(n))
 
     def test_every_label_changes(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        out = contaminate_labels(blobs, shards[0], rng)
-        _, y = out.materialize(blobs)
-        assert np.all(y != blobs.y[shards[0].indices])
+        y = blobs.y[partition_iid(blobs, 2, rng)[0]]
+        before = y.copy()
+        out = contaminate_labels(y, blobs.num_classes, rng)
+        assert np.all(out != y)
+        np.testing.assert_array_equal(y, before)
 
     def test_features_untouched(self, blobs, rng):
-        shards = partition_iid(blobs, 2, rng)
-        out = contaminate_labels(blobs, shards[0], rng)
-        x, _ = out.materialize(blobs)
-        np.testing.assert_array_equal(x, blobs.x[shards[0].indices])
+        clean = env_shards([])
+        relabeled = env_shards([{"node": 1, "kind": "labels"}])
+        np.testing.assert_array_equal(relabeled[1][0], clean[1][0])
+        assert np.all(relabeled[1][1] != clean[1][1])
 
 
 class TestSplit:

@@ -11,7 +11,7 @@ import pytest
 
 from mpfl import experiment
 from mpfl.config import config_from_dict
-from mpfl.errors import MpflError, NodeError, ProtocolError, TransportError
+from mpfl.errors import ConstraintError, MpflError, NodeError, ProtocolError, TransportError
 from mpfl.experiment import (
     CSV_HEADER,
     MetricsRow,
@@ -99,7 +99,9 @@ class TestRunShape:
         assert rounds == list(range(1, votes + 2 + res.config.final_rounds))
         sync = res.rows[votes]
         assert sync.bits_up_per_node > 0
-        assert sync.bits_up_per_node == res.ledger.total_bits(direction=UP, round_idx=sync.round_idx) // 8
+        assert sync.bits_up_per_node == sum(
+            e.bits for e in res.ledger.entries if (e.direction, e.round_idx) == (UP, sync.round_idx)
+        ) // 8
         for row in res.rows:
             assert row.cumulative_bits == sum(
                 e.bits for e in res.ledger.entries if e.round_idx <= row.round_idx
@@ -426,6 +428,31 @@ class TestContaminationRuns:
         raw = small_raw(contamination=[{"node": 1, "kind": "noise", "sigma": 3.0}])
         res = run(config_from_dict(raw))
         assert np.isfinite(res.final_accuracy)
+
+
+class TestNonFiniteUploads:
+    """Node 0's features carry noise of sigma 1e300, so every upload it trains
+    before sending is non-finite; FedAvg leaves each one out."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize(
+        "algorithm, trained_rounds",
+        # mpfl: the sync and fine-tuning rounds after two vote rounds; fedavg:
+        # the rounds after the first, which syncs the untrained initial weights
+        [("mpfl", [3, 4, 5]), ("pruning_fl", [1, 2, 3, 4]), ("fedavg", [2, 3])],
+    )
+    def test_bad_node_left_out_of_every_fedavg(self, algorithm, trained_rounds, transport):
+        raw = small_raw(algorithm=algorithm, transport={"kind": transport},
+                        contamination=[{"node": 0, "kind": "noise", "sigma": 1e300}])
+        res = run(config_from_dict(raw))
+        assert res.final_model.is_finite()
+        assert res.rejected_uploads == [(r, 0) for r in trained_rounds]
+
+    @pytest.mark.parametrize("algorithm, round_idx", [("pruning_fl", 1), ("fedavg", 2)])
+    def test_no_finite_upload_fails_the_round(self, algorithm, round_idx):
+        noisy = [{"node": i, "kind": "noise", "sigma": 1e300} for i in range(4)]
+        with pytest.raises(ConstraintError, match=f"round {round_idx}:"):
+            run(config_from_dict(small_raw(algorithm=algorithm, contamination=noisy)))
 
 
 class TestCompare:

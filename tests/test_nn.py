@@ -65,17 +65,18 @@ def numeric_gradient(model, batch, h=1e-5):
 
 def one_step(model, x, y, lr, mask=None):
     """A single SGD step of train_sgd on a copy of ``model``: one epoch, one
-    batch holding every row.  Returns the stepped copy and the loss."""
+    batch holding every row, under ``mask`` or else the all-kept mask.
+    Returns the stepped copy and the loss."""
     stepped = model.copy()
     loss = train_sgd(stepped, x, y, lr=lr, epochs=1, batch_size=len(x),
-                     rng=np.random.default_rng(0), mask=mask)
+                     rng=np.random.default_rng(0),
+                     mask=PruneMask.ones(model.arch) if mask is None else mask)
     return stepped, loss
 
 
-def reference_train(model, x, y, *, lr, epochs, batch_size, rng, mask=None):
+def reference_train(model, x, y, *, lr, epochs, batch_size, rng, mask):
     """Minibatch SGD step by step: backward, w - lr * g, then apply_mask."""
-    if mask is not None:
-        model = apply_mask(model, mask)
+    model = apply_mask(model, mask)
     if epochs == 0:
         return model, forward(model, Batch(x, y))[1]
     loss = float("nan")
@@ -91,8 +92,7 @@ def reference_train(model, x, y, *, lr, epochs, batch_size, rng, mask=None):
                 [w - lr * g for w, g in zip(model.weights, grads.weights)],
                 [b - lr * g for b, g in zip(model.biases, grads.biases)],
             )
-            if mask is not None:
-                model = apply_mask(model, mask)
+            model = apply_mask(model, mask)
     return model, loss
 
 
@@ -225,7 +225,7 @@ class TestSgd:
         y = rng.integers(0, 3, size=4)
         settings = {"lr": 0.1, "epochs": 1, "batch_size": 4, **kwargs}
         with pytest.raises(ConfigError):
-            train_sgd(tiny_model, x, y, rng=rng, **settings)
+            train_sgd(tiny_model, x, y, rng=rng, mask=PruneMask.ones(tiny_model.arch), **settings)
 
     @pytest.mark.parametrize("features, label", [(5, 0), (4, 3), (4, -1)],
                              ids=["features", "label_high", "label_negative"])
@@ -234,13 +234,18 @@ class TestSgd:
         y = np.zeros(6, dtype=int)
         y[-1] = label
         with pytest.raises(ConfigError):
-            train_sgd(tiny_model, x, y, lr=0.1, epochs=1, batch_size=4, rng=rng)
+            train_sgd(tiny_model, x, y, lr=0.1, epochs=1, batch_size=4, rng=rng,
+                      mask=PruneMask.ones(tiny_model.arch))
 
 
 def _mask_pruning_output(arch, rng):
     mask = random_mask(arch, rng)
     mask.layers[-1][1] = False
     return mask
+
+
+def _mask_keep_all(arch, rng):
+    return PruneMask.ones(arch)
 
 
 def _mask_dead_hidden(arch, rng):
@@ -252,14 +257,14 @@ def _mask_dead_hidden(arch, rng):
 
 # dims, rows, batch_size, epochs, mask maker
 EXACT_CASES = {
-    "no_mask": ((6, 10, 3), 48, 16, 2, None),
+    "no_mask": ((6, 10, 3), 48, 16, 2, _mask_keep_all),
     "mask_prunes_output": ((6, 10, 3), 48, 16, 2, _mask_pruning_output),
     "two_hidden": ((6, 10, 8, 3), 48, 16, 2, _mask_pruning_output),
-    "two_hidden_no_mask": ((6, 10, 8, 3), 48, 16, 2, None),
+    "two_hidden_no_mask": ((6, 10, 8, 3), 48, 16, 2, _mask_keep_all),
     "ragged_last_batch": ((6, 10, 3), 50, 16, 3, random_mask),
     "dead_hidden_layer": ((6, 10, 8, 3), 48, 16, 2, _mask_dead_hidden),
     "epochs_0": ((6, 10, 3), 48, 16, 0, random_mask),
-    "epochs_0_no_mask": ((6, 10, 3), 48, 16, 0, None),
+    "epochs_0_no_mask": ((6, 10, 3), 48, 16, 0, _mask_keep_all),
 }
 
 
@@ -272,7 +277,7 @@ class TestTrainExact:
         data = np.random.default_rng(21)
         arch = make_arch(*dims)
         model = make_model(arch, seed=8)
-        mask = None if make_mask is None else make_mask(arch, data)
+        mask = make_mask(arch, data)
         x = data.normal(size=(rows, dims[0]))
         y = data.integers(0, dims[-1], size=rows)
         settings = dict(lr=0.3, epochs=epochs, batch_size=batch_size, mask=mask)
@@ -296,7 +301,8 @@ class TestTrain:
         model = make_model(arch, seed=11)
         _, start = forward(model, Batch(x=ds.x, y=ds.y))
         last = train_sgd(
-            model, ds.x, ds.y, lr=0.2, epochs=10, batch_size=32, rng=np.random.default_rng(1)
+            model, ds.x, ds.y, lr=0.2, epochs=10, batch_size=32, rng=np.random.default_rng(1),
+            mask=PruneMask.ones(arch),
         )
         assert last < start / 2
         assert accuracy(model, ds.x, ds.y) > 0.9
@@ -308,8 +314,11 @@ class TestTrain:
         arch = make_arch(5, 8, 2)
         model = make_model(arch, seed=13)
         a, b = model.copy(), model.copy()
-        train_sgd(a, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42))
-        train_sgd(b, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42))
+        ones = PruneMask.ones(arch)
+        train_sgd(a, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42),
+                  mask=ones)
+        train_sgd(b, ds.x, ds.y, lr=0.1, epochs=3, batch_size=16, rng=np.random.default_rng(42),
+                  mask=ones)
         assert same_params(a, b)
 
     def test_mask_survives_training(self, rng):

@@ -64,7 +64,7 @@ class TestLoopback:
         size_bits = packed_mask_bits(codec.arch)
         assert ledger.total_bits(direction=UP) == size_bits
         assert ledger.total_bits(direction=DOWN) == size_bits
-        assert ledger.total_bits(node_id=5) == 2 * size_bits
+        assert ledger.per_node_bits() == {5: 2 * size_bits}
         assert ledger.total_bits(category=CAT_MASK) == 2 * size_bits
 
     def test_recv_timeout(self, codec):

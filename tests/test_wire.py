@@ -247,8 +247,8 @@ class TestLedger:
         assert led.total_bits() == 700
         assert led.total_bits(direction=UP) == 200
         assert led.total_bits(category=CAT_MASK) == 200
-        assert led.total_bits(node_id=0) == 600
-        assert led.total_bits(round_idx=1, direction=DOWN) == 500
+        assert led.total_bits(direction=DOWN, category=CAT_WEIGHTS) == 500
+        assert led.per_node_bits() == {0: 600, 1: 100}
 
     def test_headers_excluded_by_default(self):
         """A send books its frame minus the 14-byte header, 18 with a node id."""
@@ -267,7 +267,7 @@ class TestLedger:
 
     def test_data_upload_category(self):
         led = BandwidthLedger()
-        led.charge_data_upload(3, 10_000)
+        led.record(3, 0, UP, CAT_DATA, 10_000)
         assert led.summary()["data"] == 10_000
         assert led.total_bits(direction=UP) == 10_000
 

@@ -1,22 +1,19 @@
 """Print one SHA-256 per run config over everything a run outputs.
 
-A change that must not alter results is checked by running this script on
-the change and on its parent and diffing the two outputs:
-
-    PYTHONPATH=src python3 tools/output_hashes.py > change.txt
-    git archive <parent> | tar -x -C /tmp/parent
-    PYTHONPATH=/tmp/parent/src python3 tools/output_hashes.py > parent.txt
-    diff parent.txt change.txt
-
 Each hash covers the metrics CSV, ``ledger.summary()``, the sorted ledger
 entries, the ``save_model`` artifact bytes, the packed mask history,
-``budget_history`` and ``flagged_nodes``.  A run that raises hashes its error
-message instead, and its line names the error class after the hash.  The
-configs are the 4-node test config under the variants below, the README desk
-config, clean and contaminated, and the benchmark's wide layout, each with all
-four algorithms over both transports.  An optional argument keeps only the
-config names that contain it.  The script uses only the package's public API,
-so it runs on older trees too.
+``budget_history``, ``flagged_nodes`` and any rejected uploads; a run that
+raises hashes its error message and names the error class after the hash.
+The configs are the 4-node test config under the variants below, the README
+desk config, clean and contaminated, and the benchmark's wide layout, each
+with all four algorithms over both transports.  An optional argument keeps
+only the names that contain it.
+
+``tests/output_hashes_small.txt`` pins the ``small/*`` lines in tier-1.  The
+desk and wide lines are checked by hand against the parent, with this script
+run on both trees (it uses only the public API, so older trees run it too):
+
+    PYTHONPATH=src python3 tools/output_hashes.py desk > change.txt
 """
 
 from __future__ import annotations
@@ -138,6 +135,8 @@ def output_hash(raw: dict, scratch: Path) -> str:
         h.update(pack_mask(mask))
     h.update(repr(res.budget_history).encode())
     h.update(repr(res.flagged_nodes).encode())
+    if getattr(res, "rejected_uploads", None):
+        h.update(repr(res.rejected_uploads).encode())
     return h.hexdigest()
 
 
