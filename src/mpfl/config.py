@@ -17,6 +17,7 @@ import yaml
 
 from .errors import ConfigError
 from .model import ArchSpec
+from .pruning import _min_keep_per_layer
 
 CONFIG_VERSION = 1
 
@@ -141,6 +142,8 @@ class ExperimentConfig:
                  "must be in (0, 1]")
         _require(self.transport.kind in ("loopback", "tcp"), "transport.kind",
                  f"must be 'loopback' or 'tcp', got {self.transport.kind!r}")
+        _require(0 <= self.transport.port <= 65535, "transport.port",
+                 f"must be in [0, 65535], got {self.transport.port}")
         _require(self.dataset.kind in ("blobs", "csv", "idx"), "dataset.kind",
                  f"must be 'blobs', 'csv' or 'idx', got {self.dataset.kind!r}")
         if self.dataset.kind == "blobs":
@@ -167,12 +170,12 @@ class ExperimentConfig:
                      f"must be 'noise' or 'labels', got {c.kind!r}")
             if c.kind == "noise":
                 _require(c.sigma >= 0, f"contamination[{i}].sigma", "must be >= 0")
-        if isinstance(self.pruning.min_keep, list):
-            n_layers = len(self.arch.hidden) + 1
-            _require(len(self.pruning.min_keep) == n_layers, "pruning.min_keep",
-                     f"{len(self.pruning.min_keep)} entries for {n_layers} dense layers")
         # ArchSpec construction validates the dims
-        self.arch.to_spec()
+        spec = self.arch.to_spec()
+        try:
+            _min_keep_per_layer(spec, self.pruning.min_keep)
+        except ConfigError as e:
+            raise ConfigError(f"pruning.min_keep: {e}") from None
         return self
 
 

@@ -26,12 +26,10 @@ of the config seed.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import ctypes
 import functools
 import io
-import itertools
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -187,8 +185,9 @@ class _Round:
     ``ref`` is the mask the nodes hold before the broadcast, which encodes it;
     ``mask`` is the global mask after it, which the nodes train under and
     encode their uploads against; ``increment`` is the round's sparsity
-    increment.  A round without a ``step`` is the last: the nodes take the
-    broadcast and answer nothing.
+    increment; ``upload`` is the message type the step returns.  A round
+    without a ``step`` is the last: the nodes take the broadcast and answer
+    nothing.
     """
 
     idx: int
@@ -197,13 +196,17 @@ class _Round:
     mask: PruneMask
     step: Callable[[Node, _Round], Message] | None
     increment: float = 0.0
+    upload: MsgType = MsgType.WEIGHT_UPLOAD
 
 
 def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
-    """A node's side of one round: decode the broadcast into its model, step, upload."""
-    ep.recv(node.model, rnd.ref)
-    if rnd.step is not None:
-        ep.send(ep.codec.encode(rnd.step(node, rnd), rnd.mask))
+    """A node's side of one round: decode the broadcast, step, upload; failures raise NodeError."""
+    try:
+        ep.recv(node.model, rnd.ref)
+        if rnd.step is not None:
+            ep.send(ep.codec.encode(rnd.step(node, rnd), rnd.mask))
+    except Exception as e:
+        raise NodeError(node.node_id, rnd.idx, e) from e
 
 
 def _vote(node: Node, rnd: _Round) -> Message:
@@ -225,11 +228,11 @@ def _train(node: Node, rnd: _Round) -> Message:
 
 
 def _routed(msg: Message, node_id: int, rnd: _Round) -> Message:
-    """The upload, once its routing fields name the session's node and the round."""
-    if (msg.node_id, msg.round_idx) != (node_id, rnd.idx):
+    """The upload, once its routing fields and type match the session's node and the round."""
+    if (msg.node_id, msg.round_idx, msg.mtype) != (node_id, rnd.idx, rnd.upload):
         raise ProtocolError(
-            f"node {node_id} in round {rnd.idx} sent an upload tagged "
-            f"node {msg.node_id}, round {msg.round_idx}"
+            f"node {node_id} in round {rnd.idx} sent an upload tagged node {msg.node_id}, "
+            f"round {msg.round_idx}, {msg.mtype.name}; the round expects {rnd.upload.name}"
         )
     return msg
 
@@ -249,10 +252,7 @@ class _Loopback:
         uploads = []
         for node, server, ep, buf in self._links:
             server.send(frame)
-            try:
-                _node_exchange(node, ep, rnd)
-            except Exception as e:
-                raise NodeError(node.node_id, rnd.idx, e) from e
+            _node_exchange(node, ep, rnd)
             if rnd.step is not None:
                 uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
         return uploads
@@ -277,7 +277,7 @@ class _Tcp:
     def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
                  nodes: list[Node]):
         self._codec = codec
-        self._failures: list[tuple[int, int, Exception]] = []
+        self._failures: list[NodeError] = []
         self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
         self._threads = [ThreadPoolExecutor(1) for _ in nodes]
         self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
@@ -302,14 +302,13 @@ class _Tcp:
     def _step(self, node: Node, ep: Endpoint, rnd: _Round) -> None:
         try:
             _node_exchange(node, ep, rnd)
-        except Exception as e:
-            self._failures.append((node.node_id, rnd.idx, e))
+        except NodeError as e:
+            self._failures.append(e)
             ep.close()
 
     def _raise_failure(self) -> None:
         if self._failures:
-            node_id, idx, e = self._failures[0]
-            raise NodeError(node_id, idx, e) from e
+            raise self._failures[0]
 
     def exchange(self, rnd: _Round) -> list[Message]:
         """Broadcast, run every node's step, and gather the uploads in node-id order."""
@@ -353,34 +352,19 @@ def _sessions(cfg: ExperimentConfig, env: Env, ledger: BandwidthLedger,
 # --- metrics helpers ---------------------------------------------------------
 
 
-class _RowRecorder:
-    """Per-round metrics; the bit columns are read from the ledger at the end,
-    once every message tagged with a round has been sent."""
-
-    def __init__(self, algorithm: str, ledger: BandwidthLedger, n_nodes: int):
-        self.algorithm = algorithm
-        self.ledger = ledger
-        self.n = n_nodes
-        self._points: list[tuple[int, float, float]] = []
-
-    def add(self, round_idx: int, sparsity: float, acc: float) -> None:
-        self._points.append((round_idx, sparsity, acc))
-
-    @property
-    def rows(self) -> list[MetricsRow]:
-        # one pass over the ledger: each round's [up, down] bits, then running totals
-        per_round: dict[int, list[int]] = {}
-        for e in self.ledger.entries:
-            per_round.setdefault(e.round_idx, [0, 0])[e.direction == DOWN] += e.bits
-        rounds = sorted(per_round)
-        running = list(itertools.accumulate(sum(per_round[r]) for r in rounds))
-        rows = []
-        for round_idx, sparsity, acc in self._points:
-            up, down = per_round.get(round_idx, (0, 0))
-            seen = bisect.bisect_right(rounds, round_idx)
-            rows.append(MetricsRow(self.algorithm, round_idx, sparsity, acc, up // self.n,
-                                   down // self.n, running[seen - 1] if seen else 0))
-        return rows
+def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
+          ledger: BandwidthLedger) -> list[MetricsRow]:
+    """The metrics rows of ``points``; the bits come from the finished ledger."""
+    per_round: dict[int, list[int]] = {}  # round -> [up, down] bits
+    for e in ledger.entries:
+        per_round.setdefault(e.round_idx, [0, 0])[e.direction == DOWN] += e.bits
+    rows = []
+    for idx, sparsity, acc in points:
+        up, down = per_round.get(idx, (0, 0))
+        cumulative = sum(sum(bits) for r, bits in per_round.items() if r <= idx)
+        rows.append(MetricsRow(cfg.algorithm, idx, sparsity, acc, up // cfg.nodes,
+                               down // cfg.nodes, cumulative))
+    return rows
 
 
 def _finite_average(models: list[tuple[int, ModelParams]],
@@ -410,11 +394,10 @@ def _average_uploads(uploads: list[Message], idx: int,
 def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Mask-voting run; with an empty schedule this is plain FedAvg."""
     schedule = [] if cfg.algorithm == "fedavg" else list(cfg.pruning.schedule)
-    tag = "fedavg" if cfg.algorithm == "fedavg" else "mpfl"
     ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
     ps = ParameterServer(cfg.consensus, cfg.pruning.min_keep)
-    rec = _RowRecorder(tag, ledger, cfg.nodes)
+    points: list[tuple[int, float, float]] = []
     target = sum(schedule)
     mask_history: list[PruneMask] = []
     rejected: list[tuple[int, int]] = []
@@ -424,14 +407,14 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
-            rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1])
+            rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
             new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], mask, rnd.increment)
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate of the finite ones for
             # reporting only
             probe = _finite_average([(n.node_id, n.model) for n in nodes], idx)[0]
             probe = apply_mask(probe, new_mask)
-            rec.add(idx, new_mask.sparsity(), accuracy(probe, env.test.x, env.test.y))
+            points.append((idx, new_mask.sparsity(), accuracy(probe, env.test.x, env.test.y)))
             mask_history.append(new_mask.copy())
             down, ref, mask = Message(MsgType.GLOBAL_MASK, idx, mask=new_mask), mask, new_mask
             idx += 1
@@ -442,11 +425,11 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # every upload was decoded against ``mask``, which wrote +0.0 into
             # each pruned group, so the average is already masked
             avg = _average_uploads(sessions.exchange(rnd), idx, rejected)
-            rec.add(idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y))
+            points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
         cfg,
-        rec.rows,
+        _rows(cfg, points, ledger),
         ledger,
         avg,
         mask,
@@ -461,7 +444,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Server-side pruning baseline: full weights travel every round."""
     ledger = BandwidthLedger()
     nodes = _make_nodes(cfg, env)
-    rec = _RowRecorder("pruning_fl", ledger, cfg.nodes)
+    points: list[tuple[int, float, float]] = []
     mask_history: list[PruneMask] = []
     rejected: list[tuple[int, int]] = []
     # pruning rounds, then fine-tuning rounds with no increment (at least one round)
@@ -477,7 +460,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
                 new_mask = compute_mask(weight_scores(avg, cfg.pruning.p), inc, mask,
                                         cfg.pruning.min_keep)
             avg = apply_mask(avg, new_mask)
-            rec.add(idx, new_mask.sparsity(), accuracy(avg, env.test.x, env.test.y))
+            points.append((idx, new_mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             mask_history.append(new_mask.copy())
             # the broadcast is encoded against the mask the nodes know; the newly
             # pruned groups arrive as explicit zeros
@@ -486,12 +469,11 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
         sessions.exchange(_Round(down.round_idx, down, ref, mask, None))
     return RunResult(
         cfg,
-        rec.rows,
+        _rows(cfg, points, ledger),
         ledger,
         avg,
         mask,
         mask_history=mask_history,
-        flagged_nodes=[n.node_id for n in nodes if n.flagged],
         rejected_uploads=rejected,
     )
 
@@ -514,10 +496,17 @@ def charge_lth_upload(
         ledger.record(node_id, 0, UP, CAT_DATA, lth_upload_bits(n, features, raw_feature_bits))
 
 
+def _train_pool(pool: Node, mask: PruneMask, idx: int) -> None:
+    """Train the pooled model; a non-finite one fails the round, as in a weight round."""
+    pool.train(mask)
+    if not pool.model.is_finite():
+        raise ConstraintError(f"round {idx}: the pooled model is not finite")
+
+
 def run_lth_central(cfg: ExperimentConfig, env: Env) -> RunResult:
     """Centralized train / prune / rewind-to-initial over the pooled shards."""
     ledger = BandwidthLedger()
-    rec = _RowRecorder("lth_central", ledger, cfg.nodes)
+    points: list[tuple[int, float, float]] = []
     charge_lth_upload(
         ledger,
         [len(y) for _, y in env.shards],
@@ -534,8 +523,8 @@ def run_lth_central(cfg: ExperimentConfig, env: Env) -> RunResult:
     mask = PruneMask.ones(env.arch)
     mask_history: list[PruneMask] = []
     for rnd, inc in enumerate(cfg.pruning.schedule, start=1):
-        pool.train(mask)
-        rec.add(rnd, mask.sparsity(), accuracy(pool.model, env.test.x, env.test.y))
+        _train_pool(pool, mask, rnd)
+        points.append((rnd, mask.sparsity(), accuracy(pool.model, env.test.x, env.test.y)))
         mask = compute_mask(weight_scores(pool.model, cfg.pruning.p), inc, mask,
                             cfg.pruning.min_keep)
         mask_history.append(mask.copy())
@@ -543,10 +532,11 @@ def run_lth_central(cfg: ExperimentConfig, env: Env) -> RunResult:
         pool.model = apply_mask(env.w0, mask)
     pool.training = replace(cfg.training,
                             epochs_per_round=cfg.training.epochs_per_round * max(1, cfg.final_rounds))
-    pool.train(mask)
-    rec.add(len(cfg.pruning.schedule) + 1, mask.sparsity(),
-            accuracy(pool.model, env.test.x, env.test.y))
-    return RunResult(cfg, rec.rows, ledger, pool.model, mask, mask_history=mask_history)
+    idx = len(cfg.pruning.schedule) + 1
+    _train_pool(pool, mask, idx)
+    points.append((idx, mask.sparsity(), accuracy(pool.model, env.test.x, env.test.y)))
+    return RunResult(cfg, _rows(cfg, points, ledger), ledger, pool.model, mask,
+                     mask_history=mask_history)
 
 
 _RUNNERS = {

@@ -69,6 +69,19 @@ def keep_budget(
     return budget
 
 
+def _top_voted(votes: Sequence[np.ndarray], keep: Sequence[int], prev_mask: PruneMask) -> PruneMask:
+    """The ``keep[m]`` most-voted live groups of each layer ``m``, or all of them
+    if fewer are live; vote ties are broken by keeping the lower group index."""
+    out = []
+    for v, prev, k in zip(votes, prev_mask.layers, keep):
+        live = np.flatnonzero(prev)
+        bits = np.zeros_like(prev)
+        order = np.lexsort((live, -v[live]))
+        bits[live[order[:k]]] = True
+        out.append(bits)
+    return PruneMask(prev_mask.arch, out)
+
+
 def consensus_topk(
     hist: VoteHistogram,
     budget: Sequence[int],
@@ -84,20 +97,10 @@ def consensus_topk(
         raise LayoutError("prev_mask layout does not match the histogram")
     if len(budget) != len(arch.groups):
         raise ConfigError(f"budget has {len(budget)} entries for {len(arch.groups)} layers")
-    floors = _min_keep_per_layer(arch, min_keep)
-
-    out = []
-    for votes, prev, k, floor in zip(hist.layers, prev_mask.layers, budget, floors):
+    for k, floor in zip(budget, _min_keep_per_layer(arch, min_keep)):
         if k < floor:
             raise ConstraintError(f"keep budget {k} is below the min_keep floor {floor}")
-        live = np.flatnonzero(prev)
-        bits = np.zeros_like(prev)
-        if live.size:
-            # descending vote, ties by ascending index
-            order = np.lexsort((live, -votes[live]))
-            bits[live[order[: min(k, live.size)]]] = True
-        out.append(bits)
-    return PruneMask(arch, out)
+    return _top_voted(hist.layers, budget, prev_mask)
 
 
 def consensus_histogram(
@@ -117,21 +120,15 @@ def consensus_histogram(
     arch = hist.arch
     if prev_mask.arch != arch:
         raise LayoutError("prev_mask layout does not match the histogram")
-    floors = _min_keep_per_layer(arch, min_keep)
     needed = max(1, int(np.ceil(agreement * hist.n_nodes - 1e-9)))
 
-    out = []
-    for i, (prev, floor) in enumerate(zip(prev_mask.layers, floors)):
-        votes = hist.keep_votes(i)
-        bits = prev & (votes >= needed)
-        short = min(floor, int(prev.sum())) - int(bits.sum())
-        if short > 0:
-            cand = np.flatnonzero(prev & ~bits)
-            order = np.lexsort((cand, -votes[cand]))
-            bits = bits.copy()
-            bits[cand[order[:short]]] = True
-        out.append(bits)
-    return PruneMask(arch, out)
+    votes = [hist.keep_votes(i) for i in range(len(arch.groups))]
+    # the groups that clear the bar outvote the rest, so they are the top ones
+    keep = [
+        max(min(floor, int(prev.sum())), int((v[prev] >= needed).sum()))
+        for v, prev, floor in zip(votes, prev_mask.layers, _min_keep_per_layer(arch, min_keep))
+    ]
+    return _top_voted(votes, keep, prev_mask)
 
 
 def fedavg(models: Sequence[ModelParams]) -> ModelParams:

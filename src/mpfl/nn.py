@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, LayoutError
+from .errors import ConfigError
 from .model import Batch, ModelParams, PruneMask
+from .pruning import zero_pruned
 
 
 def _check_input(model: ModelParams, batch: Batch) -> None:
@@ -84,13 +85,6 @@ def accuracy(model: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float((predict(model, x) == y).mean())
 
 
-def _zero_pruned(model: ModelParams, mask: PruneMask) -> None:
-    # the same multiply as apply_mask, so values match it bit for bit
-    for w, b, bits in zip(model.weights, model.biases, mask.layers):
-        w *= bits[:, None]
-        b *= bits
-
-
 def train_sgd(
     model: ModelParams,
     x: np.ndarray,
@@ -113,9 +107,7 @@ def train_sgd(
         )
     full = Batch(x, y)
     _check_input(model, full)
-    if mask.arch != model.arch:
-        raise LayoutError("mask layout does not match the model")
-    _zero_pruned(model, mask)
+    zero_pruned(model, mask)
     if epochs == 0:
         # no steps taken: report the current loss rather than a bogus NaN
         return forward(model, full)[1]
@@ -133,5 +125,5 @@ def train_sgd(
                 w -= gw
                 gb *= lr
                 b -= gb
-            _zero_pruned(model, mask)
+            zero_pruned(model, mask)
     return last_loss

@@ -95,12 +95,17 @@ def compute_mask(
     return PruneMask(arch, out)
 
 
-def apply_mask(model: ModelParams, mask: PruneMask) -> ModelParams:
-    """Zero the weight row and bias of every pruned group."""
+def zero_pruned(model: ModelParams, mask: PruneMask) -> None:
+    """Zero the weight row and bias of every pruned group, in place."""
     if mask.arch != model.arch:
         raise LayoutError("mask layout does not match the model")
-    weights, biases = [], []
     for w, b, bits in zip(model.weights, model.biases, mask.layers):
-        weights.append(w * bits[:, None])
-        biases.append(b * bits)
-    return ModelParams(model.arch, weights, biases)
+        w *= bits[:, None]
+        b *= bits
+
+
+def apply_mask(model: ModelParams, mask: PruneMask) -> ModelParams:
+    """A copy of ``model`` with the weight row and bias of every pruned group zeroed."""
+    out = model.copy()
+    zero_pruned(out, mask)
+    return out

@@ -131,7 +131,10 @@ class TcpServer:
 
     def __init__(self, host: str, port: int, timeout: float = _DEFAULT_TIMEOUT):
         self.timeout = timeout
-        self._listener = socket.create_server((host, port))
+        try:
+            self._listener = socket.create_server((host, port))
+        except (OSError, OverflowError) as e:
+            raise TransportError(f"listen on {host}:{port} failed: {e}") from e
         self._listener.settimeout(timeout)
 
     @property

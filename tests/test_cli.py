@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, and the bits calculator."""
 
 import json
+import socket
 
 import pytest
 import yaml
@@ -66,6 +67,15 @@ class TestRunCommand:
         assert main(["run", "-c", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [("pruning.min_keep.1=9", "pruning.min_keep"),
+                                               ("transport.port=70000", "transport.port")])
+    def test_out_of_range_setting_exits_2_before_running(self, config_file, tmp_path, capsys,
+                                                        override, key):
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(config_file), "-o", str(out), "--set", override]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self):
         assert main(["run", "-c", "/nonexistent.yaml"]) == 2
 
@@ -109,6 +119,14 @@ class TestCompareCommand:
         assert "FAILED" in capsys.readouterr().err
         # the good run still produced its files
         assert (out / "mpfl_metrics.csv").exists()
+
+    def test_port_in_use_fails_the_run(self, config_file, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            code = main(["compare", "-c", str(config_file), "-o", str(tmp_path / "cmp"),
+                         "--set", "transport.kind=tcp", "--set", f"transport.port={port}"])
+        assert code == 1
+        assert f"FAILED mpfl: listen on 127.0.0.1:{port} failed" in capsys.readouterr().err
 
     def test_pruning_fl_without_rounds_exits_2(self, config_file, tmp_path, capsys):
         code = main(["compare", "-c", str(config_file), "-o", str(tmp_path / "cmp"),

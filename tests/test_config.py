@@ -110,6 +110,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="min_keep"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("min_keep, layer, groups", [(17, 0, 16), (-1, 0, 16), (4, 1, 3)])
+    def test_min_keep_int_checked_against_every_layer(self, min_keep, layer, groups):
+        raw = minimal_raw(pruning={"min_keep": min_keep})
+        match = rf"pruning\.min_keep: min_keep\[{layer}\]={min_keep} outside \[0, {groups}\]"
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(raw)
+
+    def test_min_keep_list_entry_above_its_layer(self):
+        raw = minimal_raw(pruning={"min_keep": [1, 9]})
+        with pytest.raises(ConfigError, match=r"pruning\.min_keep: min_keep\[1\]=9 outside \[0, 3\]"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_outside_the_tcp_range(self, port):
+        with pytest.raises(ConfigError, match="transport.port"):
+            config_from_dict(minimal_raw(transport={"kind": "tcp", "port": port}))
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

@@ -27,7 +27,7 @@ from mpfl.experiment import (
 )
 from mpfl.model import PruneMask
 from mpfl.pruning import apply_mask
-from mpfl.wire import UP
+from mpfl.wire import UP, Message, MsgType
 
 from conftest import make_arch, make_model, same_params, zero_group_mask
 
@@ -379,6 +379,23 @@ class TestUploadRouting:
         with pytest.raises(ProtocolError, match="node 2 in round 1 sent an upload tagged"):
             run(cfg)
 
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("algorithm, step, sent, expected", [
+        ("mpfl", "_vote", "WEIGHT_UPLOAD", "MASK_UPLOAD"),
+        ("pruning_fl", "_train", "MASK_UPLOAD", "WEIGHT_UPLOAD"),
+    ])
+    def test_upload_of_the_wrong_type_rejected(self, monkeypatch, transport, algorithm, step,
+                                               sent, expected):
+        def wrong_type(node, rnd):
+            return Message(MsgType[sent], rnd.idx, node_id=node.node_id, mask=rnd.mask,
+                           params=node.model)
+
+        monkeypatch.setattr(experiment, step, wrong_type)
+        cfg = config_from_dict(small_raw(algorithm=algorithm, transport={"kind": transport}))
+        with pytest.raises(ProtocolError, match=f"node 0 in round 1 sent an upload tagged node 0, "
+                                                f"round 1, {sent}; the round expects {expected}"):
+            run(cfg)
+
 
 class TestBlasThreads:
     """A run pins OpenBLAS to one thread and gives the caller's count back."""
@@ -453,6 +470,13 @@ class TestNonFiniteUploads:
         noisy = [{"node": i, "kind": "noise", "sigma": 1e300} for i in range(4)]
         with pytest.raises(ConstraintError, match=f"round {round_idx}:"):
             run(config_from_dict(small_raw(algorithm=algorithm, contamination=noisy)))
+
+    def test_diverged_pooled_model_fails_lth_central(self):
+        """lth_central pools node 0's shard too, so its first training diverges."""
+        raw = small_raw(algorithm="lth_central",
+                        contamination=[{"node": 0, "kind": "noise", "sigma": 1e300}])
+        with pytest.raises(ConstraintError, match="round 1: the pooled model is not finite"):
+            run(config_from_dict(raw))
 
 
 class TestCompare:

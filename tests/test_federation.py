@@ -107,7 +107,50 @@ class TestConsensusTopk:
         assert kept.min() >= dropped.max()
 
 
+def reference_histogram(hist, agreement, prev_mask, min_keep):
+    """consensus_histogram as first written: keep the live groups with at least
+    ceil(agreement * N) keep votes, then restore the most-voted of the other
+    live groups, ties by lower index, until the layer meets its floor."""
+    floors = [min_keep] * len(hist.layers) if isinstance(min_keep, int) else min_keep
+    needed = max(1, int(np.ceil(agreement * hist.n_nodes - 1e-9)))
+    out = []
+    for i, (prev, floor) in enumerate(zip(prev_mask.layers, floors)):
+        votes = hist.keep_votes(i)
+        bits = prev & (votes >= needed)
+        short = min(floor, int(prev.sum())) - int(bits.sum())
+        if short > 0:
+            cand = np.flatnonzero(prev & ~bits)
+            order = np.lexsort((cand, -votes[cand]))
+            bits = bits.copy()
+            bits[cand[order[:short]]] = True
+        out.append(bits)
+    return PruneMask(hist.arch, out)
+
+
 class TestConsensusHistogram:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_threshold_then_restore_reference(self, data):
+        """On histograms averaged from masks and on hand-built fractions that
+        are not multiples of 1/N, with floors up to each layer's size, so some
+        lie above the live count."""
+        dims = data.draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+        arch = make_arch(*dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        n = data.draw(st.integers(1, 12))
+        if data.draw(st.booleans()):
+            hist = average_mask([random_mask(arch, rng, rng.uniform(0.1, 0.9)) for _ in range(n)])
+        else:
+            hist = VoteHistogram(arch, [rng.uniform(0.0, 1.0, g) for g in arch.groups], n_nodes=n)
+        prev = random_mask(arch, rng, rng.uniform(0.1, 1.0))
+        agreement = data.draw(st.floats(0.01, 1.0))
+        min_keep = data.draw(st.one_of(
+            st.integers(0, min(arch.groups)),
+            st.tuples(*[st.integers(0, g) for g in arch.groups]).map(list),
+        ))
+        got = consensus_histogram(hist, agreement, prev, min_keep)
+        assert got == reference_histogram(hist, agreement, prev, min_keep)
+
     def test_agreement_cut_at_integer_votes(self):
         """With 10 nodes at 0.9 agreement, 9 votes keep a group, 8 do not."""
         arch = make_arch(1, 3)

@@ -1,9 +1,11 @@
-"""The ``small/*`` run outputs of ``tools/output_hashes.py``, pinned.
+"""The ``small/*`` and ``wide/*`` run outputs of ``tools/output_hashes.py``, pinned.
 
-A change that alters any run output of the 4-node config fails here until
-``tests/output_hashes_small.txt`` is regenerated, which names every changed
-line in the diff.  The hashes depend on the BLAS kernels, so the file records
-the numpy and BLAS versions it was made with.  Regenerate it with
+A change that alters any run output of the 4-node config or of the wide
+64-2048-10 layout fails here until ``tests/output_hashes.txt`` is regenerated,
+which names every changed line in the diff.  Only the wide runs send frames
+of hundreds of kB, so they alone cover the codec and TCP at that size.  The
+hashes depend on the BLAS kernels, so the file records the numpy and BLAS
+versions it was made with.  Regenerate it with
 
     PYTHONPATH=src python3 tests/test_output_hashes.py
 """
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = Path(__file__).with_name("output_hashes_small.txt")
+PINNED = Path(__file__).with_name("output_hashes.txt")
+PINNED_PREFIXES = ("small/", "wide/")
 
 _spec = importlib.util.spec_from_file_location("output_hashes", ROOT / "tools" / "output_hashes.py")
 output_hashes = importlib.util.module_from_spec(_spec)
@@ -28,20 +31,20 @@ def versions() -> str:
     return f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version')}"
 
 
-def small_hashes(scratch: Path) -> list[str]:
+def pinned_hashes(scratch: Path) -> list[str]:
     return [
         f"{name} {output_hashes.output_hash(raw, scratch)}"
         for name, raw in output_hashes.configs()
-        if name.startswith("small/")
+        if name.startswith(PINNED_PREFIXES)
     ]
 
 
 @pytest.fixture(scope="module")
 def computed(tmp_path_factory) -> list[str]:
-    return small_hashes(tmp_path_factory.mktemp("hashes"))
+    return pinned_hashes(tmp_path_factory.mktemp("hashes"))
 
 
-def test_small_outputs_match_the_pinned_hashes(computed):
+def test_outputs_match_the_pinned_hashes(computed):
     lines = PINNED.read_text().splitlines()
     pinned_versions = lines[0].removeprefix("# ")
     pinned = [line for line in lines if not line.startswith("#")]
@@ -63,5 +66,5 @@ def test_loopback_and_tcp_outputs_agree(computed):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        body = small_hashes(Path(tmp))
+        body = pinned_hashes(Path(tmp))
     PINNED.write_text(f"# {versions()}\n" + "\n".join(body) + "\n")

@@ -9,9 +9,10 @@ desk config, clean and contaminated, and the benchmark's wide layout, each
 with all four algorithms over both transports.  An optional argument keeps
 only the names that contain it.
 
-``tests/output_hashes_small.txt`` pins the ``small/*`` lines in tier-1.  The
-desk and wide lines are checked by hand against the parent, with this script
-run on both trees (it uses only the public API, so older trees run it too):
+``tests/output_hashes.txt`` pins the ``small/*`` and ``wide/*`` lines in
+tier-1.  The desk lines (about 3 s a run) are checked by hand against the
+parent, with this script run on both trees (it uses only the public API, so
+older trees run it too):
 
     PYTHONPATH=src python3 tools/output_hashes.py desk > change.txt
 """
