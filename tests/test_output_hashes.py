@@ -44,10 +44,12 @@ def computed(tmp_path_factory) -> list[str]:
     return pinned_hashes(tmp_path_factory.mktemp("hashes"))
 
 
-def test_outputs_match_the_pinned_hashes(computed):
+def assert_pinned(computed: list[str], prefix: str) -> None:
     lines = PINNED.read_text().splitlines()
     pinned_versions = lines[0].removeprefix("# ")
-    pinned = [line for line in lines if not line.startswith("#")]
+    pinned = [line for line in lines[1:] if line.startswith(prefix)]
+    computed = [line for line in computed if line.startswith(prefix)]
+    assert pinned, f"{PINNED.name} pins no {prefix}* line"
     changed = [f"- {line}" for line in pinned if line not in computed]
     changed += [f"+ {line}" for line in computed if line not in pinned]
     assert not changed, (
@@ -55,6 +57,14 @@ def test_outputs_match_the_pinned_hashes(computed):
         f"the file was made with {pinned_versions}, this run has {versions()}:\n"
         + "\n".join(changed)
     )
+
+
+def test_small_outputs_match_the_pinned_hashes(computed):
+    assert_pinned(computed, "small/")
+
+
+def test_wide_outputs_match_the_pinned_hashes(computed):
+    assert_pinned(computed, "wide/")
 
 
 def test_loopback_and_tcp_outputs_agree(computed):
