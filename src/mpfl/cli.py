@@ -93,8 +93,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     combined = [row for r in results for row in r.rows]
     (out / "combined_metrics.csv").write_text(rows_to_csv(combined))
     (out / "summary.csv").write_text(summary_csv(results))
+    runs: dict[str, int] = {}  # algorithm -> runs written; later ones get numbered stems
     for r in results:
-        _write_run(r, out, r.rows[-1].algorithm)
+        alg = r.rows[-1].algorithm
+        runs[alg] = runs.get(alg, 0) + 1
+        _write_run(r, out, alg if runs[alg] == 1 else f"{alg}-{runs[alg]}")
     print(summary_csv(results), end="")
     for cfg, err in failures:
         print(f"FAILED {cfg.algorithm}: {err}", file=sys.stderr)
@@ -200,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except MpflError as e:
+    except (MpflError, OSError) as e:  # OSError: an output path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -125,6 +125,7 @@ class ExperimentConfig:
                  f"this build reads config version {CONFIG_VERSION}, got {self.version}")
         _require(self.algorithm in ALGORITHMS, "algorithm",
                  f"must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        _require(self.seed >= 0, "seed", f"must be >= 0, got {self.seed}")
         _require(self.nodes >= 1, "nodes", "need at least one node")
         _require(self.final_rounds >= 0, "final_rounds", "must be >= 0")
         _require(self.algorithm != "pruning_fl" or self.pruning.schedule or self.final_rounds,
@@ -149,6 +150,8 @@ class ExperimentConfig:
         if self.dataset.kind == "blobs":
             _require(self.dataset.samples >= self.nodes, "dataset.samples",
                      "need at least one sample per node")
+            _require(self.dataset.cluster_std >= 0, "dataset.cluster_std",
+                     f"must be >= 0, got {self.dataset.cluster_std}")
             _require(self.dataset.features == self.arch.input_dim, "dataset.features",
                      f"dataset has {self.dataset.features} features, "
                      f"architecture expects {self.arch.input_dim}")

@@ -279,6 +279,7 @@ class _Tcp:
         self._codec = codec
         self._failures: list[NodeError] = []
         self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
+        self._endpoints: list[Endpoint] = []  # every endpoint opened, closed by close()
         self._threads = [ThreadPoolExecutor(1) for _ in nodes]
         self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
         try:
@@ -287,11 +288,9 @@ class _Tcp:
             # before the accept, and the preamble must name that node
             for node in nodes:
                 ep = tcp_connect(host, port, node.node_id, codec, ledger)
-                try:
-                    peer, server = self._listener.accept_node(codec, ledger)
-                except BaseException:
-                    ep.close()
-                    raise
+                self._endpoints.append(ep)
+                peer, server = self._listener.accept_node(codec, ledger)
+                self._endpoints.append(server)
                 self._links.append((node, server, ep, node.model.copy()))
                 if peer != node.node_id:
                     raise TransportError(f"node {node.node_id} connected as node {peer}")
@@ -332,8 +331,7 @@ class _Tcp:
         return uploads
 
     def close(self) -> None:
-        for _, server, ep, _ in self._links:
-            server.close()
+        for ep in self._endpoints:
             ep.close()
         self._listener.close()
         for thread in self._threads:
@@ -367,25 +365,17 @@ def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
     return rows
 
 
-def _finite_average(models: list[tuple[int, ModelParams]],
-                    idx: int) -> tuple[ModelParams, list[int]]:
-    """FedAvg of the round's finite models, and the ids of the nodes whose
-    model is not finite; with no finite model left, the round fails."""
+def _finite_average(models: list[tuple[int, ModelParams]], idx: int,
+                    rejected: list[tuple[int, int]] | None = None) -> ModelParams:
+    """FedAvg of the round's finite ``(node, model)`` pairs; none finite fails the
+    round.  Given ``rejected``, each node left out is logged and recorded as (round, node)."""
     bad = [node_id for node_id, model in models if not model.is_finite()]
     if len(bad) == len(models):
         raise ConstraintError(f"round {idx}: no node has a finite model to average")
-    return fedavg([model for node_id, model in models if node_id not in bad]), bad
-
-
-def _average_uploads(uploads: list[Message], idx: int,
-                     rejected: list[tuple[int, int]]) -> ModelParams:
-    """FedAvg of the round's weight uploads, leaving out, logging and
-    recording as (round, node) each one that is not finite."""
-    avg, bad = _finite_average([(m.node_id, m.params) for m in uploads], idx)
-    for node_id in bad:
+    for node_id in bad if rejected is not None else []:
         log.warning("round %d: node %d's upload is not finite, left out", idx, node_id)
         rejected.append((idx, node_id))
-    return avg
+    return fedavg([model for node_id, model in models if node_id not in bad])
 
 
 # --- the protocols -----------------------------------------------------------
@@ -412,7 +402,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate of the finite ones for
             # reporting only
-            probe = _finite_average([(n.node_id, n.model) for n in nodes], idx)[0]
+            probe = _finite_average([(n.node_id, n.model) for n in nodes], idx)
             probe = apply_mask(probe, new_mask)
             points.append((idx, new_mask.sparsity(), accuracy(probe, env.test.x, env.test.y)))
             mask_history.append(new_mask.copy())
@@ -422,9 +412,9 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         step = _sync
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
-            # every upload was decoded against ``mask``, which wrote +0.0 into
-            # each pruned group, so the average is already masked
-            avg = _average_uploads(sessions.exchange(rnd), idx, rejected)
+            # uploads decoded against ``mask`` are zero in each pruned group; so is their average
+            avg = _finite_average([(m.node_id, m.params) for m in sessions.exchange(rnd)],
+                                  idx, rejected)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
@@ -454,12 +444,14 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train, inc)
-            avg = _average_uploads(sessions.exchange(rnd), idx, rejected)
+            avg = _finite_average([(m.node_id, m.params) for m in sessions.exchange(rnd)],
+                                  idx, rejected)
+            # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
             if inc > 0.0:
                 new_mask = compute_mask(weight_scores(avg, cfg.pruning.p), inc, mask,
                                         cfg.pruning.min_keep)
-            avg = apply_mask(avg, new_mask)
+                avg = apply_mask(avg, new_mask)
             points.append((idx, new_mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             mask_history.append(new_mask.copy())
             # the broadcast is encoded against the mask the nodes know; the newly

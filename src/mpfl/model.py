@@ -152,16 +152,12 @@ class PruneMask:
     def keep_counts(self) -> list[int]:
         return [int(l.sum()) for l in self.layers]
 
-    @property
-    def num_groups(self) -> int:
-        return self.arch.num_groups
-
     def num_kept(self) -> int:
         return sum(self.keep_counts())
 
     def sparsity(self) -> float:
         """Fraction of groups pruned."""
-        return 1.0 - self.num_kept() / self.num_groups
+        return 1.0 - self.num_kept() / self.arch.num_groups
 
     def issubset(self, other: "PruneMask") -> bool:
         """True if every group kept here is also kept in ``other``."""

@@ -113,6 +113,17 @@ def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
 _WIRE_DTYPE = np.dtype("<f4")
 
 
+def _live_rows(flat: np.ndarray, params: ModelParams, mask: PruneMask):
+    """Per layer: weights, biases, mask bits, live indices and their rows in ``flat``."""
+    pos = 0
+    for w, b, bits in zip(params.weights, params.biases, mask.layers):
+        live = np.flatnonzero(bits)
+        width = w.shape[1] + 1
+        rows = flat[pos : pos + live.size * width].reshape(live.size, width)
+        yield w, b, bits, live, rows
+        pos += rows.size
+
+
 def pack_params(params: ModelParams, mask: PruneMask, out) -> None:
     """Write the live groups into ``out``, a writable buffer of exactly
     ``packed_params_size`` bytes: layer by layer, each group as its row plus
@@ -122,14 +133,9 @@ def pack_params(params: ModelParams, mask: PruneMask, out) -> None:
     flat = np.frombuffer(out, _WIRE_DTYPE)
     if flat.nbytes != packed_params_size(params.arch, mask):
         raise LayoutError("buffer size does not match the live groups")
-    pos = 0
-    for w, b, bits in zip(params.weights, params.biases, mask.layers):
-        live = np.flatnonzero(bits)
-        width = w.shape[1] + 1
-        rows = flat[pos : pos + live.size * width].reshape(live.size, width)
+    for w, b, _, live, rows in _live_rows(flat, params, mask):
         rows[:, :-1] = w[live]
         rows[:, -1] = b[live]
-        pos += rows.size
 
 
 def packed_params_size(arch: ArchSpec, mask: PruneMask) -> int:
@@ -150,11 +156,7 @@ def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
             offset=min(len(buf), expected),
         )
     flat = np.frombuffer(buf, _WIRE_DTYPE)
-    pos = 0
-    for w, b, bits in zip(into.weights, into.biases, mask.layers):
-        live = np.flatnonzero(bits)
-        width = w.shape[1] + 1
-        rows = flat[pos : pos + live.size * width].reshape(live.size, width)
+    for w, b, bits, live, rows in _live_rows(flat, into, mask):
         # arbitrary bytes may decode to signaling NaNs; widening them is fine
         with np.errstate(invalid="ignore"):
             w[live] = rows[:, :-1]
@@ -162,7 +164,6 @@ def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
         dead = np.flatnonzero(~bits)
         w[dead] = 0.0
         b[dead] = 0.0
-        pos += rows.size
 
 
 # --- frame codec ------------------------------------------------------------

@@ -68,13 +68,20 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [("pruning.min_keep.1=9", "pruning.min_keep"),
-                                               ("transport.port=70000", "transport.port")])
+                                               ("transport.port=70000", "transport.port"),
+                                               ("seed=-1", "seed")])
     def test_out_of_range_setting_exits_2_before_running(self, config_file, tmp_path, capsys,
                                                         override, key):
         out = tmp_path / "out"
         assert main(["run", "-c", str(config_file), "-o", str(out), "--set", override]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_output_exits_1(self, config_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "-c", str(config_file), "-o", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_exits_2(self):
         assert main(["run", "-c", "/nonexistent.yaml"]) == 2
@@ -105,6 +112,18 @@ class TestCompareCommand:
         summary = (out / "summary.csv").read_text()
         assert summary.startswith("algorithm,final_accuracy")
         assert "mpfl" in capsys.readouterr().out
+
+    def test_same_algorithm_runs_keep_their_own_files(self, config_file, tmp_path):
+        """The second mpfl run writes under mpfl-2; the first matches a lone run."""
+        other = tmp_path / "seed6.yaml"
+        other.write_text(config_file.read_text().replace("seed: 5", "seed: 6"))
+        out, alone = tmp_path / "cmp", tmp_path / "alone"
+        assert main(["compare", "-c", str(config_file), "-c", str(other), "-o", str(out)]) == 0
+        assert main(["run", "-c", str(config_file), "-o", str(alone)]) == 0
+        for name in ("metrics.csv", "model.bin"):
+            first, second = (out / f"mpfl_{name}").read_bytes(), (out / f"mpfl-2_{name}").read_bytes()
+            assert first == (alone / f"mpfl_{name}").read_bytes()
+            assert first != second
 
     def test_runtime_failure_exits_1(self, config_file, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -127,6 +127,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="transport.port"):
             config_from_dict(minimal_raw(transport={"kind": "tcp", "port": port}))
 
+    @pytest.mark.parametrize("key", ["seed", "dataset.cluster_std"])
+    def test_negative_seed_or_cluster_std(self, key):
+        """numpy would reject either later, with a bare ValueError."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be >= 0"):
+            apply_overrides(config_from_dict(minimal_raw()), {key: -1})
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

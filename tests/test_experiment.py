@@ -296,6 +296,52 @@ class TestNodeFailure:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=1.0).close()
 
+    def test_failed_tcp_accept_closes_every_endpoint(self, monkeypatch):
+        """An accept that fails after its node connected fails setup, which
+        ``compare`` isolates; every socket made is closed and no thread or
+        port is left behind."""
+        from mpfl import transport
+        from mpfl.transport import TcpServer
+
+        made, closed, addresses, accepts = [], [], [], []
+        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
+        listen, accept = TcpServer.__init__, TcpServer.accept_node
+
+        def counting_init(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        def recording_listen(self, *args, **kwargs):
+            listen(self, *args, **kwargs)
+            addresses.append(self.address)
+
+        def failing_accept(self, *args):
+            accepts.append(self)
+            if len(accepts) == 3:
+                raise TransportError("accept refused")
+            return accept(self, *args)
+
+        monkeypatch.setattr(transport._SocketChannel, "__init__", counting_init)
+        monkeypatch.setattr(transport._SocketChannel, "close", counting_close)
+        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+        monkeypatch.setattr(TcpServer, "accept_node", failing_accept)
+        threads = threading.active_count()
+        results, failures = compare([config_from_dict(small_raw(transport={"kind": "tcp"}))])
+        assert results == []
+        ((_, err),) = failures
+        assert "accept refused" in str(err)
+        # nodes 0 and 1 on both sides, and node 2's side of the failed accept
+        assert len(made) == 5
+        assert {id(c) for c in made} <= {id(c) for c in closed}
+        assert threading.active_count() == threads
+        (address,) = addresses
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1.0).close()
+
 
 class TestWeightPath:
     """Each broadcast is encoded once a round; nodes decode into their own models."""
