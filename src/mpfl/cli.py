@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
@@ -58,15 +59,15 @@ def _load_with_overrides(path: str, args: argparse.Namespace) -> ExperimentConfi
 
 
 def _write_run(result: RunResult, out: Path, stem: str) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     write_metrics(result.rows, out / f"{stem}_metrics.csv")
     save_model(out / f"{stem}_model.bin", result.final_model, result.final_mask)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_with_overrides(args.config, args)
-    result = run(cfg)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable -o fails before the run
+    result = run(cfg)
     stem = result.rows[-1].algorithm
     _write_run(result, out, stem)
     if args.dump_config:
@@ -87,18 +88,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     configs = [_load_with_overrides(p, args) for p in args.config]
-    results, failures = compare(configs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    combined = [row for r in results for row in r.rows]
-    (out / "combined_metrics.csv").write_text(rows_to_csv(combined))
-    (out / "summary.csv").write_text(summary_csv(results))
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable -o fails before any run
+    results, failures = compare(configs)
     runs: dict[str, int] = {}  # algorithm -> runs written; later ones get numbered stems
+    labelled = []  # each run with its stem in the merged files' algorithm column
     for r in results:
         alg = r.rows[-1].algorithm
         runs[alg] = runs.get(alg, 0) + 1
-        _write_run(r, out, alg if runs[alg] == 1 else f"{alg}-{runs[alg]}")
-    print(summary_csv(results), end="")
+        stem = alg if runs[alg] == 1 else f"{alg}-{runs[alg]}"
+        _write_run(r, out, stem)
+        labelled.append(replace(r, rows=[replace(row, algorithm=stem) for row in r.rows]))
+    (out / "combined_metrics.csv").write_text(rows_to_csv([row for r in labelled for row in r.rows]))
+    (out / "summary.csv").write_text(summary_csv(labelled))
+    print(summary_csv(labelled), end="")
     for cfg, err in failures:
         print(f"FAILED {cfg.algorithm}: {err}", file=sys.stderr)
     return 1 if failures else 0
@@ -141,6 +144,9 @@ def _cmd_bits(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import corrupt_frame_fuzz, roundtrip_fuzz
 
+    for flag, count in (("--cases", args.cases), ("--corrupt-cases", args.corrupt_cases)):
+        if count < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {count}")
     ok = roundtrip_fuzz(args.cases, args.seed)
     survived = corrupt_frame_fuzz(args.corrupt_cases, args.seed + 1)
     print(f"round-trip cases: {ok}/{args.cases} ok")

@@ -150,6 +150,8 @@ def load_idx(features_path: str | Path, labels_path: str | Path) -> Dataset:
         raise DataError(
             f"feature/label count mismatch: {feats.shape[0]} vs {labels.shape[0]}"
         )
+    if labels.dtype.kind == "f" and not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+        raise DataError(f"{labels_path}: float labels must be finite whole numbers")
     x = feats.reshape(feats.shape[0], -1).astype(np.float64)
     y = labels.astype(np.int64)
     if y.min() < 0:

@@ -11,8 +11,8 @@ Four algorithms share one harness:
 * ``fedavg``      - the unpruned reference: ``mpfl`` with an empty schedule.
 
 Each federated protocol is one straight-line loop of lockstep rounds in its
-``run_*`` function.  A round is one ``sessions.exchange``: the server encodes
-the broadcast once and sends that frame on every link, every node takes one
+``run_*`` function.  A round is one ``exchange``: the server encodes the
+broadcast once and sends that frame on every link, every node takes one
 step (decode the broadcast into its own model, train it in place or vote,
 upload), and the uploads come back in node-id order, each decoded into one
 model per link that lives as long as the session; the loop then reduces them
@@ -33,7 +33,7 @@ import io
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -241,14 +241,12 @@ class _Loopback:
     """In-process sessions: each node's exchange runs inline, in node-id order."""
 
     def __init__(self, codec: WireCodec, ledger: BandwidthLedger, nodes: list[Node]):
-        self._codec = codec
         self._links = [
             (node, *loopback_pair(node.node_id, codec, ledger), node.model.copy()) for node in nodes
         ]
 
-    def exchange(self, rnd: _Round) -> list[Message]:
-        """Broadcast, run every node's step, and gather the uploads in node-id order."""
-        frame = self._codec.encode(rnd.down, rnd.ref)
+    def exchange(self, rnd: _Round, frame: bytes) -> list[Message]:
+        """Broadcast ``frame``, run every node's step, and gather the uploads in node-id order."""
         uploads = []
         for node, server, ep, buf in self._links:
             server.send(frame)
@@ -256,9 +254,6 @@ class _Loopback:
             if rnd.step is not None:
                 uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
         return uploads
-
-    def close(self) -> None:
-        pass
 
 
 class _Tcp:
@@ -272,36 +267,36 @@ class _Tcp:
     and the round, chained from the node's error.  A peer that drops without
     a recorded failure raises a TransportError naming the node the server was
     writing to or reading from, and the round.
+
+    Each thread, the listener and each socket goes on ``stack`` the moment it
+    exists; the stack closes the sockets, then the listener, then the threads.
     """
 
     def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
-                 nodes: list[Node]):
-        self._codec = codec
+                 nodes: list[Node], stack: ExitStack):
         self._failures: list[NodeError] = []
         self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
-        self._endpoints: list[Endpoint] = []  # every endpoint opened, closed by close()
-        self._threads = [ThreadPoolExecutor(1) for _ in nodes]
-        self._listener = TcpServer(cfg.transport.host, cfg.transport.port)
-        try:
-            host, port = self._listener.address
-            # one node at a time: the listen backlog completes the connect
-            # before the accept, and the preamble must name that node
-            for node in nodes:
-                ep = tcp_connect(host, port, node.node_id, codec, ledger)
-                self._endpoints.append(ep)
-                peer, server = self._listener.accept_node(codec, ledger)
-                self._endpoints.append(server)
-                self._links.append((node, server, ep, node.model.copy()))
-                if peer != node.node_id:
-                    raise TransportError(f"node {node.node_id} connected as node {peer}")
-        except BaseException:
-            self.close()
-            raise
+        self._threads = [stack.enter_context(ThreadPoolExecutor(1)) for _ in nodes]
+        listener = TcpServer(cfg.transport.host, cfg.transport.port)
+        stack.callback(listener.close)
+        host, port = listener.address
+        # one node at a time: the listen backlog completes the connect
+        # before the accept, and the preamble must name that node
+        for node in nodes:
+            ep = tcp_connect(host, port, node.node_id, codec, ledger)
+            stack.callback(ep.close)
+            peer, server = listener.accept_node(codec, ledger)
+            stack.callback(server.close)
+            self._links.append((node, server, ep, node.model.copy()))
+            if peer != node.node_id:
+                raise TransportError(f"node {node.node_id} connected as node {peer}")
 
     def _step(self, node: Node, ep: Endpoint, rnd: _Round) -> None:
         try:
             _node_exchange(node, ep, rnd)
         except NodeError as e:
+            # recorded before the close that fails the server's read; the
+            # step's future is done only after it, too late to be read there
             self._failures.append(e)
             ep.close()
 
@@ -309,9 +304,8 @@ class _Tcp:
         if self._failures:
             raise self._failures[0]
 
-    def exchange(self, rnd: _Round) -> list[Message]:
-        """Broadcast, run every node's step, and gather the uploads in node-id order."""
-        frame = self._codec.encode(rnd.down, rnd.ref)
+    def exchange(self, rnd: _Round, frame: bytes) -> list[Message]:
+        """Broadcast ``frame``, run every node's step, and gather the uploads in node-id order."""
         steps = [
             thread.submit(self._step, node, ep, rnd)
             for thread, (node, _, ep, _) in zip(self._threads, self._links)
@@ -330,21 +324,19 @@ class _Tcp:
         self._raise_failure()
         return uploads
 
-    def close(self) -> None:
-        for ep in self._endpoints:
-            ep.close()
-        self._listener.close()
-        for thread in self._threads:
-            thread.shutdown()
 
-
+@contextmanager
 def _sessions(cfg: ExperimentConfig, env: Env, ledger: BandwidthLedger,
-              nodes: list[Node]) -> _Loopback | _Tcp:
-    """Open the server's sessions with the nodes over the configured transport."""
+              nodes: list[Node]) -> Iterator[Callable[[_Round], list[Message]]]:
+    """Open the server's sessions with the nodes over the configured transport and
+    yield the round's exchange, which encodes each broadcast once; leaving the
+    block closes everything the sessions opened."""
     codec = WireCodec(env.arch)
-    if cfg.transport.kind == "loopback":
-        return _Loopback(codec, ledger, nodes)
-    return _Tcp(cfg, codec, ledger, nodes)
+    with ExitStack() as stack:
+        links: _Loopback | _Tcp = (_Loopback(codec, ledger, nodes)
+                                   if cfg.transport.kind == "loopback"
+                                   else _Tcp(cfg, codec, ledger, nodes, stack))
+        yield lambda rnd: links.exchange(rnd, codec.encode(rnd.down, rnd.ref))
 
 
 # --- metrics helpers ---------------------------------------------------------
@@ -394,11 +386,11 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
     ref = mask = PruneMask.ones(env.arch)
     idx = 1
-    with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
+    with _sessions(cfg, env, ledger, nodes) as exchange:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
-            new_mask = ps.reduce([m.mask for m in sessions.exchange(rnd)], mask, rnd.increment)
+            new_mask = ps.reduce([m.mask for m in exchange(rnd)], mask, rnd.increment)
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate of the finite ones for
             # reporting only
@@ -413,8 +405,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
             # uploads decoded against ``mask`` are zero in each pruned group; so is their average
-            avg = _finite_average([(m.node_id, m.params) for m in sessions.exchange(rnd)],
-                                  idx, rejected)
+            avg = _finite_average([(m.node_id, m.params) for m in exchange(rnd)], idx, rejected)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
@@ -441,11 +432,10 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
     ref = mask = PruneMask.ones(env.arch)
-    with closing(_sessions(cfg, env, ledger, nodes)) as sessions:
+    with _sessions(cfg, env, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train, inc)
-            avg = _finite_average([(m.node_id, m.params) for m in sessions.exchange(rnd)],
-                                  idx, rejected)
+            avg = _finite_average([(m.node_id, m.params) for m in exchange(rnd)], idx, rejected)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
             if inc > 0.0:
@@ -458,7 +448,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # pruned groups arrive as explicit zeros
             down, ref, mask = Message(MsgType.GLOBAL_WEIGHTS, idx, params=avg), mask, new_mask
         # the last broadcast ends the run: the nodes take it and answer nothing
-        sessions.exchange(_Round(down.round_idx, down, ref, mask, None))
+        exchange(_Round(down.round_idx, down, ref, mask, None))
     return RunResult(
         cfg,
         _rows(cfg, points, ledger),

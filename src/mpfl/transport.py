@@ -175,5 +175,9 @@ def tcp_connect(
     except OSError as e:
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
     chan = _SocketChannel(sock, timeout)
-    chan.send_bytes(_PREAMBLE.pack(node_id))
+    try:
+        chan.send_bytes(_PREAMBLE.pack(node_id))
+    except TransportError:
+        chan.close()
+        raise
     return Endpoint(chan, codec, ledger, UP, node_id)

@@ -1,5 +1,7 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,12 @@ def tiny_model(tiny_arch) -> ModelParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """A test that leaves a thread running fails."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"

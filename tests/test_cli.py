@@ -6,6 +6,7 @@ import socket
 import pytest
 import yaml
 
+from mpfl import cli
 from mpfl.cli import main
 from mpfl.config import load_config
 from mpfl.experiment import load_model
@@ -77,7 +78,9 @@ class TestRunCommand:
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_output_exits_1(self, config_file, tmp_path, capsys):
+    def test_unwritable_output_exits_1(self, config_file, tmp_path, capsys, monkeypatch):
+        """An -o that is an existing file fails before any training."""
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran before creating -o"))
         taken = tmp_path / "taken"
         taken.write_text("")
         assert main(["run", "-c", str(config_file), "-o", str(taken)]) == 1
@@ -124,6 +127,23 @@ class TestCompareCommand:
             first, second = (out / f"mpfl_{name}").read_bytes(), (out / f"mpfl-2_{name}").read_bytes()
             assert first == (alone / f"mpfl_{name}").read_bytes()
             assert first != second
+        # the merged files label each run with its stem
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in summary] == ["mpfl", "mpfl-2"]
+        combined = (out / "combined_metrics.csv").read_text().splitlines()
+        assert combined[1:] == (
+            (out / "mpfl_metrics.csv").read_text().splitlines()[1:]
+            + [line.replace("mpfl,", "mpfl-2,", 1)
+               for line in (out / "mpfl-2_metrics.csv").read_text().splitlines()[1:]]
+        )
+
+    def test_unwritable_output_exits_1(self, config_file, tmp_path, capsys, monkeypatch):
+        """An -o that is an existing file fails before any run."""
+        monkeypatch.setattr(cli, "compare", lambda cfgs: pytest.fail("ran before creating -o"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["compare", "-c", str(config_file), "-o", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_runtime_failure_exits_1(self, config_file, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -192,3 +212,8 @@ class TestFuzzCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "25/25" in out
+
+    @pytest.mark.parametrize("flag", ["--cases", "--corrupt-cases"])
+    def test_negative_count_exits_2(self, flag, capsys):
+        assert main(["fuzz", flag, "-3"]) == 2
+        assert f"{flag} must be >= 0, got -3" in capsys.readouterr().err

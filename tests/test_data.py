@@ -182,6 +182,18 @@ class TestIdx:
         with pytest.raises(DataError, match=r"x\.idx: no dimensions"):
             load_idx(fx, fy)
 
+    @pytest.mark.parametrize("bad", [1.7, np.nan])
+    def test_float_labels_must_be_whole(self, tmp_path, bad):
+        """A fractional or NaN float label is an error naming the labels file,
+        not truncated or reported as negative; 1.0 is a valid label."""
+        fx, fy = tmp_path / "x.idx", tmp_path / "y.idx"
+        self._write_idx(fx, np.zeros((4, 2), np.uint8), 0x08, ">u1")
+        self._write_idx(fy, np.array([0.0, 1.0, 2.0, 1.0]), 0x0D, ">f4")
+        assert load_idx(fx, fy).y.tolist() == [0, 1, 2, 1]
+        self._write_idx(fy, np.array([0.0, bad, 2.0, 1.0]), 0x0D, ">f4")
+        with pytest.raises(DataError, match=r"y\.idx: float labels must be finite whole numbers"):
+            load_idx(fx, fy)
+
     def test_zero_rows_rejected(self, tmp_path):
         fx, fy = tmp_path / "x.idx", tmp_path / "y.idx"
         self._write_idx(fx, np.zeros((0, 4), np.uint8), 0x08, ">u1")

@@ -200,3 +200,22 @@ class TestSessionPreamble:
             srv.accept_node(codec, BandwidthLedger())
         srv.close()
         assert len(closed) == 1
+
+    def test_failed_preamble_send_closes_the_socket(self, codec, monkeypatch):
+        """A node whose hello cannot be sent fails the connect and closes its socket."""
+        from mpfl import transport
+
+        closed = []
+        close = transport._SocketChannel.close
+
+        def refuse(self, frame):
+            raise TransportError("send failed")
+
+        monkeypatch.setattr(transport._SocketChannel, "send_bytes", refuse)
+        monkeypatch.setattr(transport._SocketChannel, "close",
+                            lambda self: (closed.append(self), close(self)))
+        srv = TcpServer("127.0.0.1", 0, timeout=5.0)
+        with pytest.raises(TransportError, match="send failed"):
+            tcp_connect(*srv.address, 0, codec, BandwidthLedger(), timeout=5.0)
+        srv.close()
+        assert len(closed) == 1
