@@ -183,17 +183,22 @@ class TestSessionPreamble:
         eps["node"].close()
         srv.close()
 
-    def test_missing_preamble_closes_the_session(self, codec, monkeypatch):
-        """A peer that hangs up before its hello fails the accept, and the
-        accepted socket is closed rather than left to the garbage collector."""
-        import socket
-
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        """Every ``_SocketChannel`` closed during the test."""
         from mpfl import transport
 
         closed = []
         close = transport._SocketChannel.close
         monkeypatch.setattr(transport._SocketChannel, "close",
                             lambda self: (closed.append(self), close(self)))
+        return closed
+
+    def test_missing_preamble_closes_the_session(self, codec, closed):
+        """A peer that hangs up before its hello fails the accept, and the
+        accepted socket is closed rather than left to the garbage collector."""
+        import socket
+
         srv = TcpServer("127.0.0.1", 0, timeout=5.0)
         socket.create_connection(srv.address, timeout=5.0).close()
         with pytest.raises(TransportError, match="closed"):
@@ -201,19 +206,14 @@ class TestSessionPreamble:
         srv.close()
         assert len(closed) == 1
 
-    def test_failed_preamble_send_closes_the_socket(self, codec, monkeypatch):
+    def test_failed_preamble_send_closes_the_socket(self, codec, closed, monkeypatch):
         """A node whose hello cannot be sent fails the connect and closes its socket."""
         from mpfl import transport
-
-        closed = []
-        close = transport._SocketChannel.close
 
         def refuse(self, frame):
             raise TransportError("send failed")
 
         monkeypatch.setattr(transport._SocketChannel, "send_bytes", refuse)
-        monkeypatch.setattr(transport._SocketChannel, "close",
-                            lambda self: (closed.append(self), close(self)))
         srv = TcpServer("127.0.0.1", 0, timeout=5.0)
         with pytest.raises(TransportError, match="send failed"):
             tcp_connect(*srv.address, 0, codec, BandwidthLedger(), timeout=5.0)
