@@ -122,11 +122,15 @@ def _parse_layer_terms(items: list[str]) -> list[tuple[int, int]]:
 
 def _cmd_bits(args: argparse.Namespace) -> int:
     if args.preset == "vgg16":
+        extra = [f for f, v in (("--layer", args.layer), ("--precision", args.precision)) if v]
+        if extra:
+            raise ConfigError(f"--preset vgg16 fixes the layers and precision; "
+                              f"drop {' and '.join(extra)}")
         dense = vgg16_dense_bits()
         mask = vgg16_mask_bits()
     elif args.layer:
         terms = _parse_layer_terms(args.layer)
-        dense = dense_bits(terms, args.precision)
+        dense = dense_bits(terms, args.precision or 32)
         mask = mask_bits(terms)
     else:
         raise ConfigError("bits needs --preset vgg16 or at least one --layer")
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     bits_p.add_argument("--preset", choices=["vgg16"])
     bits_p.add_argument("--layer", action="append", metavar="GROUPS:SCALARS",
                         help="one prunable layer, e.g. 64:577")
-    bits_p.add_argument("--precision", type=int, default=32, choices=[32, 64])
+    bits_p.add_argument("--precision", type=int, choices=[32, 64], help="default 32")
     bits_p.add_argument("--json", action="store_true")
     bits_p.set_defaults(fn=_cmd_bits)
 

@@ -150,8 +150,11 @@ def load_idx(features_path: str | Path, labels_path: str | Path) -> Dataset:
         raise DataError(
             f"feature/label count mismatch: {feats.shape[0]} vs {labels.shape[0]}"
         )
-    if labels.dtype.kind == "f" and not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
-        raise DataError(f"{labels_path}: float labels must be finite whole numbers")
+    # checked before the int64 cast, which would wrap a label of 2**63 or more
+    if labels.dtype.kind == "f" and not np.all(
+        (labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))
+    ):
+        raise DataError(f"{labels_path}: float labels must be finite whole numbers in [0, 2**63)")
     x = feats.reshape(feats.shape[0], -1).astype(np.float64)
     y = labels.astype(np.int64)
     if y.min() < 0:

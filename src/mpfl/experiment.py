@@ -118,7 +118,6 @@ class RunResult:
 class Env:
     """Everything derived from the config seed before any algorithm runs."""
 
-    arch: ArchSpec
     train: Dataset
     test: Dataset
     shards: list[tuple[np.ndarray, np.ndarray]]  # each node's (x, y), by node id
@@ -164,7 +163,7 @@ def build_env(cfg: ExperimentConfig) -> Env:
             shards[entry.node] = (x, contaminate_labels(y, train.num_classes, rng))
 
     w0 = init_params(arch, np.random.default_rng(init_seq))
-    return Env(arch, train, test, shards, w0, node_seeds, central_seq)
+    return Env(train, test, shards, w0, node_seeds, central_seq)
 
 
 def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
@@ -204,7 +203,7 @@ def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
     try:
         ep.recv(node.model, rnd.ref)
         if rnd.step is not None:
-            ep.send(ep.codec.encode(rnd.step(node, rnd), rnd.mask))
+            ep.send(WireCodec.encode(rnd.step(node, rnd), rnd.mask))
     except Exception as e:
         raise NodeError(node.node_id, rnd.idx, e) from e
 
@@ -240,9 +239,9 @@ def _routed(msg: Message, node_id: int, rnd: _Round) -> Message:
 class _Loopback:
     """In-process sessions: each node's exchange runs inline, in node-id order."""
 
-    def __init__(self, codec: WireCodec, ledger: BandwidthLedger, nodes: list[Node]):
+    def __init__(self, ledger: BandwidthLedger, nodes: list[Node]):
         self._links = [
-            (node, *loopback_pair(node.node_id, codec, ledger), node.model.copy()) for node in nodes
+            (node, *loopback_pair(node.node_id, ledger), node.model.copy()) for node in nodes
         ]
 
     def exchange(self, rnd: _Round, frame: bytes) -> list[Message]:
@@ -272,8 +271,8 @@ class _Tcp:
     exists; the stack closes the sockets, then the listener, then the threads.
     """
 
-    def __init__(self, cfg: ExperimentConfig, codec: WireCodec, ledger: BandwidthLedger,
-                 nodes: list[Node], stack: ExitStack):
+    def __init__(self, cfg: ExperimentConfig, ledger: BandwidthLedger, nodes: list[Node],
+                 stack: ExitStack):
         self._failures: list[NodeError] = []
         self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
         self._threads = [stack.enter_context(ThreadPoolExecutor(1)) for _ in nodes]
@@ -283,9 +282,9 @@ class _Tcp:
         # one node at a time: the listen backlog completes the connect
         # before the accept, and the preamble must name that node
         for node in nodes:
-            ep = tcp_connect(host, port, node.node_id, codec, ledger)
+            ep = tcp_connect(host, port, node.node_id, ledger)
             stack.callback(ep.close)
-            peer, server = listener.accept_node(codec, ledger)
+            peer, server = listener.accept_node(ledger)
             stack.callback(server.close)
             self._links.append((node, server, ep, node.model.copy()))
             if peer != node.node_id:
@@ -326,17 +325,15 @@ class _Tcp:
 
 
 @contextmanager
-def _sessions(cfg: ExperimentConfig, env: Env, ledger: BandwidthLedger,
+def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
               nodes: list[Node]) -> Iterator[Callable[[_Round], list[Message]]]:
     """Open the server's sessions with the nodes over the configured transport and
     yield the round's exchange, which encodes each broadcast once; leaving the
     block closes everything the sessions opened."""
-    codec = WireCodec(env.arch)
     with ExitStack() as stack:
-        links: _Loopback | _Tcp = (_Loopback(codec, ledger, nodes)
-                                   if cfg.transport.kind == "loopback"
-                                   else _Tcp(cfg, codec, ledger, nodes, stack))
-        yield lambda rnd: links.exchange(rnd, codec.encode(rnd.down, rnd.ref))
+        links: _Loopback | _Tcp = (_Loopback(ledger, nodes) if cfg.transport.kind == "loopback"
+                                   else _Tcp(cfg, ledger, nodes, stack))
+        yield lambda rnd: links.exchange(rnd, WireCodec.encode(rnd.down, rnd.ref))
 
 
 # --- metrics helpers ---------------------------------------------------------
@@ -384,9 +381,9 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     mask_history: list[PruneMask] = []
     rejected: list[tuple[int, int]] = []
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
-    ref = mask = PruneMask.ones(env.arch)
+    ref = mask = PruneMask.ones(env.w0.arch)
     idx = 1
-    with _sessions(cfg, env, ledger, nodes) as exchange:
+    with _sessions(cfg, ledger, nodes) as exchange:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
@@ -431,10 +428,10 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     # pruning rounds, then fine-tuning rounds with no increment (at least one round)
     increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
-    ref = mask = PruneMask.ones(env.arch)
-    with _sessions(cfg, env, ledger, nodes) as exchange:
+    ref = mask = PruneMask.ones(env.w0.arch)
+    with _sessions(cfg, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
-            rnd = _Round(idx, down, ref, mask, _train, inc)
+            rnd = _Round(idx, down, ref, mask, _train)
             avg = _finite_average([(m.node_id, m.params) for m in exchange(rnd)], idx, rejected)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
@@ -502,7 +499,7 @@ def run_lth_central(cfg: ExperimentConfig, env: Env) -> RunResult:
     # one worker holds the pool and trains it with the central seed
     pool = Node(0, x, y, env.w0.copy(), np.random.default_rng(env.central_seed),
                 cfg.training, cfg.pruning)
-    mask = PruneMask.ones(env.arch)
+    mask = PruneMask.ones(env.w0.arch)
     mask_history: list[PruneMask] = []
     for rnd, inc in enumerate(cfg.pruning.schedule, start=1):
         _train_pool(pool, mask, rnd)

@@ -44,11 +44,10 @@ def _garbage(arch: ArchSpec) -> ModelParams:
 
 
 def _random_case(rng: np.random.Generator):
-    """One (codec, message, ref_mask) triple with a losslessly encodable body."""
+    """One (message, ref_mask) pair with a losslessly encodable body."""
     from .pruning import apply_mask
 
     arch = _random_arch(rng)
-    codec = WireCodec(arch)
     mtype = _VARIANTS[int(rng.integers(0, len(_VARIANTS)))]
     round_idx = int(rng.integers(0, 2**16))
     node_id = int(rng.integers(0, 64))
@@ -61,7 +60,7 @@ def _random_case(rng: np.random.Generator):
             node_id=node_id if mtype == MsgType.MASK_UPLOAD else None,
             mask=_random_mask(arch, rng),
         )
-        return codec, msg, ref
+        return msg, ref
     params = apply_mask(_random_params(arch, rng), ref)
     msg = Message(
         mtype,
@@ -69,7 +68,7 @@ def _random_case(rng: np.random.Generator):
         node_id=node_id if mtype == MsgType.WEIGHT_UPLOAD else None,
         params=params,
     )
-    return codec, msg, ref
+    return msg, ref
 
 
 def _equal(a: Message, b: Message) -> bool:
@@ -90,8 +89,8 @@ def roundtrip_fuzz(cases: int, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     ok = 0
     for _ in range(cases):
-        codec, msg, ref = _random_case(rng)
-        decoded = codec.decode(codec.encode(msg, ref), _garbage(codec.arch), ref)
+        msg, ref = _random_case(rng)
+        decoded = WireCodec.decode(WireCodec.encode(msg, ref), _garbage(ref.arch), ref)
         ok += _equal(msg, decoded)
     return ok
 
@@ -117,10 +116,10 @@ def corrupt_frame_fuzz(cases: int, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     survived = 0
     for _ in range(cases):
-        codec, msg, ref = _random_case(rng)
-        frame = _corrupt(codec.encode(msg, ref), rng)
+        msg, ref = _random_case(rng)
+        frame = _corrupt(WireCodec.encode(msg, ref), rng)
         try:
-            codec.decode(frame, _garbage(codec.arch), ref)
+            WireCodec.decode(frame, _garbage(ref.arch), ref)
         except ProtocolError:
             pass
         survived += 1

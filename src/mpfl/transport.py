@@ -1,11 +1,11 @@
 """Loopback and TCP transports carrying identical frame bytes.
 
-An Endpoint owns one side of one node<->server channel.  It sends frames the
-shared codec encoded and books their payload bits in the ledger, so the two
-transports are interchangeable byte for byte.  A received weight frame is
-decoded into a model the caller owns.  Loopback frames wait
-in in-process buffers and a read never blocks; TCP reads block up to the
-socket timeout.
+An Endpoint owns one side of one node<->server channel.  It sends encoded
+frames and books their payload bits in the ledger, so the two transports are
+interchangeable byte for byte.  A received frame is decoded against the
+reference mask the caller names, a weight frame into a model the caller owns.
+Loopback frames wait in in-process buffers and a read never blocks; TCP reads
+block up to the socket timeout.
 
 TCP sessions start with a 4-byte node id preamble so the server can label the
 connection before any protocol message flows; the preamble is session setup,
@@ -84,10 +84,9 @@ class _SocketChannel:
 
 @dataclass
 class Endpoint:
-    """One side of a channel: encodes, ships, books, decodes."""
+    """One side of a channel: ships and books encoded frames, decodes received ones."""
 
     channel: object
-    codec: WireCodec
     ledger: BandwidthLedger
     send_direction: str  # UP for node endpoints, DOWN for the server side
     peer_node_id: int
@@ -105,9 +104,9 @@ class Endpoint:
         )
         self.channel.send_bytes(frame)
 
-    def recv(self, into: ModelParams, ref_mask: PruneMask | None = None) -> Message:
-        """The next message; a weight frame is decoded into ``into``."""
-        return self.codec.decode(self.channel.recv_bytes(), into, ref_mask)
+    def recv(self, into: ModelParams, ref_mask: PruneMask) -> Message:
+        """The next message, laid out by ``ref_mask``; a weight frame is decoded into ``into``."""
+        return WireCodec.decode(self.channel.recv_bytes(), into, ref_mask)
 
     def close(self) -> None:
         close = getattr(self.channel, "close", None)
@@ -115,14 +114,12 @@ class Endpoint:
             close()
 
 
-def loopback_pair(
-    node_id: int, codec: WireCodec, ledger: BandwidthLedger
-) -> tuple[Endpoint, Endpoint]:
+def loopback_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
     """(server_side, node_side) endpoints joined by in-process frame buffers."""
     to_node: deque[bytes] = deque()
     to_server: deque[bytes] = deque()
-    server = Endpoint(_LoopbackChannel(to_server, to_node), codec, ledger, DOWN, node_id)
-    node = Endpoint(_LoopbackChannel(to_node, to_server), codec, ledger, UP, node_id)
+    server = Endpoint(_LoopbackChannel(to_server, to_node), ledger, DOWN, node_id)
+    node = Endpoint(_LoopbackChannel(to_node, to_server), ledger, UP, node_id)
     return server, node
 
 
@@ -141,9 +138,7 @@ class TcpServer:
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
-    def accept_node(
-        self, codec: WireCodec, ledger: BandwidthLedger
-    ) -> tuple[int, Endpoint]:
+    def accept_node(self, ledger: BandwidthLedger) -> tuple[int, Endpoint]:
         try:
             sock, _ = self._listener.accept()
         except socket.timeout:
@@ -156,7 +151,7 @@ class TcpServer:
             chan.close()
             raise
         (node_id,) = _PREAMBLE.unpack(hello)
-        return node_id, Endpoint(chan, codec, ledger, DOWN, node_id)
+        return node_id, Endpoint(chan, ledger, DOWN, node_id)
 
     def close(self) -> None:
         self._listener.close()
@@ -166,7 +161,6 @@ def tcp_connect(
     host: str,
     port: int,
     node_id: int,
-    codec: WireCodec,
     ledger: BandwidthLedger,
     timeout: float = _DEFAULT_TIMEOUT,
 ) -> Endpoint:
@@ -180,4 +174,4 @@ def tcp_connect(
     except TransportError:
         chan.close()
         raise
-    return Endpoint(chan, codec, ledger, UP, node_id)
+    return Endpoint(chan, ledger, UP, node_id)

@@ -131,17 +131,17 @@ def pack_params(params: ModelParams, mask: PruneMask, out) -> None:
     if mask.arch != params.arch:
         raise LayoutError("mask layout does not match the params")
     flat = np.frombuffer(out, _WIRE_DTYPE)
-    if flat.nbytes != packed_params_size(params.arch, mask):
+    if flat.nbytes != packed_params_size(mask):
         raise LayoutError("buffer size does not match the live groups")
     for w, b, _, live, rows in _live_rows(flat, params, mask):
         rows[:, :-1] = w[live]
         rows[:, -1] = b[live]
 
 
-def packed_params_size(arch: ArchSpec, mask: PruneMask) -> int:
+def packed_params_size(mask: PruneMask) -> int:
     return sum(
         int(bits.sum()) * size * _WIRE_DTYPE.itemsize
-        for bits, size in zip(mask.layers, arch.group_sizes)
+        for bits, size in zip(mask.layers, mask.arch.group_sizes)
     )
 
 
@@ -149,7 +149,7 @@ def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
     """Scatter the live groups of ``buf`` into ``into`` and zero every other group."""
     if mask.arch != into.arch:
         raise LayoutError("mask layout does not match the destination")
-    expected = packed_params_size(into.arch, mask)
+    expected = packed_params_size(mask)
     if len(buf) != expected:
         raise ProtocolError(
             f"weight payload is {len(buf)} bytes, layout needs {expected}",
@@ -168,39 +168,36 @@ def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
 
 # --- frame codec ------------------------------------------------------------
 
-@dataclass
 class WireCodec:
-    """Encodes and decodes frames for one architecture.
+    """Encodes and decodes frames; the reference mask gives a frame's layout.
 
-    ``ref_mask`` names the live-group layout both ends already agree on for
-    weight messages (all-ones for the initial broadcast); mask messages
-    ignore it and always carry the full mask.
+    ``ref_mask`` is the live-group layout both ends already agree on: weight
+    frames carry its live groups only (all-ones for the initial broadcast),
+    and mask frames carry one bit per group of its architecture.
     """
 
-    arch: ArchSpec
-
-    def encode(self, msg: Message, ref_mask: PruneMask | None = None) -> bytearray:
+    @staticmethod
+    def encode(msg: Message, ref_mask: PruneMask) -> bytearray:
         head = header_overhead_bytes(msg.mtype)
         if msg.mtype in _MASK_TYPES:
             frame = bytearray(head) + pack_mask(msg.mask)
         else:
-            mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-            frame = bytearray(head + packed_params_size(self.arch, mask))
-            pack_params(msg.params, mask, memoryview(frame)[head:])
+            frame = bytearray(head + packed_params_size(ref_mask))
+            pack_params(msg.params, ref_mask, memoryview(frame)[head:])
         length = len(frame) - head
         _HEADER.pack_into(frame, 0, MAGIC, VERSION, int(msg.mtype), msg.round_idx, length)
         if msg.mtype in _UPLOADS:
             _NODE_ID.pack_into(frame, _HEADER.size, msg.node_id)
         return frame
 
-    def decode(self, frame, into: ModelParams, ref_mask: PruneMask | None = None) -> Message:
+    @staticmethod
+    def decode(frame, into: ModelParams, ref_mask: PruneMask) -> Message:
         """A weight frame is decoded into ``into``, which becomes the message's params."""
-        mtype, round_idx, node_id, payload = self.split_frame(frame)
+        mtype, round_idx, node_id, payload = WireCodec.split_frame(frame)
         if mtype in _MASK_TYPES:
-            mask = unpack_mask(payload, self.arch)
+            mask = unpack_mask(payload, ref_mask.arch)
             return Message(mtype, round_idx, node_id=node_id, mask=mask)
-        mask = ref_mask if ref_mask is not None else PruneMask.ones(self.arch)
-        unpack_params(payload, mask, into)
+        unpack_params(payload, ref_mask, into)
         return Message(mtype, round_idx, node_id=node_id, params=into)
 
     @staticmethod

@@ -205,6 +205,23 @@ class TestBitsCommand:
     def test_bad_layer_syntax_exits_2(self):
         assert main(["bits", "--layer", "ten:five"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--layer", "64:577"], "--layer"),
+            (["--precision", "32"], "--precision"),
+            (["--layer", "64:577", "--precision", "64"], "--layer and --precision"),
+        ],
+        ids=["layer", "precision", "both"],
+    )
+    def test_preset_rejects_layer_and_precision(self, extra, named, capsys):
+        """The preset fixes its own layers and precision, so a flag that would
+        change them is an error naming it, not silently ignored."""
+        assert main(["bits", "--preset", "vgg16", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"drop {named}" in captured.err
+
 
 class TestFuzzCommand:
     def test_small_fuzz_run(self, capsys):

@@ -182,9 +182,10 @@ class TestIdx:
         with pytest.raises(DataError, match=r"x\.idx: no dimensions"):
             load_idx(fx, fy)
 
-    @pytest.mark.parametrize("bad", [1.7, np.nan])
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, -1.0, 1e30, 2.0**63])
     def test_float_labels_must_be_whole(self, tmp_path, bad):
-        """A fractional or NaN float label is an error naming the labels file,
+        """A fractional, non-finite or negative float label, or one the int64
+        cast would wrap (2**63 and up), is one error naming the labels file,
         not truncated or reported as negative; 1.0 is a valid label."""
         fx, fy = tmp_path / "x.idx", tmp_path / "y.idx"
         self._write_idx(fx, np.zeros((4, 2), np.uint8), 0x08, ">u1")

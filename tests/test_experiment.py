@@ -353,11 +353,11 @@ class TestWeightPath:
         encode = WireCodec.encode
         calls = []
 
-        def counting_encode(self, msg, ref_mask=None):
+        def counting_encode(msg, ref_mask):
             calls.append(msg.mtype)
-            return encode(self, msg, ref_mask)
+            return encode(msg, ref_mask)
 
-        monkeypatch.setattr(WireCodec, "encode", counting_encode)
+        monkeypatch.setattr(WireCodec, "encode", staticmethod(counting_encode))
         raw = small_raw(algorithm="pruning_fl", transport={"kind": transport})
         res = run(config_from_dict(raw))
         rounds, nodes = len(raw["pruning"]["schedule"]) + raw["final_rounds"], raw["nodes"]
@@ -384,7 +384,7 @@ class TestWeightPath:
         recv = Endpoint.recv
         seen = []
 
-        def recording_recv(self, into, ref_mask=None):
+        def recording_recv(self, into, ref_mask):
             before = into.copy()
             msg = recv(self, into, ref_mask)
             if self.send_direction == UP:

@@ -25,27 +25,28 @@ from conftest import make_arch, make_model, packed_mask_bits, random_mask, same_
 
 
 @pytest.fixture
-def codec():
-    return WireCodec(make_arch(4, 9, 3))
+def ref():
+    """The all-ones reference mask: every group travels."""
+    return PruneMask.ones(make_arch(4, 9, 3))
 
 
 class TestLoopback:
-    def test_mask_roundtrip(self, codec, rng):
+    def test_mask_roundtrip(self, ref, rng):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(0, codec, ledger)
-        mask = random_mask(codec.arch, rng)
-        node.send(codec.encode(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask)))
-        got = server.recv(make_model(codec.arch))
+        server, node = loopback_pair(0, ledger)
+        mask = random_mask(ref.arch, rng)
+        node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask), ref))
+        got = server.recv(make_model(ref.arch), ref)
         assert got.mask == mask
         assert got.round_idx == 2
 
-    def test_weights_roundtrip(self, codec):
+    def test_weights_roundtrip(self, ref):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(1, codec, ledger)
-        model = make_model(codec.arch, seed=3)
-        server.send(codec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model)))
-        dest = make_model(codec.arch, seed=4)
-        got = node.recv(dest)
+        server, node = loopback_pair(1, ledger)
+        model = make_model(ref.arch, seed=3)
+        server.send(WireCodec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model), ref))
+        dest = make_model(ref.arch, seed=4)
+        got = node.recv(dest, ref)
         assert got.params is dest
         # float32 wire precision rounds the doubles, and nothing else changes
         rounded = ModelParams(
@@ -55,27 +56,27 @@ class TestLoopback:
         )
         assert same_params(got.params, rounded)
 
-    def test_ledger_directions(self, codec, rng):
+    def test_ledger_directions(self, ref, rng):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(5, codec, ledger)
-        mask = PruneMask.ones(codec.arch)
-        node.send(codec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask)))
-        server.send(codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask)))
-        size_bits = packed_mask_bits(codec.arch)
+        server, node = loopback_pair(5, ledger)
+        mask = PruneMask.ones(ref.arch)
+        node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), ref))
+        server.send(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), ref))
+        size_bits = packed_mask_bits(ref.arch)
         assert ledger.total_bits(direction=UP) == size_bits
         assert ledger.total_bits(direction=DOWN) == size_bits
         assert ledger.per_node_bits() == {5: 2 * size_bits}
         assert ledger.total_bits(category=CAT_MASK) == 2 * size_bits
 
-    def test_recv_timeout(self, codec):
+    def test_recv_timeout(self, ref):
         ledger = BandwidthLedger()
-        server, _ = loopback_pair(0, codec, ledger)
+        server, _ = loopback_pair(0, ledger)
         with pytest.raises(TransportError):
-            server.recv(make_model(codec.arch))
+            server.recv(make_model(ref.arch), ref)
 
 
 class TestTcp:
-    def _run_pair(self, codec, exchange, timeout=30.0):
+    def _run_pair(self, exchange, timeout=30.0):
         """Run ``exchange(server_ep, node_ep)`` over a real socket pair."""
         ledger = BandwidthLedger()
         srv = TcpServer("127.0.0.1", 0, timeout=timeout)
@@ -83,11 +84,11 @@ class TestTcp:
         result = {}
 
         def connect():
-            result["node_ep"] = tcp_connect(host, port, 7, codec, ledger, timeout=5.0)
+            result["node_ep"] = tcp_connect(host, port, 7, ledger, timeout=5.0)
 
         t = threading.Thread(target=connect)
         t.start()
-        node_id, server_ep = srv.accept_node(codec, ledger)
+        node_id, server_ep = srv.accept_node(ledger)
         t.join()
         assert node_id == 7
         try:
@@ -97,51 +98,51 @@ class TestTcp:
             result["node_ep"].close()
             srv.close()
 
-    def test_byte_identical_to_loopback(self, codec, rng):
-        mask = random_mask(codec.arch, rng)
+    def test_byte_identical_to_loopback(self, ref, rng):
+        mask = random_mask(ref.arch, rng)
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
         lo_ledger = BandwidthLedger()
-        lo_server, lo_node = loopback_pair(7, codec, lo_ledger)
-        lo_node.send(codec.encode(msg))
+        lo_server, lo_node = loopback_pair(7, lo_ledger)
+        lo_node.send(WireCodec.encode(msg, ref))
         lo_frame = lo_server.channel.recv_bytes()
 
         frames = {}
 
         def exchange(server_ep, node_ep, ledger):
-            node_ep.send(codec.encode(msg))
+            node_ep.send(WireCodec.encode(msg, ref))
             frames["tcp"] = server_ep.channel.recv_bytes()
-            got = codec.decode(frames["tcp"], make_model(codec.arch))
+            got = WireCodec.decode(frames["tcp"], make_model(ref.arch), ref)
             assert got.mask == mask
 
-        self._run_pair(codec, exchange)
+        self._run_pair(exchange)
         assert frames["tcp"] == lo_frame
 
-    def test_ledger_matches_loopback(self, codec, rng):
-        mask = random_mask(codec.arch, rng)
+    def test_ledger_matches_loopback(self, ref, rng):
+        mask = random_mask(ref.arch, rng)
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
         def exchange(server_ep, node_ep, ledger):
-            node_ep.send(codec.encode(msg))
-            server_ep.recv(make_model(codec.arch))
-            assert ledger.total_bits(direction=UP) == packed_mask_bits(codec.arch)
+            node_ep.send(WireCodec.encode(msg, ref))
+            server_ep.recv(make_model(ref.arch), ref)
+            assert ledger.total_bits(direction=UP) == packed_mask_bits(ref.arch)
 
-        self._run_pair(codec, exchange)
+        self._run_pair(exchange)
 
-    def test_disconnect_raises_transport_error(self, codec):
+    def test_disconnect_raises_transport_error(self, ref):
         def exchange(server_ep, node_ep, ledger):
             node_ep.close()
             with pytest.raises(TransportError):
-                server_ep.recv(make_model(codec.arch))
+                server_ep.recv(make_model(ref.arch), ref)
 
-        self._run_pair(codec, exchange)
+        self._run_pair(exchange)
 
     @pytest.mark.parametrize(
         "version, tag, match, offset",
         [(2, 5, "unsupported version 2", 4), (1, 9, "unknown message type 9", 5)],
         ids=["bad_version", "unknown_type"],
     )
-    def test_bad_header_fails_before_the_body(self, codec, version, tag, match, offset):
+    def test_bad_header_fails_before_the_body(self, ref, version, tag, match, offset):
         """The header announces a 1 MiB body that never comes: the read fails on
         the header at once instead of waiting out the socket timeout."""
 
@@ -149,20 +150,20 @@ class TestTcp:
             node_ep.channel.send_bytes(struct.pack("<4sBBII", MAGIC, version, tag, 0, 1 << 20))
             t0 = time.perf_counter()
             with pytest.raises(ProtocolError, match=match) as err:
-                server_ep.recv(make_model(codec.arch))
+                server_ep.recv(make_model(ref.arch), ref)
             assert time.perf_counter() - t0 < 1.0
             assert err.value.offset == offset
 
-        self._run_pair(codec, exchange, timeout=3.0)
+        self._run_pair(exchange, timeout=3.0)
 
-    def test_connect_refused(self, codec):
+    def test_connect_refused(self):
         ledger = BandwidthLedger()
         with pytest.raises(TransportError):
-            tcp_connect("127.0.0.1", 1, 0, codec, ledger, timeout=0.5)
+            tcp_connect("127.0.0.1", 1, 0, ledger, timeout=0.5)
 
 
 class TestSessionPreamble:
-    def test_preamble_not_booked(self, codec):
+    def test_preamble_not_booked(self):
         """The 4-byte hello identifies the session and costs nothing."""
         ledger = BandwidthLedger()
         srv = TcpServer("127.0.0.1", 0)
@@ -171,11 +172,11 @@ class TestSessionPreamble:
         eps = {}
         t = threading.Thread(
             target=lambda: eps.setdefault(
-                "node", tcp_connect(host, port, 3, codec, ledger, timeout=5.0)
+                "node", tcp_connect(host, port, 3, ledger, timeout=5.0)
             )
         )
         t.start()
-        node_id, server_ep = srv.accept_node(codec, ledger)
+        node_id, server_ep = srv.accept_node(ledger)
         t.join()
         assert node_id == 3
         assert ledger.total_bits() == 0
@@ -194,7 +195,7 @@ class TestSessionPreamble:
                             lambda self: (closed.append(self), close(self)))
         return closed
 
-    def test_missing_preamble_closes_the_session(self, codec, closed):
+    def test_missing_preamble_closes_the_session(self, closed):
         """A peer that hangs up before its hello fails the accept, and the
         accepted socket is closed rather than left to the garbage collector."""
         import socket
@@ -202,11 +203,11 @@ class TestSessionPreamble:
         srv = TcpServer("127.0.0.1", 0, timeout=5.0)
         socket.create_connection(srv.address, timeout=5.0).close()
         with pytest.raises(TransportError, match="closed"):
-            srv.accept_node(codec, BandwidthLedger())
+            srv.accept_node(BandwidthLedger())
         srv.close()
         assert len(closed) == 1
 
-    def test_failed_preamble_send_closes_the_socket(self, codec, closed, monkeypatch):
+    def test_failed_preamble_send_closes_the_socket(self, closed, monkeypatch):
         """A node whose hello cannot be sent fails the connect and closes its socket."""
         from mpfl import transport
 
@@ -216,6 +217,6 @@ class TestSessionPreamble:
         monkeypatch.setattr(transport._SocketChannel, "send_bytes", refuse)
         srv = TcpServer("127.0.0.1", 0, timeout=5.0)
         with pytest.raises(TransportError, match="send failed"):
-            tcp_connect(*srv.address, 0, codec, BandwidthLedger(), timeout=5.0)
+            tcp_connect(*srv.address, 0, BandwidthLedger(), timeout=5.0)
         srv.close()
         assert len(closed) == 1

@@ -92,7 +92,7 @@ class TestParamsPacking:
         from mpfl.pruning import apply_mask
 
         model = as_wire_precision(apply_mask(make_model(arch, seed=5), mask))
-        buf = bytearray(packed_params_size(arch, mask))
+        buf = bytearray(packed_params_size(mask))
         pack_params(model, mask, buf)
         back = make_model(arch, seed=6)
         unpack_params(buf, mask, back)
@@ -102,7 +102,7 @@ class TestParamsPacking:
         """Decoding into a model whose pruned rows hold garbage equals a fresh decode."""
         arch = make_arch(4, 9, 3)
         mask = random_mask(arch, rng)
-        buf = bytearray(packed_params_size(arch, mask))
+        buf = bytearray(packed_params_size(mask))
         pack_params(make_model(arch, seed=5), mask, buf)
         fresh = ModelParams(arch, [np.zeros(s) for s in arch.shapes],
                             [np.zeros(n) for n in arch.groups])
@@ -120,7 +120,7 @@ class TestParamsPacking:
         arch = make_arch(4, 10)
         mask = PruneMask(arch, [np.r_[np.ones(3, bool), np.zeros(7, bool)]])
         # 3 live groups x (4 weights + 1 bias) x 4 bytes
-        assert packed_params_size(arch, mask) == 3 * 5 * 4
+        assert packed_params_size(mask) == 3 * 5 * 4
 
     def test_wrong_length_rejected(self, rng):
         arch = make_arch(2, 4)
@@ -134,7 +134,7 @@ class TestParamsPacking:
         model = as_wire_precision(make_model(arch, seed=6))
         from mpfl.pruning import apply_mask
 
-        buf = bytearray(packed_params_size(arch, mask))
+        buf = bytearray(packed_params_size(mask))
         pack_params(apply_mask(model, mask), mask, buf)
         back = make_model(arch, seed=7)
         unpack_params(buf, mask, back)
@@ -143,13 +143,13 @@ class TestParamsPacking:
 
 
 class TestCodecFraming:
-    def _codec(self):
-        return WireCodec(make_arch(3, 6, 2))
+    def _ref(self):
+        """The all-ones reference mask that lays out every frame here."""
+        return PruneMask.ones(make_arch(3, 6, 2))
 
     def test_frame_layout(self):
-        codec = self._codec()
-        mask = PruneMask.ones(codec.arch)
-        frame = codec.encode(Message(MsgType.GLOBAL_MASK, round_idx=7, mask=mask))
+        ref = self._ref()
+        frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, round_idx=7, mask=ref), ref)
         assert frame[:4] == MAGIC
         assert frame[4] == 1  # version
         assert frame[5] == int(MsgType.GLOBAL_MASK)
@@ -157,66 +157,78 @@ class TestCodecFraming:
         assert int.from_bytes(frame[10:14], "little") == len(frame) - 14
 
     def test_upload_carries_node_id(self):
-        codec = self._codec()
-        mask = PruneMask.ones(codec.arch)
-        frame = codec.encode(Message(MsgType.MASK_UPLOAD, 3, node_id=42, mask=mask))
+        ref = self._ref()
+        frame = WireCodec.encode(Message(MsgType.MASK_UPLOAD, 3, node_id=42, mask=ref), ref)
         assert int.from_bytes(frame[14:18], "little") == 42
-        got = codec.decode(frame, make_model(codec.arch))
+        got = WireCodec.decode(frame, make_model(ref.arch), ref)
         assert got.node_id == 42
-        assert got.mask == mask
+        assert got.mask == ref
+
+    def test_mask_frame_unpacks_against_the_reference_layout(self, rng):
+        """A mask frame carries no layout: the reference mask's architecture gives
+        it, so a reference of another layout rejects the payload at its end."""
+        ref = self._ref()  # groups [6, 2]: a 2-byte mask payload
+        mask = random_mask(ref.arch, rng)
+        frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 4, mask=mask), ref)
+        other = PruneMask.ones(make_arch(3, 20, 2))  # groups [20, 2]: 4 bytes
+        with pytest.raises(ProtocolError, match="layout needs 4") as err:
+            WireCodec.decode(frame, make_model(other.arch), other)
+        assert err.value.offset == 2
+        got = WireCodec.decode(frame, make_model(ref.arch), ref)
+        assert (got.mtype, got.round_idx, got.mask) == (MsgType.GLOBAL_MASK, 4, mask)
 
     def test_header_overhead(self):
         assert header_overhead_bytes(MsgType.GLOBAL_MASK) == 14
         assert header_overhead_bytes(MsgType.MASK_UPLOAD) == 18
 
     def test_weight_message_roundtrip(self):
-        codec = self._codec()
-        model = as_wire_precision(make_model(codec.arch, seed=9))
-        frame = codec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model))
-        got = codec.decode(frame, make_model(codec.arch, seed=10))
+        ref = self._ref()
+        model = as_wire_precision(make_model(ref.arch, seed=9))
+        frame = WireCodec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model), ref)
+        got = WireCodec.decode(frame, make_model(ref.arch, seed=10), ref)
         assert same_params(got.params, model)
 
     def test_bad_magic(self):
-        codec = self._codec()
-        frame = codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch)))
+        ref = self._ref()
+        frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=ref), ref)
         with pytest.raises(ProtocolError, match="magic"):
-            codec.decode(b"XXXX" + frame[4:], make_model(codec.arch))
+            WireCodec.decode(b"XXXX" + frame[4:], make_model(ref.arch), ref)
 
     def test_bad_version(self):
-        codec = self._codec()
-        frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
+        ref = self._ref()
+        frame = bytearray(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=ref), ref))
         frame[4] = 9
         with pytest.raises(ProtocolError, match="version"):
-            codec.decode(bytes(frame), make_model(codec.arch))
+            WireCodec.decode(bytes(frame), make_model(ref.arch), ref)
 
     def test_unknown_type(self):
-        codec = self._codec()
-        frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
+        ref = self._ref()
+        frame = bytearray(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=ref), ref))
         frame[5] = 0
         with pytest.raises(ProtocolError, match="type"):
-            codec.decode(bytes(frame), make_model(codec.arch))
+            WireCodec.decode(bytes(frame), make_model(ref.arch), ref)
 
     def test_truncation(self):
-        codec = self._codec()
-        frame = codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch)))
+        ref = self._ref()
+        frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=ref), ref)
         with pytest.raises(ProtocolError):
-            codec.decode(frame[:-1], make_model(codec.arch))
+            WireCodec.decode(frame[:-1], make_model(ref.arch), ref)
 
     def test_error_reports_offset(self):
-        codec = self._codec()
+        ref = self._ref()
         try:
-            codec.decode(b"XXXXxxxxxxxxxxxx", make_model(codec.arch))
+            WireCodec.decode(b"XXXXxxxxxxxxxxxx", make_model(ref.arch), ref)
         except ProtocolError as e:
             assert "offset 0" in str(e)
         else:
             pytest.fail("expected ProtocolError")
 
     def test_length_field_mismatch(self):
-        codec = self._codec()
-        frame = bytearray(codec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=PruneMask.ones(codec.arch))))
+        ref = self._ref()
+        frame = bytearray(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 0, mask=ref), ref))
         frame[10] += 1
         with pytest.raises(ProtocolError):
-            codec.decode(bytes(frame), make_model(codec.arch))
+            WireCodec.decode(bytes(frame), make_model(ref.arch), ref)
 
 
 class TestBandwidthArithmetic:
@@ -256,11 +268,10 @@ class TestLedger:
 
         arch = make_arch(3, 6, 2)
         led = BandwidthLedger()
-        server, node = loopback_pair(5, WireCodec(arch), led)
+        server, node = loopback_pair(5, led)
         mask = PruneMask.ones(arch)
-        codec = WireCodec(arch)
-        down = codec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask))
-        up = codec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask))
+        down = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), mask)
+        up = WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), mask)
         server.send(down)
         node.send(up)
         assert [e.bits for e in led.entries] == [(len(down) - 14) * 8, (len(up) - 18) * 8]

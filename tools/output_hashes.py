@@ -10,18 +10,25 @@ with all four algorithms over both transports.  An optional argument keeps
 only the names that contain it.
 
 ``tests/output_hashes.txt`` pins the ``small/*`` and ``wide/*`` lines in
-tier-1.  The desk lines (about 3 s a run) are checked by hand against the
-parent, with this script run on both trees (it uses only the public API, so
-older trees run it too):
+tier-1.  ``--against REV`` checks every line against another revision: it
+extracts ``git archive REV`` into a temporary directory, runs this script
+there on that tree's ``src`` (the script uses only the public API, so older
+trees run it too), prints each differing line as ``- REV`` / ``+ this tree``
+and exits 1 on any difference:
 
-    PYTHONPATH=src python3 tools/output_hashes.py desk > change.txt
+    PYTHONPATH=src python3 tools/output_hashes.py --against HEAD~1 desk
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import hashlib
+import io
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -141,12 +148,51 @@ def output_hash(raw: dict, scratch: Path) -> str:
     return h.hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    only = argv[0] if argv else ""
+def hash_lines(only: str):
+    """``name hash`` for each config whose name contains ``only``, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, raw in configs():
             if only in name:
-                print(name, output_hash(raw, Path(tmp)), flush=True)
+                yield f"{name} {output_hash(raw, Path(tmp))}"
+
+
+def against(rev: str, only: str) -> int:
+    """Compare this tree's lines with those of ``rev``; 1 if any differ."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev], cwd=root, capture_output=True)
+        if archive.returncode:
+            print(f"git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        parent = subprocess.run([sys.executable, __file__, only], env=env, cwd=tmp,
+                                stdout=subprocess.PIPE, text=True, check=True).stdout
+    old = dict(line.split(" ", 1) for line in parent.splitlines())
+    new = dict(line.split(" ", 1) for line in hash_lines(only))
+    differ = 0
+    for name in dict.fromkeys([*old, *new]):
+        if old.get(name) != new.get(name):
+            differ += 1
+            if name in old:
+                print(f"- {name} {old[name]}")
+            if name in new:
+                print(f"+ {name} {new[name]}")
+    print(f"{differ} of {len(new.keys() | old.keys())} lines differ from {rev}")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("only", nargs="?", default="", help="keep the names containing this")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare every line with git revision REV; exit 1 on a difference")
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against, args.only)
+    for line in hash_lines(args.only):
+        print(line, flush=True)
     return 0
 
 
