@@ -8,6 +8,7 @@ the loader reads each key's type and default from their fields.
 
 # no ``from __future__ import annotations``: the loader reads the fields'
 # annotations as types
+import math
 import types
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -130,7 +131,8 @@ class ExperimentConfig:
         _require(self.final_rounds >= 0, "final_rounds", "must be >= 0")
         _require(self.algorithm != "pruning_fl" or self.pruning.schedule or self.final_rounds,
                  "final_rounds", "pruning_fl needs at least one round: a schedule or a final round")
-        _require(self.training.lr > 0, "training.lr", "must be positive")
+        _require(0 < self.training.lr < math.inf, "training.lr",
+                 f"must be positive and finite, got {self.training.lr}")
         _require(self.training.epochs_per_round >= 0, "training.epochs_per_round", "must be >= 0")
         _require(self.training.batch_size >= 1, "training.batch_size", "must be >= 1")
         _require(self.pruning.p in (1, 2), "pruning.p", "must be 1 or 2")
@@ -150,8 +152,8 @@ class ExperimentConfig:
         if self.dataset.kind == "blobs":
             _require(self.dataset.samples >= self.nodes, "dataset.samples",
                      "need at least one sample per node")
-            _require(self.dataset.cluster_std >= 0, "dataset.cluster_std",
-                     f"must be >= 0, got {self.dataset.cluster_std}")
+            _require(0 <= self.dataset.cluster_std < math.inf, "dataset.cluster_std",
+                     f"must be >= 0 and finite, got {self.dataset.cluster_std}")
             _require(self.dataset.features == self.arch.input_dim, "dataset.features",
                      f"dataset has {self.dataset.features} features, "
                      f"architecture expects {self.arch.input_dim}")

@@ -133,6 +133,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be >= 0"):
             apply_overrides(config_from_dict(minimal_raw()), {key: -1})
 
+    @pytest.mark.parametrize("key", ["training.lr", "dataset.cluster_std"])
+    def test_infinite_lr_or_cluster_std(self, tmp_path, capsys, key):
+        """An infinite lr would train a whole round before every model turns
+        non-finite; an infinite cluster_std would fail later, in the data."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be .* finite, got inf"):
+            apply_overrides(config_from_dict(minimal_raw()), {key: float("inf")})
+        section, name = key.split(".")
+        raw = minimal_raw()
+        raw.setdefault(section, {})[name] = float("inf")
+        cfg_path = tmp_path / "inf.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

@@ -323,15 +323,24 @@ class TestNode:
         assert vote.issubset(prev)
         assert not node.flagged
 
-    def test_divergent_node_flags_and_abstains(self):
-        """A NaN feature poisons the gradients, so the node must abstain."""
+    @pytest.mark.parametrize(
+        "prune", [(), ([0, 3, 6], [1])], ids=["keep_all", "prunes_hidden_and_output"]
+    )
+    def test_divergent_node_flags_and_abstains(self, prune):
+        """A NaN feature poisons the gradients, so the node must abstain.  The
+        pruned hidden rows are not pinned: training does not re-zero them, so
+        they may hold NaN or inf; they never travel, and the finite check
+        drops the node."""
         arch = make_arch(4, 8, 3)
         node = self._node(arch, seed=41)
         node.x[0, 0] = np.nan
         prev = PruneMask.ones(arch)
+        for bits, pruned in zip(prev.layers, prune):
+            bits[pruned] = False
         vote = node.local_round(prev, 0.25)
         assert node.flagged
         assert vote == prev
+        assert not node.model.is_finite()
 
     def test_exploding_weights_also_flag(self):
         """Weights already at inf trip the finiteness check after training."""

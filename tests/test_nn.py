@@ -6,6 +6,9 @@ shares code with the implementation under test.  Training is checked against
 a reference loop that takes each step from the public pieces.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -255,8 +258,20 @@ def _mask_dead_hidden(arch, rng):
     return mask
 
 
-# dims, rows, batch_size, epochs, mask maker
+def _mask_prunes_every_layer(arch, rng):
+    """40% of each hidden layer's groups pruned, and one output group."""
+    mask = PruneMask.ones(arch)
+    for bits in mask.layers[:-1]:
+        bits[rng.permutation(bits.size)[: round(0.4 * bits.size)]] = False
+    mask.layers[-1][1] = False
+    return mask
+
+
+# dims, rows, batch_size, epochs, mask maker; BLAS kernels differ by shape, so
+# the benchmark's 64-512-10 layout is a case of its own
 EXACT_CASES = {
+    "bench_layout": ((64, 512, 10), 200, 64, 2, _mask_prunes_every_layer),
+    "two_hidden_every_layer_pruned": ((32, 96, 64, 10), 100, 32, 2, _mask_prunes_every_layer),
     "no_mask": ((6, 10, 3), 48, 16, 2, _mask_keep_all),
     "mask_prunes_output": ((6, 10, 3), 48, 16, 2, _mask_pruning_output),
     "two_hidden": ((6, 10, 8, 3), 48, 16, 2, _mask_pruning_output),
@@ -290,6 +305,57 @@ class TestTrainExact:
         assert param_bytes(model) == param_bytes(want)
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         assert np.isfinite(got_loss)
+
+
+def _train_case(seed):
+    """A 16-128-64-4 model, shard and mask from ``seed``: a function that trains
+    a copy and returns its bytes, and the bytes ``reference_train`` gives."""
+    data = np.random.default_rng(seed)
+    arch = make_arch(16, 128, 64, 4)
+    model = make_model(arch, seed=seed)
+    x = data.normal(size=(300, 16))
+    y = data.integers(0, 4, size=300)
+    settings = dict(lr=0.1, epochs=2, batch_size=32, mask=_mask_prunes_every_layer(arch, data))
+    want, _ = reference_train(model, x, y, rng=np.random.default_rng(seed), **settings)
+
+    def train():
+        got = model.copy()
+        train_sgd(got, x, y, rng=np.random.default_rng(seed), **settings)
+        return param_bytes(got)
+
+    return train, param_bytes(want)
+
+
+class TestTrainKeepsNoState:
+    """Each train_sgd call owns its buffers, so calls cannot leak into each
+    other: not back to back, and not on threads at once, as TCP nodes train."""
+
+    def test_back_to_back(self):
+        cases = [_train_case(seed) for seed in (31, 32)]
+        for train, want in cases + cases:
+            assert train() == want
+
+    def test_concurrent_threads(self):
+        cases = [_train_case(seed) for seed in (31, 32)] * 2  # more threads than cores
+        got = [None] * len(cases)
+        start = threading.Barrier(len(cases))
+
+        def worker(i):
+            start.wait()
+            got[i] = cases[i][0]()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want for _, want in cases]
 
 
 class TestTrain:
