@@ -14,9 +14,10 @@ Each federated protocol is one straight-line loop of lockstep rounds in its
 ``run_*`` function.  A round is one ``exchange``: the server encodes the
 broadcast once and sends that frame on every link, every node takes one
 step (decode the broadcast into its own model, train it in place or vote,
-upload), and the uploads come back in node-id order, each decoded into one
-model per link that lives as long as the session; the loop then reduces them
-inline into the next round's broadcast.  On the loopback transport the node
+upload), and the uploads stream back one at a time in node-id order, each
+decoded into the one buffer the server keeps for all its sessions; the loop
+reduces them as they arrive (a running FedAvg sum, or the list of mask votes)
+into the next round's broadcast.  On the loopback transport the node
 steps run inline in node-id order, with no threads; over TCP each node runs
 them on its own thread.
 All transmitted bytes flow through the framed wire codec, every send is
@@ -30,13 +31,14 @@ import csv
 import ctypes
 import functools
 import io
+import itertools
 import logging
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -240,19 +242,17 @@ class _Loopback:
     """In-process sessions: each node's exchange runs inline, in node-id order."""
 
     def __init__(self, ledger: BandwidthLedger, nodes: list[Node]):
-        self._links = [
-            (node, *loopback_pair(node.node_id, ledger), node.model.copy()) for node in nodes
-        ]
+        self._links = [(node, *loopback_pair(node.node_id, ledger)) for node in nodes]
+        self._buf = nodes[0].model.copy()
 
-    def exchange(self, rnd: _Round, frame: bytes) -> list[Message]:
-        """Broadcast ``frame``, run every node's step, and gather the uploads in node-id order."""
-        uploads = []
-        for node, server, ep, buf in self._links:
+    def exchange(self, rnd: _Round, frame: bytes) -> Iterator[Message]:
+        """Broadcast ``frame``, run every node's step, and yield the uploads in
+        node-id order; each is valid until the next is taken."""
+        for node, server, ep in self._links:
             server.send(frame)
             _node_exchange(node, ep, rnd)
             if rnd.step is not None:
-                uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
-        return uploads
+                yield _routed(server.recv(self._buf, rnd.mask), node.node_id, rnd)
 
 
 class _Tcp:
@@ -267,14 +267,18 @@ class _Tcp:
     a recorded failure raises a TransportError naming the node the server was
     writing to or reading from, and the round.
 
-    Each thread, the listener and each socket goes on ``stack`` the moment it
-    exists; the stack closes the sockets, then the listener, then the threads.
+    Every upload is decoded into one buffer the server keeps for all the
+    sessions, so it holds one decoded upload, not one per node.  Each thread,
+    the listener and each socket goes on ``stack`` the moment it exists; the
+    stack closes the sockets, then the listener, then the threads, so a
+    consumer that stops mid-round leaves nothing running.
     """
 
     def __init__(self, cfg: ExperimentConfig, ledger: BandwidthLedger, nodes: list[Node],
                  stack: ExitStack):
         self._failures: list[NodeError] = []
-        self._links: list[tuple[Node, Endpoint, Endpoint, ModelParams]] = []
+        self._links: list[tuple[Node, Endpoint, Endpoint]] = []
+        self._buf = nodes[0].model.copy()
         self._threads = [stack.enter_context(ThreadPoolExecutor(1)) for _ in nodes]
         listener = TcpServer(cfg.transport.host, cfg.transport.port)
         stack.callback(listener.close)
@@ -286,7 +290,7 @@ class _Tcp:
             stack.callback(ep.close)
             peer, server = listener.accept_node(ledger)
             stack.callback(server.close)
-            self._links.append((node, server, ep, node.model.copy()))
+            self._links.append((node, server, ep))
             if peer != node.node_id:
                 raise TransportError(f"node {node.node_id} connected as node {peer}")
 
@@ -303,33 +307,33 @@ class _Tcp:
         if self._failures:
             raise self._failures[0]
 
-    def exchange(self, rnd: _Round, frame: bytes) -> list[Message]:
-        """Broadcast ``frame``, run every node's step, and gather the uploads in node-id order."""
+    def exchange(self, rnd: _Round, frame: bytes) -> Iterator[Message]:
+        """Broadcast ``frame``, run every node's step, and yield the uploads in
+        node-id order; each is valid until the next is taken."""
         steps = [
             thread.submit(self._step, node, ep, rnd)
-            for thread, (node, _, ep, _) in zip(self._threads, self._links)
+            for thread, (node, _, ep) in zip(self._threads, self._links)
         ]
-        uploads = []
         try:
-            for node, server, _, _ in self._links:
+            for node, server, _ in self._links:
                 server.send(frame)
             if rnd.step is not None:
-                for node, server, _, buf in self._links:
-                    uploads.append(_routed(server.recv(buf, rnd.mask), node.node_id, rnd))
+                for node, server, _ in self._links:
+                    yield _routed(server.recv(self._buf, rnd.mask), node.node_id, rnd)
         except TransportError as e:
             self._raise_failure()
             raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
         wait(steps)
         self._raise_failure()
-        return uploads
 
 
 @contextmanager
 def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
-              nodes: list[Node]) -> Iterator[Callable[[_Round], list[Message]]]:
+              nodes: list[Node]) -> Iterator[Callable[[_Round], Iterator[Message]]]:
     """Open the server's sessions with the nodes over the configured transport and
-    yield the round's exchange, which encodes each broadcast once; leaving the
-    block closes everything the sessions opened."""
+    yield the round's exchange, which encodes each broadcast once.  The exchange
+    is lazy: a round runs as its uploads are taken, and only once all are taken
+    is it done.  Leaving the block closes everything the sessions opened."""
     with ExitStack() as stack:
         links: _Loopback | _Tcp = (_Loopback(ledger, nodes) if cfg.transport.kind == "loopback"
                                    else _Tcp(cfg, ledger, nodes, stack))
@@ -354,17 +358,29 @@ def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
     return rows
 
 
-def _finite_average(models: list[tuple[int, ModelParams]], idx: int,
+def _finite_average(models: Iterable[tuple[int, ModelParams]], idx: int,
                     rejected: list[tuple[int, int]] | None = None) -> ModelParams:
-    """FedAvg of the round's finite ``(node, model)`` pairs; none finite fails the
-    round.  Given ``rejected``, each node left out is logged and recorded as (round, node)."""
-    bad = [node_id for node_id, model in models if not model.is_finite()]
-    if len(bad) == len(models):
+    """FedAvg of the round's finite ``(node, model)`` pairs, taken one at a time;
+    none finite fails the round.  Given ``rejected``, each node left out is logged
+    and recorded as (round, node)."""
+    bad: list[int] = []
+
+    def finite() -> Iterator[ModelParams]:
+        for node_id, model in models:
+            if model.is_finite():
+                yield model
+            else:
+                bad.append(node_id)
+
+    stream = finite()
+    first = next(stream, None)
+    if first is None:
         raise ConstraintError(f"round {idx}: no node has a finite model to average")
+    avg = fedavg(itertools.chain([first], stream))
     for node_id in bad if rejected is not None else []:
         log.warning("round %d: node %d's upload is not finite, left out", idx, node_id)
         rejected.append((idx, node_id))
-    return fedavg([model for node_id, model in models if node_id not in bad])
+    return avg
 
 
 # --- the protocols -----------------------------------------------------------
@@ -402,7 +418,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
             # uploads decoded against ``mask`` are zero in each pruned group; so is their average
-            avg = _finite_average([(m.node_id, m.params) for m in exchange(rnd)], idx, rejected)
+            avg = _finite_average(((m.node_id, m.params) for m in exchange(rnd)), idx, rejected)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
@@ -432,7 +448,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with _sessions(cfg, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train)
-            avg = _finite_average([(m.node_id, m.params) for m in exchange(rnd)], idx, rejected)
+            avg = _finite_average(((m.node_id, m.params) for m in exchange(rnd)), idx, rejected)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
             if inc > 0.0:
@@ -444,8 +460,9 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # the broadcast is encoded against the mask the nodes know; the newly
             # pruned groups arrive as explicit zeros
             down, ref, mask = Message(MsgType.GLOBAL_WEIGHTS, idx, params=avg), mask, new_mask
-        # the last broadcast ends the run: the nodes take it and answer nothing
-        exchange(_Round(down.round_idx, down, ref, mask, None))
+        # the last broadcast ends the run: the nodes take it and answer nothing;
+        # draining the exchange runs every node's step
+        list(exchange(_Round(down.round_idx, down, ref, mask, None)))
     return RunResult(
         cfg,
         _rows(cfg, points, ledger),

@@ -16,9 +16,10 @@ never reverts.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,23 +132,27 @@ def consensus_histogram(
     return _top_voted(votes, keep, prev_mask)
 
 
-def fedavg(models: Sequence[ModelParams]) -> ModelParams:
+def fedavg(models: Iterable[ModelParams]) -> ModelParams:
     """Unweighted FedAvg: the coordinate mean of the node models, summed one by
     one into zeros and divided once, as ``np.mean`` reduces the stacked models,
-    so the bits match it (-0.0 included) without the stacked copy."""
-    if not models:
+    so the bits match it (-0.0 included) without the stacked copy.
+
+    ``models`` may be any iterable, a one-shot stream included: each model is
+    added before the next is taken, so a stream may reuse one buffer for all."""
+    models = iter(models)
+    first = next(models, None)
+    if first is None:
         raise ConfigError("cannot average zero models")
-    arch = models[0].arch
-    for m in models[1:]:
-        if m.arch != arch:
-            raise LayoutError("models disagree on layout")
+    arch = first.arch
     avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
     acc = avg.weights + avg.biases
-    for m in models:
+    for count, m in enumerate(itertools.chain([first], models), start=1):
+        if m.arch != arch:
+            raise LayoutError("models disagree on layout")
         for a, v in zip(acc, m.weights + m.biases):
             a += v
     for a in acc:
-        a /= len(models)
+        a /= count
     return avg
 
 

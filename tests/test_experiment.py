@@ -407,6 +407,76 @@ class TestWeightPath:
                 overwritten += np.count_nonzero(before.weights[li][pruned])
         assert overwritten > 0
 
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("algorithm", ["pruning_fl", "mpfl"])
+    def test_every_upload_decoded_into_one_server_buffer(self, monkeypatch, transport,
+                                                         algorithm):
+        """The server decodes every weight upload of a run into the same buffer,
+        not into one model per node."""
+        from mpfl.transport import Endpoint
+        from mpfl.wire import DOWN
+
+        recv = Endpoint.recv
+        into_ids = []
+
+        def recording_recv(self, into, ref_mask):
+            msg = recv(self, into, ref_mask)
+            if self.send_direction == DOWN and msg.mtype == MsgType.WEIGHT_UPLOAD:
+                assert msg.params is into
+                into_ids.append(id(into))
+            return msg
+
+        monkeypatch.setattr(Endpoint, "recv", recording_recv)
+        raw = small_raw(algorithm=algorithm, transport={"kind": transport})
+        run(config_from_dict(raw))
+        weight_rounds = (len(raw["pruning"]["schedule"]) + raw["final_rounds"]
+                         if algorithm == "pruning_fl" else raw["final_rounds"] + 1)
+        assert len(into_ids) == weight_rounds * raw["nodes"]
+        assert len(set(into_ids)) == 1
+
+    def test_reduce_failing_mid_round_leaves_nothing_running(self, monkeypatch):
+        """A reduce that raises after taking one upload ends the run with its
+        error while the other nodes' uploads (229 kB each) are still unread;
+        every socket is closed and no thread or port is left behind."""
+        from mpfl import transport
+        from mpfl.transport import TcpServer
+
+        made, closed, addresses = [], [], []
+        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
+        listen = TcpServer.__init__
+
+        def counting_init(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        def recording_listen(self, *args, **kwargs):
+            listen(self, *args, **kwargs)
+            addresses.append(self.address)
+
+        def failing_fedavg(models):
+            next(iter(models))
+            raise ConstraintError("reduce gave up")
+
+        monkeypatch.setattr(transport._SocketChannel, "__init__", counting_init)
+        monkeypatch.setattr(transport._SocketChannel, "close", counting_close)
+        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+        monkeypatch.setattr(experiment, "fedavg", failing_fedavg)
+        raw = small_raw(algorithm="pruning_fl", transport={"kind": "tcp"},
+                        arch={"input_dim": 10, "hidden": [4096], "classes": 3})
+        threads = threading.active_count()
+        with pytest.raises(ConstraintError, match="reduce gave up"):
+            run(config_from_dict(raw))
+        assert len(made) == 2 * raw["nodes"]
+        assert {id(c) for c in made} <= {id(c) for c in closed}
+        assert threading.active_count() == threads
+        (address,) = addresses
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1.0).close()
+
 
 class TestUploadRouting:
     """The server checks each upload's routing fields against its session."""

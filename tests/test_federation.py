@@ -242,6 +242,55 @@ class TestFedavg:
         with pytest.raises(LayoutError):
             fedavg(models)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_shot_stream_matches_list(self, n):
+        """A generator gives the bytes of the list, -0.0 included."""
+        arch = make_arch(6, 9, 4)
+        models = [make_model(arch, seed=s) for s in range(n)]
+        for m in models:
+            for a in m.weights + m.biases:
+                a.flat[0] = -0.0
+        want = fedavg(models)
+        got = fedavg(m for m in models)
+        assert [a.tobytes() for a in got.weights + got.biases] == [
+            a.tobytes() for a in want.weights + want.biases
+        ]
+
+    def test_stream_may_reuse_one_buffer(self, tiny_arch):
+        """Each model is added before the next is taken, so a stream can decode
+        every model into the same buffer."""
+        models = [make_model(tiny_arch, seed=s) for s in range(3)]
+        buf = make_model(tiny_arch, seed=9)
+
+        def reused():
+            for m in models:
+                for dst, src in zip(buf.weights + buf.biases, m.weights + m.biases):
+                    dst[...] = src
+                yield buf
+
+        got, want = fedavg(reused()), fedavg(models)
+        assert [a.tobytes() for a in got.weights + got.biases] == [
+            a.tobytes() for a in want.weights + want.biases
+        ]
+        assert all(a is not b for a in got.weights for b in buf.weights)
+
+    def test_empty_stream(self):
+        with pytest.raises(ConfigError):
+            fedavg(m for m in [])
+
+    def test_layout_mismatch_mid_stream(self):
+        arch = make_arch(4, 8, 3)
+        taken = []
+
+        def stream():
+            for m in [make_model(arch), make_model(arch, seed=1), make_model(make_arch(5, 8, 3))]:
+                taken.append(m)
+                yield m
+
+        with pytest.raises(LayoutError):
+            fedavg(stream())
+        assert len(taken) == 3
+
     def test_bytes_match_numpy_mean(self):
         """Ten models with -0.0 entries, one of them -0.0 in every model: the
         bytes equal np.mean over the stacked arrays."""

@@ -142,6 +142,29 @@ class TestParamsPacking:
         np.testing.assert_array_equal(back.weights[0][dead], 0.0)
 
 
+    @pytest.mark.parametrize("live", ["1209_of_2048", "none_in_a_layer", "all"])
+    def test_blockwise_gather_matches_plain_gather(self, live):
+        """The encoder gathers live rows in blocks; the bytes equal a plain
+        ``w[live]`` gather, with a live count off the block size, a layer with
+        no live group, and every group live."""
+        arch = make_arch(64, 2048, 10)
+        model = make_model(arch, seed=3)
+        rng = np.random.default_rng(8)
+        mask = PruneMask.ones(arch)
+        if live == "1209_of_2048":
+            mask.layers[0][rng.permutation(2048)[1209:]] = False
+        elif live == "none_in_a_layer":
+            mask.layers[0][:] = False
+            mask.layers[1][rng.permutation(10)[:4]] = False
+        want = b"".join(
+            np.hstack([w[bits], b[bits][:, None]]).astype("<f4").tobytes()
+            for w, b, bits in zip(model.weights, model.biases, mask.layers)
+        )
+        buf = bytearray(packed_params_size(mask))
+        pack_params(model, mask, buf)
+        assert buf == want
+
+
 class TestCodecFraming:
     def _ref(self):
         """The all-ones reference mask that lays out every frame here."""
