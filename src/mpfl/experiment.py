@@ -14,12 +14,13 @@ Each federated protocol is one straight-line loop of lockstep rounds in its
 ``run_*`` function.  A round is one ``exchange``: the server encodes the
 broadcast once and sends that frame on every link, every node takes one
 step (decode the broadcast into its own model, train it in place or vote,
-upload), and the uploads stream back one at a time in node-id order, each
-decoded into the one buffer the server keeps for all its sessions; the loop
-reduces them as they arrive (a running FedAvg sum, or the list of mask votes)
-into the next round's broadcast.  On the loopback transport the node
-steps run inline in node-id order, with no threads; over TCP each node runs
-them on its own thread.
+upload), and the uploads stream back one at a time in node-id order, split
+but not decoded; the loop reduces them as they arrive into the next round's
+broadcast.  Mask votes are unpacked into a list; weight uploads are summed
+in their wire layout, and the mean is scattered into a model once a round.
+On both transports one thread runs the round: each node's step runs inline,
+in node-id order, between the broadcast on its link and the read of its
+upload.
 All transmitted bytes flow through the framed wire codec, every send is
 booked in the bandwidth ledger, and all results are deterministic functions
 of the config seed.
@@ -34,7 +35,6 @@ import io
 import itertools
 import logging
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -59,9 +59,9 @@ from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy
 from .pruning import apply_mask, compute_mask, weight_scores
-from .transport import Endpoint, TcpServer, loopback_pair, tcp_connect
+from .transport import Endpoint, TcpServer, loopback_pair, tcp_pair
 from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask,
-                   unpack_mask)
+                   packed_view, scatter_params, unpack_mask)
 
 log = logging.getLogger(__name__)
 
@@ -228,116 +228,57 @@ def _train(node: Node, rnd: _Round) -> Message:
     return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
 
 
-def _routed(msg: Message, node_id: int, rnd: _Round) -> Message:
-    """The upload, once its routing fields and type match the session's node and the round."""
-    if (msg.node_id, msg.round_idx, msg.mtype) != (node_id, rnd.idx, rnd.upload):
+def _routed(frame: tuple[MsgType, int, int | None, memoryview], node_id: int,
+            rnd: _Round) -> memoryview:
+    """The upload's payload, once its routing fields and type match the session's
+    node and the round."""
+    mtype, round_idx, sender, payload = frame
+    if (sender, round_idx, mtype) != (node_id, rnd.idx, rnd.upload):
         raise ProtocolError(
-            f"node {node_id} in round {rnd.idx} sent an upload tagged node {msg.node_id}, "
-            f"round {msg.round_idx}, {msg.mtype.name}; the round expects {rnd.upload.name}"
+            f"node {node_id} in round {rnd.idx} sent an upload tagged node {sender}, "
+            f"round {round_idx}, {mtype.name}; the round expects {rnd.upload.name}"
         )
-    return msg
+    return payload
 
 
-class _Loopback:
-    """In-process sessions: each node's exchange runs inline, in node-id order."""
-
-    def __init__(self, ledger: BandwidthLedger, nodes: list[Node]):
-        self._links = [(node, *loopback_pair(node.node_id, ledger)) for node in nodes]
-        self._buf = nodes[0].model.copy()
-
-    def exchange(self, rnd: _Round, frame: bytes) -> Iterator[Message]:
-        """Broadcast ``frame``, run every node's step, and yield the uploads in
-        node-id order; each is valid until the next is taken."""
-        for node, server, ep in self._links:
+def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], rnd: _Round,
+              frame: bytes) -> Iterator[tuple[int, memoryview]]:
+    """Send ``frame`` on each link in node-id order, run that node's step, and
+    yield its routed upload as (node, payload); a payload is valid until the
+    next is taken.  A transport failure names the node and the round."""
+    for node, server, ep in links:
+        try:
             server.send(frame)
             _node_exchange(node, ep, rnd)
             if rnd.step is not None:
-                yield _routed(server.recv(self._buf, rnd.mask), node.node_id, rnd)
-
-
-class _Tcp:
-    """Socket sessions: each node keeps one thread for the whole run.
-
-    A node's memory is then allocated and freed on one thread.  Each step is
-    handed to the node's thread before the server writes the broadcast, so
-    every node is reading while a large frame goes out.  A node whose step
-    fails records the error and closes its socket, so the server's next read
-    from it fails at once; the round then raises a NodeError naming the node
-    and the round, chained from the node's error.  A peer that drops without
-    a recorded failure raises a TransportError naming the node the server was
-    writing to or reading from, and the round.
-
-    Every upload is decoded into one buffer the server keeps for all the
-    sessions, so it holds one decoded upload, not one per node.  Each thread,
-    the listener and each socket goes on ``stack`` the moment it exists; the
-    stack closes the sockets, then the listener, then the threads, so a
-    consumer that stops mid-round leaves nothing running.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, ledger: BandwidthLedger, nodes: list[Node],
-                 stack: ExitStack):
-        self._failures: list[NodeError] = []
-        self._links: list[tuple[Node, Endpoint, Endpoint]] = []
-        self._buf = nodes[0].model.copy()
-        self._threads = [stack.enter_context(ThreadPoolExecutor(1)) for _ in nodes]
-        listener = TcpServer(cfg.transport.host, cfg.transport.port)
-        stack.callback(listener.close)
-        host, port = listener.address
-        # one node at a time: the listen backlog completes the connect
-        # before the accept, and the preamble must name that node
-        for node in nodes:
-            ep = tcp_connect(host, port, node.node_id, ledger)
-            stack.callback(ep.close)
-            peer, server = listener.accept_node(ledger)
-            stack.callback(server.close)
-            self._links.append((node, server, ep))
-            if peer != node.node_id:
-                raise TransportError(f"node {node.node_id} connected as node {peer}")
-
-    def _step(self, node: Node, ep: Endpoint, rnd: _Round) -> None:
-        try:
-            _node_exchange(node, ep, rnd)
-        except NodeError as e:
-            # recorded before the close that fails the server's read; the
-            # step's future is done only after it, too late to be read there
-            self._failures.append(e)
-            ep.close()
-
-    def _raise_failure(self) -> None:
-        if self._failures:
-            raise self._failures[0]
-
-    def exchange(self, rnd: _Round, frame: bytes) -> Iterator[Message]:
-        """Broadcast ``frame``, run every node's step, and yield the uploads in
-        node-id order; each is valid until the next is taken."""
-        steps = [
-            thread.submit(self._step, node, ep, rnd)
-            for thread, (node, _, ep) in zip(self._threads, self._links)
-        ]
-        try:
-            for node, server, _ in self._links:
-                server.send(frame)
-            if rnd.step is not None:
-                for node, server, _ in self._links:
-                    yield _routed(server.recv(self._buf, rnd.mask), node.node_id, rnd)
+                yield node.node_id, _routed(server.recv_frame(), node.node_id, rnd)
         except TransportError as e:
-            self._raise_failure()
             raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
-        wait(steps)
-        self._raise_failure()
 
 
 @contextmanager
 def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
-              nodes: list[Node]) -> Iterator[Callable[[_Round], Iterator[Message]]]:
+              nodes: list[Node]) -> Iterator[Callable[[_Round], Iterator[tuple[int, memoryview]]]]:
     """Open the server's sessions with the nodes over the configured transport and
     yield the round's exchange, which encodes each broadcast once.  The exchange
     is lazy: a round runs as its uploads are taken, and only once all are taken
-    is it done.  Leaving the block closes everything the sessions opened."""
+    is it done.  No session needs a thread: over TCP both ends of every link
+    live here, joined by ``tcp_pair``.  The listener and each endpoint go on
+    one stack the moment they exist, so leaving the block, mid-round included,
+    closes everything the sessions opened."""
     with ExitStack() as stack:
-        links: _Loopback | _Tcp = (_Loopback(ledger, nodes) if cfg.transport.kind == "loopback"
-                                   else _Tcp(cfg, ledger, nodes, stack))
-        yield lambda rnd: links.exchange(rnd, WireCodec.encode(rnd.down, rnd.ref))
+        pair = loopback_pair
+        if cfg.transport.kind == "tcp":
+            listener = TcpServer(cfg.transport.host, cfg.transport.port)
+            stack.callback(listener.close)
+            pair = functools.partial(tcp_pair, listener)
+        links = []
+        for node in nodes:
+            server, ep = pair(node.node_id, ledger)
+            stack.callback(server.close)
+            stack.callback(ep.close)
+            links.append((node, server, ep))
+        yield lambda rnd: _exchange(links, rnd, WireCodec.encode(rnd.down, rnd.ref))
 
 
 # --- metrics helpers ---------------------------------------------------------
@@ -358,16 +299,18 @@ def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
     return rows
 
 
-def _finite_average(models: Iterable[tuple[int, ModelParams]], idx: int,
-                    rejected: list[tuple[int, int]] | None = None) -> ModelParams:
-    """FedAvg of the round's finite ``(node, model)`` pairs, taken one at a time;
-    none finite fails the round.  Given ``rejected``, each node left out is logged
-    and recorded as (round, node)."""
+def _finite_average(models: Iterable[tuple[int, ModelParams | list[np.ndarray]]], idx: int,
+                    rejected: list[tuple[int, int]] | None = None):
+    """FedAvg of the round's finite ``(node, model)`` pairs, taken one at a time,
+    a model being a ``ModelParams`` or a list of arrays; none finite fails the
+    round.  Given ``rejected``, each node left out is logged and recorded as
+    (round, node)."""
     bad: list[int] = []
 
-    def finite() -> Iterator[ModelParams]:
+    def finite() -> Iterator[ModelParams | list[np.ndarray]]:
         for node_id, model in models:
-            if model.is_finite():
+            arrays = model.weights + model.biases if isinstance(model, ModelParams) else model
+            if all(np.isfinite(a).all() for a in arrays):
                 yield model
             else:
                 bad.append(node_id)
@@ -380,6 +323,23 @@ def _finite_average(models: Iterable[tuple[int, ModelParams]], idx: int,
     for node_id in bad if rejected is not None else []:
         log.warning("round %d: node %d's upload is not finite, left out", idx, node_id)
         rejected.append((idx, node_id))
+    return avg
+
+
+def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
+                     rejected: list[tuple[int, int]]) -> ModelParams:
+    """FedAvg of the round's finite weight uploads, summed in their wire layout.
+
+    Each payload is checked against ``rnd.mask`` and added as its float32
+    scalars, which are finite exactly when the decoded model is, to a float64
+    sum of packed length; the mean is scattered into a model once.  These are
+    the adds of decoding each upload and summing the models, in the same order,
+    so the bits match, and each pruned group is +0.0 as a decoded one is."""
+    packed = ((node_id, [packed_view(payload, rnd.mask)]) for node_id, payload in uploads)
+    (mean,) = _finite_average(packed, rnd.idx, rejected)
+    arch = rnd.mask.arch
+    avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
+    scatter_params(mean, rnd.mask, avg)
     return avg
 
 
@@ -403,7 +363,8 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
-            new_mask = ps.reduce([m.mask for m in exchange(rnd)], mask, rnd.increment)
+            votes = [unpack_mask(payload, mask.arch) for _, payload in exchange(rnd)]
+            new_mask = ps.reduce(votes, mask, rnd.increment)
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate of the finite ones for
             # reporting only
@@ -417,8 +378,8 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         step = _sync
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
-            # uploads decoded against ``mask`` are zero in each pruned group; so is their average
-            avg = _finite_average(((m.node_id, m.params) for m in exchange(rnd)), idx, rejected)
+            # the uploads carry the groups live in ``mask``; the average is zero in the others
+            avg = _average_uploads(exchange(rnd), rnd, rejected)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
@@ -448,7 +409,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with _sessions(cfg, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train)
-            avg = _finite_average(((m.node_id, m.params) for m in exchange(rnd)), idx, rejected)
+            avg = _average_uploads(exchange(rnd), rnd, rejected)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
             if inc > 0.0:
@@ -581,11 +542,11 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 def _one_blas_thread() -> Iterator[None]:
     """Pin OpenBLAS to one thread for the block, then restore the caller's count.
 
-    A run's parallel work is across nodes, not inside a GEMM one training
-    batch tall: OpenBLAS's workers would split those GEMMs, then spin between
-    calls and take the cores from the node threads.  OpenBLAS splits
-    a GEMM over its rows and columns, never over the summed dimension, so one
-    thread gives bit-identical results.  The count is process-wide.
+    A run's GEMMs are at most one training batch tall: OpenBLAS's workers
+    would split those small GEMMs, then spin between calls on cores the run
+    does not need.  OpenBLAS splits a GEMM over its rows and columns, never
+    over the summed dimension, so one thread gives bit-identical results.
+    The count is process-wide.
     """
     blas = _blas_threads()
     if blas is None:

@@ -132,28 +132,36 @@ def consensus_histogram(
     return _top_voted(votes, keep, prev_mask)
 
 
-def fedavg(models: Iterable[ModelParams]) -> ModelParams:
+def fedavg(models: Iterable[ModelParams | Sequence[np.ndarray]]) -> ModelParams | list[np.ndarray]:
     """Unweighted FedAvg: the coordinate mean of the node models, summed one by
     one into zeros and divided once, as ``np.mean`` reduces the stacked models,
     so the bits match it (-0.0 included) without the stacked copy.
 
-    ``models`` may be any iterable, a one-shot stream included: each model is
-    added before the next is taken, so a stream may reuse one buffer for all."""
+    A model is a ``ModelParams`` or a list of arrays in one layout, such as a
+    packed weight upload; the mean takes the form of the first.  ``models`` may
+    be any iterable, a one-shot stream included: each model is added before the
+    next is taken, so a stream may reuse one buffer for all."""
     models = iter(models)
     first = next(models, None)
     if first is None:
         raise ConfigError("cannot average zero models")
-    arch = first.arch
-    avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
-    acc = avg.weights + avg.biases
+    acc = [np.zeros(a.shape) for a in _arrays(first)]
     for count, m in enumerate(itertools.chain([first], models), start=1):
-        if m.arch != arch:
+        arrays = _arrays(m)
+        if [a.shape for a in arrays] != [a.shape for a in acc]:
             raise LayoutError("models disagree on layout")
-        for a, v in zip(acc, m.weights + m.biases):
+        for a, v in zip(acc, arrays):
             a += v
     for a in acc:
         a /= count
-    return avg
+    if not isinstance(first, ModelParams):
+        return acc
+    n = len(first.weights)
+    return ModelParams(first.arch, acc[:n], acc[n:])
+
+
+def _arrays(model: ModelParams | Sequence[np.ndarray]) -> list[np.ndarray]:
+    return model.weights + model.biases if isinstance(model, ModelParams) else list(model)
 
 
 @dataclass

@@ -96,12 +96,18 @@ def compute_mask(
 
 
 def zero_pruned(model: ModelParams, mask: PruneMask) -> None:
-    """Zero the weight row and bias of every pruned group, in place."""
+    """Zero the weight row and bias of every pruned group, in place.
+
+    Only the pruned rows are touched, multiplied by 0.0: the bits of
+    multiplying the whole layer by its mask bits, -0.0 and NaN included.
+    """
     if mask.arch != model.arch:
         raise LayoutError("mask layout does not match the model")
     for w, b, bits in zip(model.weights, model.biases, mask.layers):
-        w *= bits[:, None]
-        b *= bits
+        dead = np.flatnonzero(~bits)
+        if dead.size:
+            w[dead] *= 0.0
+            b[dead] *= 0.0
 
 
 def apply_mask(model: ModelParams, mask: PruneMask) -> ModelParams:

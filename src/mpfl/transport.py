@@ -3,9 +3,13 @@
 An Endpoint owns one side of one node<->server channel.  It sends encoded
 frames and books their payload bits in the ledger, so the two transports are
 interchangeable byte for byte.  A received frame is decoded against the
-reference mask the caller names, a weight frame into a model the caller owns.
-Loopback frames wait in in-process buffers and a read never blocks; TCP reads
-block up to the socket timeout.
+reference mask the caller names, a weight frame into a model the caller owns,
+or handed over split, undecoded.
+
+Neither transport needs a thread.  Loopback frames wait in in-process buffers
+and a read never blocks.  TCP sockets are non-blocking, and a read that would
+block first writes what its link has queued (see ``_SocketChannel``), so one
+thread drives both ends of a ``tcp_pair``.
 
 TCP sessions start with a 4-byte node id preamble so the server can label the
 connection before any protocol message flows; the preamble is session setup,
@@ -14,14 +18,16 @@ not payload, and is never booked.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .errors import TransportError
 from .model import ModelParams, PruneMask
-from .wire import DOWN, UP, BandwidthLedger, Message, WireCodec, message_category
+from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, message_category
 
 _PREAMBLE = struct.Struct("<I")
 _DEFAULT_TIMEOUT = 30.0
@@ -47,25 +53,58 @@ class _LoopbackChannel:
 
 
 class _SocketChannel:
-    """Framed reads/writes over one TCP connection."""
+    """Framed reads/writes over one non-blocking TCP connection.
+
+    A send queues a view of its frame, no copy, and writes what the kernel
+    takes.  A read that would block writes the queued bytes of its link, this
+    end's and its peer's (the other end, when ``tcp_pair`` made both), then
+    waits up to ``timeout`` for this socket to turn readable or a queued one
+    writable; only a wait that sees neither fails.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float):
         self.sock = sock
-        self.sock.settimeout(timeout)
+        self.sock.setblocking(False)
+        self.timeout = timeout
+        self.peer: _SocketChannel | None = None
+        self._queue: deque[memoryview] = deque()
 
-    def send_bytes(self, frame: bytes) -> None:
-        try:
-            self.sock.sendall(frame)
-        except OSError as e:
-            raise TransportError(f"send failed: {e}") from e
+    def send_bytes(self, frame) -> None:
+        self._queue.append(memoryview(frame))
+        self._flush()
+
+    def _flush(self) -> None:
+        """Write queued bytes until the queue is empty or the kernel takes no more."""
+        queue = self._queue
+        while queue:
+            try:
+                n = self.sock.send(queue[0])
+            except BlockingIOError:
+                return
+            except OSError as e:
+                raise TransportError(f"send failed: {e}") from e
+            if n == len(queue[0]):
+                queue.popleft()
+            else:
+                queue[0] = queue[0][n:]
+
+    def _wait(self) -> None:
+        queued = [c for c in (self, self.peer) if c is not None and c._queue]
+        for c in queued:
+            c._flush()
+        writers = [c.sock for c in queued if c._queue]
+        readable, writable, _ = select.select([self.sock], writers, [], self.timeout)
+        if not readable and not writable:
+            raise TransportError("tcp recv timed out")
 
     def read_into(self, view: memoryview) -> None:
         """Fill ``view`` from the socket."""
         while view:
             try:
                 n = self.sock.recv_into(view)
-            except socket.timeout:
-                raise TransportError("tcp recv timed out") from None
+            except BlockingIOError:
+                self._wait()
+                continue
             except OSError as e:
                 raise TransportError(f"recv failed: {e}") from e
             if not n:
@@ -107,6 +146,10 @@ class Endpoint:
     def recv(self, into: ModelParams, ref_mask: PruneMask) -> Message:
         """The next message, laid out by ``ref_mask``; a weight frame is decoded into ``into``."""
         return WireCodec.decode(self.channel.recv_bytes(), into, ref_mask)
+
+    def recv_frame(self) -> tuple[MsgType, int, int | None, memoryview]:
+        """The next frame, split but not decoded: (type, round, node_id, payload view)."""
+        return WireCodec.split_frame(self.channel.recv_bytes())
 
     def close(self) -> None:
         close = getattr(self.channel, "close", None)
@@ -175,3 +218,25 @@ def tcp_connect(
         chan.close()
         raise
     return Endpoint(chan, ledger, UP, node_id)
+
+
+def tcp_pair(listener: TcpServer, node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
+    """(server_side, node_side) endpoints of one TCP link, both in this process.
+
+    The node connects and sends its preamble before the accept, which the
+    listen backlog allows, so the accepted session must name ``node_id``.
+    Both ends then know each other: a read on either writes the bytes the
+    other has queued, so one thread drives the link.  Both ends take the
+    listener's timeout, and a failed pairing closes every socket it made.
+    """
+    with ExitStack() as stack:
+        host, port = listener.address
+        node = tcp_connect(host, port, node_id, ledger, listener.timeout)
+        stack.callback(node.close)
+        peer, server = listener.accept_node(ledger)
+        stack.callback(server.close)
+        if peer != node_id:
+            raise TransportError(f"node {node_id} connected as node {peer}")
+        stack.pop_all()
+    server.channel.peer, node.channel.peer = node.channel, server.channel
+    return server, node

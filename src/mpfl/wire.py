@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable
@@ -149,17 +148,23 @@ def packed_params_size(mask: PruneMask) -> int:
     )
 
 
-def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
-    """Scatter the live groups of ``buf`` into ``into`` and zero every other group."""
-    if mask.arch != into.arch:
-        raise LayoutError("mask layout does not match the destination")
+def packed_view(buf, mask: PruneMask) -> np.ndarray:
+    """The scalars of ``buf``, a weight payload laid out by ``mask``, once its
+    size matches the layout: a float32 view, no copy."""
     expected = packed_params_size(mask)
     if len(buf) != expected:
         raise ProtocolError(
             f"weight payload is {len(buf)} bytes, layout needs {expected}",
             offset=min(len(buf), expected),
         )
-    flat = np.frombuffer(buf, _WIRE_DTYPE)
+    return np.frombuffer(buf, _WIRE_DTYPE)
+
+
+def scatter_params(flat: np.ndarray, mask: PruneMask, into: ModelParams) -> None:
+    """Scatter ``flat``, the live groups of ``mask`` in wire order, into ``into``
+    and zero every other group."""
+    if mask.arch != into.arch:
+        raise LayoutError("mask layout does not match the destination")
     for w, b, bits, live, rows in _live_rows(flat, into, mask):
         # arbitrary bytes may decode to signaling NaNs; widening them is fine
         with np.errstate(invalid="ignore"):
@@ -168,6 +173,11 @@ def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
         dead = np.flatnonzero(~bits)
         w[dead] = 0.0
         b[dead] = 0.0
+
+
+def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
+    """Scatter the live groups of ``buf`` into ``into`` and zero every other group."""
+    scatter_params(packed_view(buf, mask), mask, into)
 
 
 # --- frame codec ------------------------------------------------------------
@@ -341,7 +351,6 @@ class BandwidthLedger:
     """
 
     entries: list[LedgerEntry] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(
         self,
@@ -355,25 +364,20 @@ class BandwidthLedger:
             raise ConfigError("bit counts must be non-negative")
         if direction not in (UP, DOWN):
             raise ConfigError(f"direction must be {UP!r} or {DOWN!r}")
-        with self._lock:
-            self.entries.append(
-                LedgerEntry(node_id, round_idx, direction, category, payload_bits)
-            )
+        self.entries.append(LedgerEntry(node_id, round_idx, direction, category, payload_bits))
 
     def total_bits(self, direction: str | None = None, category: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                e.bits
-                for e in self.entries
-                if (direction is None or e.direction == direction)
-                and (category is None or e.category == category)
-            )
+        return sum(
+            e.bits
+            for e in self.entries
+            if (direction is None or e.direction == direction)
+            and (category is None or e.category == category)
+        )
 
     def per_node_bits(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        with self._lock:
-            for e in self.entries:
-                out[e.node_id] = out.get(e.node_id, 0) + e.bits
+        for e in self.entries:
+            out[e.node_id] = out.get(e.node_id, 0) + e.bits
         return out
 
     def summary(self) -> dict[str, int]:

@@ -180,7 +180,13 @@ class TestDeterminism:
         b = run_mpfl(cfg, env)
         assert rows_to_csv(a.rows) == rows_to_csv(b.rows)
 
-    def test_tcp_transport_identical_metrics(self):
+    def test_tcp_transport_identical_metrics(self, monkeypatch):
+        """TCP runs give loopback's metrics and ledger, and start no thread."""
+
+        def refuse(self):
+            raise AssertionError("run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         for algorithm in ("mpfl", "pruning_fl", "fedavg"):
             raw = small_raw(algorithm=algorithm)
             if algorithm == "fedavg":
@@ -249,7 +255,8 @@ class TestNodeFailure:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=1.0).close()
 
-    def test_dropped_tcp_peer_names_node_and_round(self, monkeypatch):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_dropped_peer_names_node_and_round(self, monkeypatch, transport):
         exchange = experiment._node_exchange
 
         def dropping_exchange(node, ep, rnd):
@@ -259,19 +266,42 @@ class TestNodeFailure:
             exchange(node, ep, rnd)
 
         monkeypatch.setattr(experiment, "_node_exchange", dropping_exchange)
-        cfg = config_from_dict(small_raw(transport={"kind": "tcp"}))
+        cfg = config_from_dict(small_raw(transport={"kind": transport}))
         start = time.monotonic()
         with pytest.raises(TransportError, match="node 2 in round 1: ") as info:
             run(cfg)
         assert time.monotonic() - start < 5.0
         assert isinstance(info.value.__cause__, TransportError)
 
+    def test_silent_tcp_peer_times_out_naming_node_and_round(self, monkeypatch):
+        """A node that keeps its socket open but never uploads fails the round
+        once the server's read has waited out the socket timeout."""
+        from mpfl.transport import TcpServer
+
+        exchange = experiment._node_exchange
+        listen = TcpServer.__init__
+
+        def silent_exchange(node, ep, rnd):
+            if node.node_id != 2:
+                exchange(node, ep, rnd)
+
+        def short_timeout(self, host, port):
+            listen(self, host, port, timeout=0.5)
+
+        monkeypatch.setattr(experiment, "_node_exchange", silent_exchange)
+        monkeypatch.setattr(TcpServer, "__init__", short_timeout)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="node 2 in round 1: tcp recv timed out"):
+            run(config_from_dict(small_raw(transport={"kind": "tcp"})))
+        assert 0.5 <= time.monotonic() - start < 5.0
+
     def test_misnamed_tcp_peer_names_both_ids(self, monkeypatch):
         """A preamble naming the wrong node fails setup with a TransportError,
         which ``compare`` isolates, and leaves no thread or port behind."""
+        from mpfl import transport
         from mpfl.transport import TcpServer
 
-        connect = experiment.tcp_connect
+        connect = transport.tcp_connect
         addresses = []
         listen = TcpServer.__init__
 
@@ -282,7 +312,7 @@ class TestNodeFailure:
             listen(self, *args, **kwargs)
             addresses.append(self.address)
 
-        monkeypatch.setattr(experiment, "tcp_connect", misnamed_connect)
+        monkeypatch.setattr(transport, "tcp_connect", misnamed_connect)
         monkeypatch.setattr(TcpServer, "__init__", recording_listen)
         threads = threading.active_count()
         cfg = config_from_dict(small_raw(transport={"kind": "tcp"}))
@@ -409,30 +439,26 @@ class TestWeightPath:
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("algorithm", ["pruning_fl", "mpfl"])
-    def test_every_upload_decoded_into_one_server_buffer(self, monkeypatch, transport,
-                                                         algorithm):
-        """The server decodes every weight upload of a run into the same buffer,
-        not into one model per node."""
-        from mpfl.transport import Endpoint
-        from mpfl.wire import DOWN
+    def test_server_decodes_no_weight_upload(self, monkeypatch, transport, algorithm):
+        """The server sums the weight uploads in their wire layout: no upload is
+        decoded into a model, while every broadcast still is, by its node."""
+        from mpfl.wire import WireCodec
 
-        recv = Endpoint.recv
-        into_ids = []
+        decode = WireCodec.decode
+        decoded = []
 
-        def recording_recv(self, into, ref_mask):
-            msg = recv(self, into, ref_mask)
-            if self.send_direction == DOWN and msg.mtype == MsgType.WEIGHT_UPLOAD:
-                assert msg.params is into
-                into_ids.append(id(into))
-            return msg
+        def recording_decode(frame, into, ref_mask):
+            decoded.append(WireCodec.split_frame(frame)[0])
+            return decode(frame, into, ref_mask)
 
-        monkeypatch.setattr(Endpoint, "recv", recording_recv)
+        monkeypatch.setattr(WireCodec, "decode", staticmethod(recording_decode))
         raw = small_raw(algorithm=algorithm, transport={"kind": transport})
-        run(config_from_dict(raw))
-        weight_rounds = (len(raw["pruning"]["schedule"]) + raw["final_rounds"]
-                         if algorithm == "pruning_fl" else raw["final_rounds"] + 1)
-        assert len(into_ids) == weight_rounds * raw["nodes"]
-        assert len(set(into_ids)) == 1
+        res = run(config_from_dict(raw))
+        uploads = [e for e in res.ledger.entries if e.direction == UP and e.category == "weights"]
+        broadcasts = [e for e in res.ledger.entries if e.direction != UP]
+        assert uploads
+        assert MsgType.WEIGHT_UPLOAD not in decoded
+        assert len(decoded) == len(broadcasts)
 
     def test_reduce_failing_mid_round_leaves_nothing_running(self, monkeypatch):
         """A reduce that raises after taking one upload ends the run with its

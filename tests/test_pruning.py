@@ -19,6 +19,7 @@ from mpfl.pruning import (
     nearest_rank,
     prune_count,
     weight_scores,
+    zero_pruned,
 )
 
 from conftest import make_arch, make_model, random_mask, same_params
@@ -226,6 +227,40 @@ class TestComputeMask:
         a = compute_mask(ScoreVector(arch, base), 0.4, PruneMask.ones(arch))
         b = compute_mask(ScoreVector(arch, [7.3 * l for l in base]), 0.4, PruneMask.ones(arch))
         assert a == b
+
+
+class TestZeroPruned:
+    """Zeroing only the pruned rows gives the bytes of multiplying the whole
+    layer by its mask bits."""
+
+    @staticmethod
+    def reference(model, mask):
+        for w, b, bits in zip(model.weights, model.biases, mask.layers):
+            w *= bits[:, None]
+            b *= bits
+
+    @pytest.mark.parametrize("case", ["random", "all_live", "hidden_fully_pruned"])
+    def test_bytes_match_whole_layer_multiply(self, case, rng):
+        arch = make_arch(6, 12, 4)
+        model = make_model(arch, seed=40)
+        special = [-2.5, -0.0, np.inf, -np.inf, np.nan]
+        for w, b in zip(model.weights, model.biases):
+            for r in range(w.shape[0]):
+                w[r, r % w.shape[1]] = special[r % len(special)]
+                w[r, -1] = -abs(w[r, -1])
+            b[...] = [special[r % len(special)] for r in range(b.size)]
+        mask = {
+            "random": random_mask(arch, rng, keep_prob=0.5),
+            "all_live": PruneMask.ones(arch),
+            "hidden_fully_pruned": PruneMask(arch, [np.zeros(12, bool), np.ones(4, bool)]),
+        }[case]
+        want = model.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0.0 is NaN on both sides
+            self.reference(want, mask)
+            zero_pruned(model, mask)
+        assert [a.tobytes() for a in model.weights + model.biases] == [
+            a.tobytes() for a in want.weights + want.biases
+        ]
 
 
 class TestApplyMask:

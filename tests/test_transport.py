@@ -9,7 +9,7 @@ import pytest
 
 from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
-from mpfl.transport import TcpServer, loopback_pair, tcp_connect
+from mpfl.transport import TcpServer, loopback_pair, tcp_connect, tcp_pair
 from mpfl.wire import (
     CAT_MASK,
     DOWN,
@@ -77,25 +77,17 @@ class TestLoopback:
 
 class TestTcp:
     def _run_pair(self, exchange, timeout=30.0):
-        """Run ``exchange(server_ep, node_ep)`` over a real socket pair."""
+        """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this thread."""
         ledger = BandwidthLedger()
         srv = TcpServer("127.0.0.1", 0, timeout=timeout)
-        host, port = srv.address
-        result = {}
-
-        def connect():
-            result["node_ep"] = tcp_connect(host, port, 7, ledger, timeout=5.0)
-
-        t = threading.Thread(target=connect)
-        t.start()
-        node_id, server_ep = srv.accept_node(ledger)
-        t.join()
-        assert node_id == 7
         try:
-            exchange(server_ep, result["node_ep"], ledger)
+            server_ep, node_ep = tcp_pair(srv, 7, ledger)
+            try:
+                exchange(server_ep, node_ep, ledger)
+            finally:
+                server_ep.close()
+                node_ep.close()
         finally:
-            server_ep.close()
-            result["node_ep"].close()
             srv.close()
 
     def test_byte_identical_to_loopback(self, ref, rng):
@@ -155,6 +147,48 @@ class TestTcp:
             assert err.value.offset == offset
 
         self._run_pair(exchange, timeout=3.0)
+
+    def test_multi_mib_frames_cross_on_one_thread(self, monkeypatch):
+        """A 64-16384-10 weight frame (4.9 MB, more than a loopback socket
+        takes in one send) goes down and back up one link with no thread: each
+        read writes the bytes its peer queued.  Both frames equal their
+        loopback bytes."""
+
+        def refuse(self):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        ref = PruneMask.ones(make_arch(64, 16384, 10))
+        model = make_model(ref.arch, seed=2)
+        down = WireCodec.encode(Message(MsgType.GLOBAL_WEIGHTS, 1, params=model), ref)
+        up = WireCodec.encode(Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=model), ref)
+        assert len(down) > 4_000_000
+
+        lo_server, lo_node = loopback_pair(7, BandwidthLedger())
+        lo_server.send(down)
+        lo_node.send(up)
+        want = (lo_node.channel.recv_bytes(), lo_server.channel.recv_bytes())
+
+        def exchange(server_ep, node_ep, ledger):
+            server_ep.send(down)
+            got_down = node_ep.channel.recv_bytes()
+            node_ep.send(up)
+            got_up = server_ep.channel.recv_bytes()
+            assert (got_down, got_up) == want
+            assert ledger.total_bits() == 8 * (len(down) + len(up) - 14 - 18)
+
+        self._run_pair(exchange)
+
+    def test_silent_peer_times_out(self, ref):
+        """A read with nothing queued on its link waits out the timeout, then fails."""
+
+        def exchange(server_ep, node_ep, ledger):
+            t0 = time.perf_counter()
+            with pytest.raises(TransportError, match="timed out"):
+                server_ep.recv(make_model(ref.arch), ref)
+            assert 0.3 <= time.perf_counter() - t0 < 3.0
+
+        self._run_pair(exchange, timeout=0.3)
 
     def test_connect_refused(self):
         ledger = BandwidthLedger()
