@@ -148,9 +148,10 @@ def _cmd_bits(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import corrupt_frame_fuzz, roundtrip_fuzz
 
-    for flag, count in (("--cases", args.cases), ("--corrupt-cases", args.corrupt_cases)):
-        if count < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {count}")
+    for flag, value in (("--cases", args.cases), ("--corrupt-cases", args.corrupt_cases),
+                        ("--seed", args.seed)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     ok = roundtrip_fuzz(args.cases, args.seed)
     survived = corrupt_frame_fuzz(args.corrupt_cases, args.seed + 1)
     print(f"round-trip cases: {ok}/{args.cases} ok")

@@ -175,8 +175,12 @@ class ExperimentConfig:
                      f"must be 'noise' or 'labels', got {c.kind!r}")
             if c.kind == "noise":
                 _require(c.sigma >= 0, f"contamination[{i}].sigma", "must be >= 0")
+        _require(self.arch.classes >= 2, "arch.classes", f"must be >= 2, got {self.arch.classes}")
         # ArchSpec construction validates the dims
-        spec = self.arch.to_spec()
+        try:
+            spec = self.arch.to_spec()
+        except ConfigError as e:
+            raise ConfigError(f"arch: {e}") from None
         try:
             _min_keep_per_layer(spec, self.pruning.min_keep)
         except ConfigError as e:

@@ -299,33 +299,6 @@ def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
     return rows
 
 
-def _finite_average(models: Iterable[tuple[int, ModelParams | list[np.ndarray]]], idx: int,
-                    rejected: list[tuple[int, int]] | None = None):
-    """FedAvg of the round's finite ``(node, model)`` pairs, taken one at a time,
-    a model being a ``ModelParams`` or a list of arrays; none finite fails the
-    round.  Given ``rejected``, each node left out is logged and recorded as
-    (round, node)."""
-    bad: list[int] = []
-
-    def finite() -> Iterator[ModelParams | list[np.ndarray]]:
-        for node_id, model in models:
-            arrays = model.weights + model.biases if isinstance(model, ModelParams) else model
-            if all(np.isfinite(a).all() for a in arrays):
-                yield model
-            else:
-                bad.append(node_id)
-
-    stream = finite()
-    first = next(stream, None)
-    if first is None:
-        raise ConstraintError(f"round {idx}: no node has a finite model to average")
-    avg = fedavg(itertools.chain([first], stream))
-    for node_id in bad if rejected is not None else []:
-        log.warning("round %d: node %d's upload is not finite, left out", idx, node_id)
-        rejected.append((idx, node_id))
-    return avg
-
-
 def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
                      rejected: list[tuple[int, int]]) -> ModelParams:
     """FedAvg of the round's finite weight uploads, summed in their wire layout.
@@ -335,8 +308,24 @@ def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
     sum of packed length; the mean is scattered into a model once.  These are
     the adds of decoding each upload and summing the models, in the same order,
     so the bits match, and each pruned group is +0.0 as a decoded one is."""
-    packed = ((node_id, [packed_view(payload, rnd.mask)]) for node_id, payload in uploads)
-    (mean,) = _finite_average(packed, rnd.idx, rejected)
+    bad: list[int] = []
+
+    def finite() -> Iterator[list[np.ndarray]]:
+        for node_id, payload in uploads:
+            flat = packed_view(payload, rnd.mask)
+            if np.isfinite(flat).all():
+                yield [flat]
+            else:
+                bad.append(node_id)
+
+    stream = finite()
+    first = next(stream, None)
+    if first is None:
+        raise ConstraintError(f"round {rnd.idx}: no node has a finite model to average")
+    (mean,) = fedavg(itertools.chain([first], stream))
+    for node_id in bad:
+        log.warning("round %d: node %d's upload is not finite, left out", rnd.idx, node_id)
+        rejected.append((rnd.idx, node_id))
     arch = rnd.mask.arch
     avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
     scatter_params(mean, rnd.mask, avg)
@@ -368,8 +357,10 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # every node has finished its step, so the local models are
             # stable: evaluate the would-be aggregate of the finite ones for
             # reporting only
-            probe = _finite_average([(n.node_id, n.model) for n in nodes], idx)
-            probe = apply_mask(probe, new_mask)
+            finite = [n.model for n in nodes if n.model.is_finite()]
+            if not finite:
+                raise ConstraintError(f"round {idx}: no node has a finite model to average")
+            probe = apply_mask(fedavg(finite), new_mask)
             points.append((idx, new_mask.sparsity(), accuracy(probe, env.test.x, env.test.y)))
             mask_history.append(new_mask.copy())
             down, ref, mask = Message(MsgType.GLOBAL_MASK, idx, mask=new_mask), mask, new_mask

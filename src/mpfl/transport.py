@@ -8,7 +8,7 @@ or handed over split, undecoded.
 
 Neither transport needs a thread.  Loopback frames wait in in-process buffers
 and a read never blocks.  TCP sockets are non-blocking, and a read that would
-block first writes what its link has queued (see ``_SocketChannel``), so one
+block first writes what its peer has queued (see ``_SocketChannel``), so one
 thread drives both ends of a ``tcp_pair``.
 
 TCP sessions start with a 4-byte node id preamble so the server can label the
@@ -56,10 +56,10 @@ class _SocketChannel:
     """Framed reads/writes over one non-blocking TCP connection.
 
     A send queues a view of its frame, no copy, and writes what the kernel
-    takes.  A read that would block writes the queued bytes of its link, this
-    end's and its peer's (the other end, when ``tcp_pair`` made both), then
-    waits up to ``timeout`` for this socket to turn readable or a queued one
-    writable; only a wait that sees neither fails.
+    takes.  A read that would block writes its peer's queued bytes (the other
+    end, when ``tcp_pair`` made both) into this socket's receive buffer, then
+    waits up to ``timeout`` for this socket to turn readable, or fails.  This
+    end's own queue goes out when its peer reads.
     """
 
     def __init__(self, sock: socket.socket, timeout: float):
@@ -89,12 +89,9 @@ class _SocketChannel:
                 queue[0] = queue[0][n:]
 
     def _wait(self) -> None:
-        queued = [c for c in (self, self.peer) if c is not None and c._queue]
-        for c in queued:
-            c._flush()
-        writers = [c.sock for c in queued if c._queue]
-        readable, writable, _ = select.select([self.sock], writers, [], self.timeout)
-        if not readable and not writable:
+        if self.peer is not None:
+            self.peer._flush()
+        if not select.select([self.sock], [], [], self.timeout)[0]:
             raise TransportError("tcp recv timed out")
 
     def read_into(self, view: memoryview) -> None:

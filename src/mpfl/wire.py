@@ -175,11 +175,6 @@ def scatter_params(flat: np.ndarray, mask: PruneMask, into: ModelParams) -> None
         b[dead] = 0.0
 
 
-def unpack_params(buf, mask: PruneMask, into: ModelParams) -> None:
-    """Scatter the live groups of ``buf`` into ``into`` and zero every other group."""
-    scatter_params(packed_view(buf, mask), mask, into)
-
-
 # --- frame codec ------------------------------------------------------------
 
 class WireCodec:
@@ -211,7 +206,7 @@ class WireCodec:
         if mtype in _MASK_TYPES:
             mask = unpack_mask(payload, ref_mask.arch)
             return Message(mtype, round_idx, node_id=node_id, mask=mask)
-        unpack_params(payload, ref_mask, into)
+        scatter_params(packed_view(payload, ref_mask), ref_mask, into)
         return Message(mtype, round_idx, node_id=node_id, params=into)
 
     @staticmethod

@@ -147,6 +147,28 @@ class TestValidation:
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
+    def test_bad_layer_dims_name_the_arch_section(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^arch: layer dims must be positive"):
+            apply_overrides(config_from_dict(minimal_raw()), {"arch.hidden": [0]})
+        cfg_path = tmp_path / "ok.yaml"
+        cfg_path.write_text(yaml.safe_dump(minimal_raw()))
+        argv = ["run", "-c", str(cfg_path), "-o", str(tmp_path / "out"), "--set", "arch.hidden=[0]"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: arch: layer dims must be positive, got [8, 0, 3]")
+
+    def test_one_class_names_arch_classes(self, tmp_path, capsys):
+        """One class in both sections passes the dataset check, and the data
+        layer would reject it only after the config was accepted."""
+        raw = minimal_raw()
+        raw["arch"]["classes"] = raw["dataset"]["classes"] = 1
+        with pytest.raises(ConfigError, match=r"^arch\.classes: must be >= 2, got 1"):
+            config_from_dict(raw)
+        cfg_path = tmp_path / "one.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: arch.classes: ")
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

@@ -607,7 +607,9 @@ class TestNonFiniteUploads:
         assert res.final_model.is_finite()
         assert res.rejected_uploads == [(r, 0) for r in trained_rounds]
 
-    @pytest.mark.parametrize("algorithm, round_idx", [("pruning_fl", 1), ("fedavg", 2)])
+    # mpfl: the vote-round probe averages the nodes' own models, none finite
+    @pytest.mark.parametrize("algorithm, round_idx",
+                             [("mpfl", 1), ("pruning_fl", 1), ("fedavg", 2)])
     def test_no_finite_upload_fails_the_round(self, algorithm, round_idx):
         noisy = [{"node": i, "kind": "noise", "sigma": 1e300} for i in range(4)]
         with pytest.raises(ConstraintError, match=f"round {round_idx}:"):

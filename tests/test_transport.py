@@ -148,11 +148,11 @@ class TestTcp:
 
         self._run_pair(exchange, timeout=3.0)
 
-    def test_multi_mib_frames_cross_on_one_thread(self, monkeypatch):
-        """A 64-16384-10 weight frame (4.9 MB, more than a loopback socket
-        takes in one send) goes down and back up one link with no thread: each
-        read writes the bytes its peer queued.  Both frames equal their
-        loopback bytes."""
+    @pytest.fixture
+    def wide_frames(self, monkeypatch):
+        """(down, up, their loopback bytes): a 64-16384-10 weight frame each
+        way, 4.9 MB, more than a loopback socket takes in one send.  Starting
+        a thread fails the test."""
 
         def refuse(self):
             raise AssertionError("started a thread")
@@ -167,7 +167,13 @@ class TestTcp:
         lo_server, lo_node = loopback_pair(7, BandwidthLedger())
         lo_server.send(down)
         lo_node.send(up)
-        want = (lo_node.channel.recv_bytes(), lo_server.channel.recv_bytes())
+        return down, up, (lo_node.channel.recv_bytes(), lo_server.channel.recv_bytes())
+
+    def test_multi_mib_frames_cross_on_one_thread(self, wide_frames):
+        """A wide frame goes down and back up one link with no thread: each
+        read writes the bytes its peer queued.  Both frames equal their
+        loopback bytes."""
+        down, up, want = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             server_ep.send(down)
@@ -178,6 +184,27 @@ class TestTcp:
             assert ledger.total_bits() == 8 * (len(down) + len(up) - 14 - 18)
 
         self._run_pair(exchange)
+
+    @pytest.mark.parametrize("server_reads_first", [True, False], ids=["server_first", "node_first"])
+    def test_multi_mib_frames_queued_on_both_ends_cross(self, wide_frames, server_reads_first):
+        """Both ends queue a wide frame before either reads: a read writes
+        only its peer's queue, so whichever end reads first, both frames
+        cross on one thread and equal their loopback bytes."""
+        down, up, want = wide_frames
+
+        def exchange(server_ep, node_ep, ledger):
+            server_ep.send(down)
+            node_ep.send(up)
+            assert server_ep.channel._queue and node_ep.channel._queue
+            if server_reads_first:
+                got_up = server_ep.channel.recv_bytes()
+                got_down = node_ep.channel.recv_bytes()
+            else:
+                got_down = node_ep.channel.recv_bytes()
+                got_up = server_ep.channel.recv_bytes()
+            assert (got_down, got_up) == want
+
+        self._run_pair(exchange, timeout=5.0)
 
     def test_silent_peer_times_out(self, ref):
         """A read with nothing queued on its link waits out the timeout, then fails."""

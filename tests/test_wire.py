@@ -25,9 +25,10 @@ from mpfl.wire import (
     pack_mask,
     pack_params,
     packed_params_size,
+    packed_view,
     savings_ratio,
+    scatter_params,
     unpack_mask,
-    unpack_params,
     vgg16_dense_bits,
     vgg16_mask_bits,
 )
@@ -95,7 +96,7 @@ class TestParamsPacking:
         buf = bytearray(packed_params_size(mask))
         pack_params(model, mask, buf)
         back = make_model(arch, seed=6)
-        unpack_params(buf, mask, back)
+        scatter_params(packed_view(buf, mask), mask, back)
         assert same_params(back, model)
 
     def test_decode_overwrites_garbage(self, rng):
@@ -106,12 +107,12 @@ class TestParamsPacking:
         pack_params(make_model(arch, seed=5), mask, buf)
         fresh = ModelParams(arch, [np.zeros(s) for s in arch.shapes],
                             [np.zeros(n) for n in arch.groups])
-        unpack_params(buf, mask, fresh)
+        scatter_params(packed_view(buf, mask), mask, fresh)
         reused = make_model(arch, seed=7)
         for w, b in zip(reused.weights, reused.biases):
             w += 1e30
             b[...] = np.nan
-        unpack_params(buf, mask, reused)
+        scatter_params(packed_view(buf, mask), mask, reused)
         assert [a.tobytes() for a in reused.weights + reused.biases] == [
             a.tobytes() for a in fresh.weights + fresh.biases
         ]
@@ -126,7 +127,7 @@ class TestParamsPacking:
         arch = make_arch(2, 4)
         mask = PruneMask.ones(arch)
         with pytest.raises(ProtocolError):
-            unpack_params(b"\x00" * 7, mask, make_model(arch))
+            scatter_params(packed_view(b"\x00" * 7, mask), mask, make_model(arch))
 
     def test_pruned_groups_decode_to_zero(self, rng):
         arch = make_arch(3, 6)
@@ -137,7 +138,7 @@ class TestParamsPacking:
         buf = bytearray(packed_params_size(mask))
         pack_params(apply_mask(model, mask), mask, buf)
         back = make_model(arch, seed=7)
-        unpack_params(buf, mask, back)
+        scatter_params(packed_view(buf, mask), mask, back)
         dead = ~mask.layers[0]
         np.testing.assert_array_equal(back.weights[0][dead], 0.0)
 
