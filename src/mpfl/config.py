@@ -16,6 +16,7 @@ from typing import Any, get_args, get_origin
 
 import yaml
 
+from .data import held_out_rows
 from .errors import ConfigError
 from .model import ArchSpec
 from .pruning import _min_keep_per_layer
@@ -149,9 +150,15 @@ class ExperimentConfig:
                  f"must be in [0, 65535], got {self.transport.port}")
         _require(self.dataset.kind in ("blobs", "csv", "idx"), "dataset.kind",
                  f"must be 'blobs', 'csv' or 'idx', got {self.dataset.kind!r}")
+        _require(0.0 < self.dataset.test_fraction < 1.0, "dataset.test_fraction",
+                 "must be in (0, 1)")
         if self.dataset.kind == "blobs":
-            _require(self.dataset.samples >= self.nodes, "dataset.samples",
-                     "need at least one sample per node")
+            samples, classes = self.dataset.samples, self.dataset.classes
+            _require(samples >= classes, "dataset.samples",
+                     f"need at least one sample per class, got {samples} for {classes} classes")
+            train = samples - held_out_rows(samples, self.dataset.test_fraction)
+            _require(train >= self.nodes, "dataset.samples",
+                     f"the test split leaves {train} training samples for {self.nodes} nodes")
             _require(0 <= self.dataset.cluster_std < math.inf, "dataset.cluster_std",
                      f"must be >= 0 and finite, got {self.dataset.cluster_std}")
             _require(self.dataset.features == self.arch.input_dim, "dataset.features",
@@ -160,8 +167,6 @@ class ExperimentConfig:
             _require(self.dataset.classes == self.arch.classes, "dataset.classes",
                      f"dataset has {self.dataset.classes} classes, "
                      f"architecture expects {self.arch.classes}")
-        _require(0.0 < self.dataset.test_fraction < 1.0, "dataset.test_fraction",
-                 "must be in (0, 1)")
         _require(self.dataset.raw_feature_bits >= 1, "dataset.raw_feature_bits",
                  "must be >= 1")
         seen = set()

@@ -193,6 +193,11 @@ def contaminate_labels(y: np.ndarray, num_classes: int, rng: np.random.Generator
     return random_derangement(num_classes, rng)[y]
 
 
+def held_out_rows(samples: int, test_fraction: float) -> int:
+    """How many of ``samples`` rows ``train_test_split`` keeps for testing."""
+    return max(1, int(round(test_fraction * samples)))
+
+
 def train_test_split(
     ds: Dataset, test_fraction: float, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
@@ -200,7 +205,7 @@ def train_test_split(
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test fraction must be in (0, 1), got {test_fraction}")
     perm = rng.permutation(len(ds))
-    n_test = max(1, int(round(test_fraction * len(ds))))
+    n_test = held_out_rows(len(ds), test_fraction)
     test, train = perm[:n_test], perm[n_test:]
     if train.size == 0:
         raise ConfigError("test fraction leaves no training data")

@@ -35,6 +35,7 @@ import io
 import itertools
 import logging
 import struct
+import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -307,25 +308,23 @@ def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
     scalars, which are finite exactly when the decoded model is, to a float64
     sum of packed length; the mean is scattered into a model once.  These are
     the adds of decoding each upload and summing the models, in the same order,
-    so the bits match, and each pruned group is +0.0 as a decoded one is."""
-    bad: list[int] = []
-
+    so the bits match, and each pruned group is +0.0 as a decoded one is.  A
+    non-finite upload is logged and added to ``rejected`` as the stream meets
+    it."""
     def finite() -> Iterator[list[np.ndarray]]:
         for node_id, payload in uploads:
             flat = packed_view(payload, rnd.mask)
             if np.isfinite(flat).all():
                 yield [flat]
             else:
-                bad.append(node_id)
+                log.warning("round %d: node %d's upload is not finite, left out", rnd.idx, node_id)
+                rejected.append((rnd.idx, node_id))
 
     stream = finite()
     first = next(stream, None)
     if first is None:
         raise ConstraintError(f"round {rnd.idx}: no node has a finite model to average")
     (mean,) = fedavg(itertools.chain([first], stream))
-    for node_id in bad:
-        log.warning("round %d: node %d's upload is not finite, left out", rnd.idx, node_id)
-        rejected.append((rnd.idx, node_id))
     arch = rnd.mask.arch
     avg = ModelParams(arch, [np.zeros(s) for s in arch.shapes], [np.zeros(n) for n in arch.groups])
     scatter_params(mean, rnd.mask, avg)
@@ -499,33 +498,24 @@ _RUNNERS = {
 def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The loaded OpenBLAS's own thread-count getter and setter, or None.
 
-    The library is found among the files mapped into this process, so nothing
-    new is loaded.  numpy's wheel exports ``scipy_openblas_*_num_threads64_``;
-    plain builds export ``openblas_*_num_threads``.  None on another BLAS or
-    an OS without ``/proc/self/maps``.
+    The symbols are looked up through numpy's already-loaded extension
+    module, whose symbol scope includes the BLAS it links, so nothing new is
+    loaded.  numpy's wheel exports ``scipy_openblas_*_num_threads64_``; plain
+    builds export ``openblas_*_num_threads``.  None on another BLAS.
     """
-    paths = set()
-    try:
-        with open("/proc/self/maps") as maps:
-            for line in maps:
-                fields = line.split(maxsplit=5)
-                if len(fields) == 6 and "openblas" in Path(fields[5].strip()).name:
-                    paths.add(fields[5].strip())
-    except OSError:
+    umath = (sys.modules.get("numpy._core._multiarray_umath")  # numpy 2
+             or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
+    if umath is None:
         return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", "", "_64"):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+    lib = ctypes.CDLL(umath.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", "", "_64"):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 

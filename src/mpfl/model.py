@@ -166,7 +166,8 @@ class PruneMask:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PruneMask):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
+        return self.arch == other.arch and all(
+            np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
 
 
 @dataclass

@@ -18,7 +18,7 @@ not payload, and is never booked.
 
 from __future__ import annotations
 
-import select
+import selectors
 import socket
 import struct
 from collections import deque
@@ -66,6 +66,9 @@ class _SocketChannel:
         self.sock = sock
         self.sock.setblocking(False)
         self.timeout = timeout
+        # a selector, unlike select(), waits on descriptors of 1024 and above
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(sock, selectors.EVENT_READ)
         self.peer: _SocketChannel | None = None
         self._queue: deque[memoryview] = deque()
 
@@ -91,7 +94,7 @@ class _SocketChannel:
     def _wait(self) -> None:
         if self.peer is not None:
             self.peer._flush()
-        if not select.select([self.sock], [], [], self.timeout)[0]:
+        if not self._selector.select(self.timeout):
             raise TransportError("tcp recv timed out")
 
     def read_into(self, view: memoryview) -> None:
@@ -112,6 +115,7 @@ class _SocketChannel:
         return WireCodec.read_frame(self.read_into)
 
     def close(self) -> None:
+        self._selector.close()
         try:
             self.sock.close()
         except OSError:

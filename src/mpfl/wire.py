@@ -110,7 +110,6 @@ def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
 # --- weight packing ---------------------------------------------------------
 
 _WIRE_DTYPE = np.dtype("<f4")
-_PACK_BLOCK = 256  # live rows gathered per step when encoding
 
 
 def _live_rows(flat: np.ndarray, params: ModelParams, mask: PruneMask):
@@ -134,10 +133,7 @@ def pack_params(params: ModelParams, mask: PruneMask, out) -> None:
     if flat.nbytes != packed_params_size(mask):
         raise LayoutError("buffer size does not match the live groups")
     for w, b, _, live, rows in _live_rows(flat, params, mask):
-        # gathered a block at a time, so the float64 temporary stays small
-        for start in range(0, live.size, _PACK_BLOCK):
-            block = live[start : start + _PACK_BLOCK]
-            rows[start : start + block.size, :-1] = w[block]
+        rows[:, :-1] = w[live]
         rows[:, -1] = b[live]
 
 

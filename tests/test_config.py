@@ -169,6 +169,24 @@ class TestValidation:
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: arch.classes: ")
 
+    @pytest.mark.parametrize("nodes, samples, classes, match", [
+        (10, 10, 3, "the test split leaves 8 training samples for 10 nodes"),
+        (1, 5, 10, "need at least one sample per class, got 5 for 10 classes"),
+    ], ids=["split_leaves_too_few", "fewer_than_classes"])
+    def test_blobs_too_small_names_dataset_samples(self, tmp_path, capsys, nodes, samples,
+                                                  classes, match):
+        """Both configs used to pass validation and fail in the data layer
+        without naming a key."""
+        raw = minimal_raw(nodes=nodes)
+        raw["dataset"]["samples"] = samples
+        raw["arch"]["classes"] = raw["dataset"]["classes"] = classes
+        with pytest.raises(ConfigError, match=f"^dataset\\.samples: {match}$"):
+            config_from_dict(raw)
+        cfg_path = tmp_path / "small.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: dataset.samples: ")
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

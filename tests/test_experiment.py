@@ -553,6 +553,17 @@ class TestBlasThreads:
         yield get
         set_(before)
 
+    def test_found_when_numpy_links_openblas(self):
+        """The tests here skip without a setter, so a lookup that stopped
+        finding one would pass them while every GEMM spread over all cores."""
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:
+            pytest.skip("numpy before 1.26 reports no build config as dicts")
+        if "openblas" not in blas.get("name", "").lower():
+            pytest.skip(f"numpy links {blas.get('name')!r}, not OpenBLAS")
+        assert experiment._blas_threads() is not None
+
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_node_steps_see_one_thread(self, monkeypatch, blas_threads, transport):
         seen = []

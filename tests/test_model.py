@@ -97,6 +97,11 @@ class TestPruneMask:
         dropped.layers[1][0] = False
         assert PruneMask.ones(tiny_arch) != dropped
 
+    @pytest.mark.parametrize("dims", [[4, 2], [3, 2, 5]], ids=["other_input", "longer"])
+    def test_masks_of_other_archs_differ(self, dims):
+        """Equal bits in every shared layer do not make masks of two layouts equal."""
+        assert PruneMask.ones(ArchSpec.mlp([3, 2])) != PruneMask.ones(ArchSpec.mlp(dims))
+
     def test_layer_length_validated(self, tiny_arch):
         with pytest.raises(LayoutError):
             PruneMask(arch=tiny_arch, layers=[np.ones(7, dtype=bool), np.ones(3, dtype=bool)])

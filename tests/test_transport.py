@@ -1,5 +1,6 @@
 """Loopback and TCP endpoints must move identical bytes and book them once."""
 
+import os
 import struct
 import threading
 import time
@@ -216,6 +217,43 @@ class TestTcp:
             assert 0.3 <= time.perf_counter() - t0 < 3.0
 
         self._run_pair(exchange, timeout=0.3)
+
+    @pytest.fixture
+    def high_fds(self):
+        """Hold ``/dev/null`` open until new descriptors are above 1024,
+        beyond what ``select()`` can wait on; closed afterwards."""
+        resource = pytest.importorskip("resource")
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft != resource.RLIM_INFINITY and soft < 1200:
+            pytest.skip(f"RLIMIT_NOFILE {soft} leaves no room above 1024")
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while held[-1] < 1024:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            yield
+        finally:
+            for fd in held:
+                os.close(fd)
+
+    def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds):
+        def exchange(server_ep, node_ep, ledger):
+            assert server_ep.channel.sock.fileno() > 1024
+            with pytest.raises(TransportError, match="tcp recv timed out"):
+                server_ep.recv(make_model(ref.arch), ref)
+
+        self._run_pair(exchange, timeout=0.3)
+
+    def test_multi_mib_frames_cross_above_fd_1024(self, wide_frames, high_fds):
+        down, up, want = wide_frames
+
+        def exchange(server_ep, node_ep, ledger):
+            assert node_ep.channel.sock.fileno() > 1024
+            server_ep.send(down)
+            got_down = node_ep.channel.recv_bytes()
+            node_ep.send(up)
+            assert (got_down, server_ep.channel.recv_bytes()) == want
+
+        self._run_pair(exchange)
 
     def test_connect_refused(self):
         ledger = BandwidthLedger()

@@ -144,10 +144,10 @@ class TestParamsPacking:
 
 
     @pytest.mark.parametrize("live", ["1209_of_2048", "none_in_a_layer", "all"])
-    def test_blockwise_gather_matches_plain_gather(self, live):
-        """The encoder gathers live rows in blocks; the bytes equal a plain
-        ``w[live]`` gather, with a live count off the block size, a layer with
-        no live group, and every group live."""
+    def test_packed_bytes_match_hstack_reference(self, live):
+        """The encoded bytes equal each layer's live rows and biases stacked
+        by ``np.hstack`` and cast to float32, with some groups live, a layer
+        with no live group, and every group live."""
         arch = make_arch(64, 2048, 10)
         model = make_model(arch, seed=3)
         rng = np.random.default_rng(8)
