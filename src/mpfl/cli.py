@@ -79,10 +79,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"total {s['total']} bits (mask {s['mask']}, weights {s['weights']}, "
         f"data {s['data']})"
     )
-    if result.flagged_nodes:
-        print(f"flagged nodes (training diverged): {result.flagged_nodes}")
-    if result.rejected_uploads:
-        print(f"rejected uploads (round, node; non-finite): {result.rejected_uploads}")
+    for cause in ("diverged", "non_finite"):
+        if hits := [(r, node) for r, node, c in result.node_events if c == cause]:
+            print(f"{cause} (round, node): {hits}")
     return 0
 
 

@@ -103,8 +103,6 @@ class ContaminationSpec:
 @dataclass
 class TransportConfig:
     kind: str = "loopback"  # loopback | tcp
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 lets the OS pick
 
 
 @dataclass
@@ -146,8 +144,6 @@ class ExperimentConfig:
                  "must be in (0, 1]")
         _require(self.transport.kind in ("loopback", "tcp"), "transport.kind",
                  f"must be 'loopback' or 'tcp', got {self.transport.kind!r}")
-        _require(0 <= self.transport.port <= 65535, "transport.port",
-                 f"must be in [0, 65535], got {self.transport.port}")
         _require(self.dataset.kind in ("blobs", "csv", "idx"), "dataset.kind",
                  f"must be 'blobs', 'csv' or 'idx', got {self.dataset.kind!r}")
         _require(0.0 < self.dataset.test_fraction < 1.0, "dataset.test_fraction",

@@ -108,13 +108,17 @@ class RunResult:
     final_mask: PruneMask
     mask_history: list[PruneMask] = field(default_factory=list)
     budget_history: list[list[int]] = field(default_factory=list)
-    flagged_nodes: list[int] = field(default_factory=list)
-    # (round, node) of each non-finite weight upload left out of a FedAvg
-    rejected_uploads: list[tuple[int, int]] = field(default_factory=list)
+    # (round, node, cause) by round, then node; cause "diverged" or "non_finite"
+    node_events: list[tuple[int, int, str]] = field(default_factory=list)
 
     @property
     def final_accuracy(self) -> float:
         return self.rows[-1].test_accuracy
+
+    @property
+    def flagged_nodes(self) -> list[int]:
+        """The nodes that diverged in a vote round, sorted, from ``node_events``."""
+        return sorted({node for _, node, cause in self.node_events if cause == "diverged"})
 
 
 @dataclass
@@ -252,7 +256,7 @@ def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], rnd: _Round,
             server.send(frame)
             _node_exchange(node, ep, rnd)
             if rnd.step is not None:
-                yield node.node_id, _routed(server.recv_frame(), node.node_id, rnd)
+                yield node.node_id, _routed(server.recv_frame(rnd.mask), node.node_id, rnd)
         except TransportError as e:
             raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
 
@@ -270,7 +274,7 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
     with ExitStack() as stack:
         pair = loopback_pair
         if cfg.transport.kind == "tcp":
-            listener = TcpServer(cfg.transport.host, cfg.transport.port)
+            listener = TcpServer()
             stack.callback(listener.close)
             pair = functools.partial(tcp_pair, listener)
         links = []
@@ -301,7 +305,7 @@ def _rows(cfg: ExperimentConfig, points: list[tuple[int, float, float]],
 
 
 def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
-                     rejected: list[tuple[int, int]]) -> ModelParams:
+                     events: list[tuple[int, int, str]]) -> ModelParams:
     """FedAvg of the round's finite weight uploads, summed in their wire layout.
 
     Each payload is checked against ``rnd.mask`` and added as its float32
@@ -309,7 +313,7 @@ def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
     sum of packed length; the mean is scattered into a model once.  These are
     the adds of decoding each upload and summing the models, in the same order,
     so the bits match, and each pruned group is +0.0 as a decoded one is.  A
-    non-finite upload is logged and added to ``rejected`` as the stream meets
+    non-finite upload is logged and recorded in ``events`` as the stream meets
     it."""
     def finite() -> Iterator[list[np.ndarray]]:
         for node_id, payload in uploads:
@@ -318,7 +322,7 @@ def _average_uploads(uploads: Iterable[tuple[int, memoryview]], rnd: _Round,
                 yield [flat]
             else:
                 log.warning("round %d: node %d's upload is not finite, left out", rnd.idx, node_id)
-                rejected.append((rnd.idx, node_id))
+                events.append((rnd.idx, node_id, "non_finite"))
 
     stream = finite()
     first = next(stream, None)
@@ -343,7 +347,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     points: list[tuple[int, float, float]] = []
     target = sum(schedule)
     mask_history: list[PruneMask] = []
-    rejected: list[tuple[int, int]] = []
+    events: list[tuple[int, int, str]] = []
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
     ref = mask = PruneMask.ones(env.w0.arch)
     idx = 1
@@ -353,10 +357,12 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
             votes = [unpack_mask(payload, mask.arch) for _, payload in exchange(rnd)]
             new_mask = ps.reduce(votes, mask, rnd.increment)
-            # every node has finished its step, so the local models are
-            # stable: evaluate the would-be aggregate of the finite ones for
-            # reporting only
-            finite = [n.model for n in nodes if n.model.is_finite()]
+            # every node has finished its step, so the local models are stable:
+            # the would-be aggregate of the finite ones is evaluated for
+            # reporting only, and a node whose model is not finite diverged
+            diverged = [n.node_id for n in nodes if not n.model.is_finite()]
+            events += [(idx, node, "diverged") for node in diverged]
+            finite = [n.model for n in nodes if n.node_id not in diverged]
             if not finite:
                 raise ConstraintError(f"round {idx}: no node has a finite model to average")
             probe = apply_mask(fedavg(finite), new_mask)
@@ -369,7 +375,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         for idx in range(idx, idx + cfg.final_rounds + 1):
             rnd = _Round(idx, down, ref, mask, step)
             # the uploads carry the groups live in ``mask``; the average is zero in the others
-            avg = _average_uploads(exchange(rnd), rnd, rejected)
+            avg = _average_uploads(exchange(rnd), rnd, events)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
             down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
     return RunResult(
@@ -380,8 +386,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         mask,
         mask_history=mask_history,
         budget_history=list(ps.budget_history),
-        flagged_nodes=[n.node_id for n in nodes if n.flagged],
-        rejected_uploads=rejected,
+        node_events=events,
     )
 
 
@@ -391,7 +396,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     nodes = _make_nodes(cfg, env)
     points: list[tuple[int, float, float]] = []
     mask_history: list[PruneMask] = []
-    rejected: list[tuple[int, int]] = []
+    events: list[tuple[int, int, str]] = []
     # pruning rounds, then fine-tuning rounds with no increment (at least one round)
     increments = list(cfg.pruning.schedule) + [0.0] * cfg.final_rounds
     down = Message(MsgType.INIT_WEIGHTS, 0, params=env.w0)
@@ -399,7 +404,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with _sessions(cfg, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
             rnd = _Round(idx, down, ref, mask, _train)
-            avg = _average_uploads(exchange(rnd), rnd, rejected)
+            avg = _average_uploads(exchange(rnd), rnd, events)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
             if inc > 0.0:
@@ -421,7 +426,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
         avg,
         mask,
         mask_history=mask_history,
-        rejected_uploads=rejected,
+        node_events=events,
     )
 
 

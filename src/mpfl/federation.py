@@ -169,7 +169,7 @@ class Node:
     """One training participant: a data shard plus a model it owns.
 
     The node decodes every weight broadcast into its model's arrays and trains
-    them in place.
+    them in place.  The run, not the node, records how it behaved.
     """
 
     node_id: int
@@ -179,7 +179,6 @@ class Node:
     rng: np.random.Generator
     training: TrainingConfig
     pruning: PruningConfig
-    flagged: bool = False
 
     def train(self, mask: PruneMask) -> float:
         """Masked local SGD on the shard, in place; returns the last batch loss."""
@@ -190,12 +189,11 @@ class Node:
     def local_round(self, global_mask: PruneMask, increment: float) -> PruneMask:
         """Train under the current global mask, then vote with a local mask.
 
-        A node whose training diverges (non-finite loss) is flagged and votes
-        to keep the previous mask unchanged.
+        A node whose training diverges (non-finite loss) logs it and votes to
+        keep the previous mask unchanged; the run records it from its model.
         """
         loss = self.train(global_mask)
         if not np.isfinite(loss) or not self.model.is_finite():
-            self.flagged = True
             log.warning("node %d: non-finite loss, submitting previous mask", self.node_id)
             return global_mask.copy()
         return compute_mask(weight_scores(self.model, self.pruning.p), increment, global_mask,

@@ -46,7 +46,8 @@ class _LoopbackChannel:
     def send_bytes(self, frame: bytes) -> None:
         self._outbox.append(frame)
 
-    def recv_bytes(self) -> bytes:
+    def recv_bytes(self, ref_mask: PruneMask) -> bytes:
+        """The next frame, whole; its layout is checked when it is split or decoded."""
         if not self._inbox:
             raise TransportError("loopback recv on an empty channel")
         return self._inbox.popleft()
@@ -111,8 +112,8 @@ class _SocketChannel:
                 raise TransportError("connection closed mid-frame")
             view = view[n:]
 
-    def recv_bytes(self) -> bytearray:
-        return WireCodec.read_frame(self.read_into)
+    def recv_bytes(self, ref_mask: PruneMask) -> bytearray:
+        return WireCodec.read_frame(self.read_into, ref_mask)
 
     def close(self) -> None:
         self._selector.close()
@@ -146,11 +147,12 @@ class Endpoint:
 
     def recv(self, into: ModelParams, ref_mask: PruneMask) -> Message:
         """The next message, laid out by ``ref_mask``; a weight frame is decoded into ``into``."""
-        return WireCodec.decode(self.channel.recv_bytes(), into, ref_mask)
+        return WireCodec.decode(self.channel.recv_bytes(ref_mask), into, ref_mask)
 
-    def recv_frame(self) -> tuple[MsgType, int, int | None, memoryview]:
-        """The next frame, split but not decoded: (type, round, node_id, payload view)."""
-        return WireCodec.split_frame(self.channel.recv_bytes())
+    def recv_frame(self, ref_mask: PruneMask) -> tuple[MsgType, int, int | None, memoryview]:
+        """The next frame, laid out by ``ref_mask``, split but not decoded:
+        (type, round, node_id, payload view)."""
+        return WireCodec.split_frame(self.channel.recv_bytes(ref_mask))
 
     def close(self) -> None:
         close = getattr(self.channel, "close", None)
@@ -168,14 +170,18 @@ def loopback_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endp
 
 
 class TcpServer:
-    """Accepts node sessions; each session identifies itself with a preamble."""
+    """Accepts node sessions; each session identifies itself with a preamble.
 
-    def __init__(self, host: str, port: int, timeout: float = _DEFAULT_TIMEOUT):
+    Both ends of every link live in the run's process, so the listener binds
+    127.0.0.1 on a port the OS picks: no other host reaches it.
+    """
+
+    def __init__(self, timeout: float = _DEFAULT_TIMEOUT):
         self.timeout = timeout
         try:
-            self._listener = socket.create_server((host, port))
-        except (OSError, OverflowError) as e:
-            raise TransportError(f"listen on {host}:{port} failed: {e}") from e
+            self._listener = socket.create_server(("127.0.0.1", 0))
+        except OSError as e:
+            raise TransportError(f"listen on 127.0.0.1 failed: {e}") from e
         self._listener.settimeout(timeout)
 
     @property

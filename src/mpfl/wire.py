@@ -36,7 +36,6 @@ MAGIC = b"MPFL"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBII")
 _NODE_ID = struct.Struct("<I")
-MAX_PAYLOAD = 1 << 30  # anything larger is a corrupt or hostile frame
 
 
 class MsgType(IntEnum):
@@ -86,10 +85,14 @@ def pack_mask(mask: PruneMask) -> bytes:
     return b"".join(parts)
 
 
+def _packed_mask_size(arch: ArchSpec) -> int:
+    return sum((n + 7) // 8 for n in arch.groups)
+
+
 def unpack_mask(buf: bytes, arch: ArchSpec) -> PruneMask:
     """Per-layer keep bits, byte-aligned per layer; the padding bits must be
     zero, otherwise the payload was corrupted."""
-    expected = sum((n + 7) // 8 for n in arch.groups)
+    expected = _packed_mask_size(arch)
     if len(buf) != expected:
         raise ProtocolError(
             f"mask payload is {len(buf)} bytes, layout needs {expected}",
@@ -230,13 +233,20 @@ class WireCodec:
         return mtype, round_idx, node_id, payload
 
     @staticmethod
-    def read_frame(read_into) -> bytearray:
-        """Reassemble one frame from a ``read_into(view)`` callable that fills
-        ``view``.  The header is checked before the body is read, so a bad one
-        fails at once instead of waiting for a body that never comes."""
+    def read_frame(read_into, ref_mask: PruneMask) -> bytearray:
+        """Reassemble one frame laid out by ``ref_mask`` from a ``read_into(view)``
+        callable that fills ``view``.  The header, its payload length against
+        the layout's size included, is checked before anything is allocated
+        for the body, so a bad one fails at once instead of waiting for a body
+        that never comes."""
         head = bytearray(_HEADER.size)
         read_into(memoryview(head))
         mtype, _, length = _check_header(head)
+        expected = (_packed_mask_size(ref_mask.arch) if mtype in _MASK_TYPES
+                    else packed_params_size(ref_mask))
+        if length != expected:
+            raise ProtocolError(f"header says {length} payload bytes, layout needs {expected}",
+                                offset=10)
         frame = bytearray(header_overhead_bytes(mtype) + length)
         frame[: _HEADER.size] = head
         read_into(memoryview(frame)[_HEADER.size :])
@@ -254,8 +264,6 @@ def _check_header(frame) -> tuple[MsgType, int, int]:
         mtype = MsgType(tag)
     except ValueError:
         raise ProtocolError(f"unknown message type {tag}", offset=5) from None
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {length} exceeds cap", offset=10)
     return mtype, round_idx, length
 
 

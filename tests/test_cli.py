@@ -1,7 +1,6 @@
 """Command line interface: exit codes, outputs, and the bits calculator."""
 
 import json
-import socket
 
 import pytest
 import yaml
@@ -69,7 +68,6 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, key", [("pruning.min_keep.1=9", "pruning.min_keep"),
-                                               ("transport.port=70000", "transport.port"),
                                                ("seed=-1", "seed")])
     def test_out_of_range_setting_exits_2_before_running(self, config_file, tmp_path, capsys,
                                                         override, key):
@@ -77,6 +75,31 @@ class TestRunCommand:
         assert main(["run", "-c", str(config_file), "-o", str(out), "--set", override]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("host", "0.0.0.0"), ("port", 5000)])
+    def test_removed_transport_key_exits_2(self, config_file, tmp_path, capsys, key, value):
+        """The TCP listener always binds 127.0.0.1 on a port the OS picks, so a
+        config that still sets ``transport.host`` or ``transport.port`` is
+        refused by name."""
+        raw = yaml.safe_load(config_file.read_text())
+        raw["transport"] = {"kind": "tcp", key: value}
+        config_file.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(config_file), "-o", str(out)]) == 2
+        assert f"config error: transport.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prints_the_node_record_by_cause(self, config_file, tmp_path, capsys):
+        """Node 0's features carry noise of sigma 1e300: it diverges in both
+        vote rounds, and FedAvg leaves out its sync and fine-tuning uploads."""
+        raw = yaml.safe_load(config_file.read_text())
+        raw["contamination"] = [{"node": 0, "kind": "noise", "sigma": 1e300}]
+        config_file.write_text(yaml.safe_dump(raw))
+        assert main(["run", "-c", str(config_file), "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "diverged (round, node): [(1, 0), (2, 0)]",
+            "non_finite (round, node): [(3, 0), (4, 0)]",
+        ]
 
     def test_unwritable_output_exits_1(self, config_file, tmp_path, capsys, monkeypatch):
         """An -o that is an existing file fails before any training."""
@@ -158,14 +181,6 @@ class TestCompareCommand:
         assert "FAILED" in capsys.readouterr().err
         # the good run still produced its files
         assert (out / "mpfl_metrics.csv").exists()
-
-    def test_port_in_use_fails_the_run(self, config_file, tmp_path, capsys):
-        with socket.create_server(("127.0.0.1", 0)) as held:
-            port = held.getsockname()[1]
-            code = main(["compare", "-c", str(config_file), "-o", str(tmp_path / "cmp"),
-                         "--set", "transport.kind=tcp", "--set", f"transport.port={port}"])
-        assert code == 1
-        assert f"FAILED mpfl: listen on 127.0.0.1:{port} failed" in capsys.readouterr().err
 
     def test_pruning_fl_without_rounds_exits_2(self, config_file, tmp_path, capsys):
         code = main(["compare", "-c", str(config_file), "-o", str(tmp_path / "cmp"),

@@ -122,11 +122,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"pruning\.min_keep: min_keep\[1\]=9 outside \[0, 3\]"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("port", [-1, 65536, 70000])
-    def test_port_outside_the_tcp_range(self, port):
-        with pytest.raises(ConfigError, match="transport.port"):
-            config_from_dict(minimal_raw(transport={"kind": "tcp", "port": port}))
-
     @pytest.mark.parametrize("key", ["seed", "dataset.cluster_std"])
     def test_negative_seed_or_cluster_std(self, key):
         """numpy would reject either later, with a bare ValueError."""

@@ -285,8 +285,8 @@ class TestNodeFailure:
             if node.node_id != 2:
                 exchange(node, ep, rnd)
 
-        def short_timeout(self, host, port):
-            listen(self, host, port, timeout=0.5)
+        def short_timeout(self):
+            listen(self, timeout=0.5)
 
         monkeypatch.setattr(experiment, "_node_exchange", silent_exchange)
         monkeypatch.setattr(TcpServer, "__init__", short_timeout)
@@ -601,8 +601,9 @@ class TestContaminationRuns:
 
 
 class TestNonFiniteUploads:
-    """Node 0's features carry noise of sigma 1e300, so every upload it trains
-    before sending is non-finite; FedAvg leaves each one out."""
+    """Node 0's features carry noise of sigma 1e300, so it diverges in every
+    vote round and every upload it trains before sending is non-finite;
+    FedAvg leaves each one out."""
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize(
@@ -616,7 +617,10 @@ class TestNonFiniteUploads:
                         contamination=[{"node": 0, "kind": "noise", "sigma": 1e300}])
         res = run(config_from_dict(raw))
         assert res.final_model.is_finite()
-        assert res.rejected_uploads == [(r, 0) for r in trained_rounds]
+        diverged_rounds = [1, 2] if algorithm == "mpfl" else []  # the vote rounds
+        assert res.node_events == ([(r, 0, "diverged") for r in diverged_rounds]
+                                   + [(r, 0, "non_finite") for r in trained_rounds])
+        assert res.flagged_nodes == ([0] if diverged_rounds else [])
 
     # mpfl: the vote-round probe averages the nodes' own models, none finite
     @pytest.mark.parametrize("algorithm, round_idx",

@@ -1,9 +1,11 @@
 """Loopback and TCP endpoints must move identical bytes and book them once."""
 
 import os
+import re
 import struct
 import threading
 import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ class TestTcp:
     def _run_pair(self, exchange, timeout=30.0):
         """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this thread."""
         ledger = BandwidthLedger()
-        srv = TcpServer("127.0.0.1", 0, timeout=timeout)
+        srv = TcpServer(timeout=timeout)
         try:
             server_ep, node_ep = tcp_pair(srv, 7, ledger)
             try:
@@ -98,13 +100,13 @@ class TestTcp:
         lo_ledger = BandwidthLedger()
         lo_server, lo_node = loopback_pair(7, lo_ledger)
         lo_node.send(WireCodec.encode(msg, ref))
-        lo_frame = lo_server.channel.recv_bytes()
+        lo_frame = lo_server.channel.recv_bytes(ref)
 
         frames = {}
 
         def exchange(server_ep, node_ep, ledger):
             node_ep.send(WireCodec.encode(msg, ref))
-            frames["tcp"] = server_ep.channel.recv_bytes()
+            frames["tcp"] = server_ep.channel.recv_bytes(ref)
             got = WireCodec.decode(frames["tcp"], make_model(ref.arch), ref)
             assert got.mask == mask
 
@@ -151,9 +153,9 @@ class TestTcp:
 
     @pytest.fixture
     def wide_frames(self, monkeypatch):
-        """(down, up, their loopback bytes): a 64-16384-10 weight frame each
-        way, 4.9 MB, more than a loopback socket takes in one send.  Starting
-        a thread fails the test."""
+        """(down, up, their loopback bytes, their layout): a 64-16384-10 weight
+        frame each way, 4.9 MB, more than a loopback socket takes in one send.
+        Starting a thread fails the test."""
 
         def refuse(self):
             raise AssertionError("started a thread")
@@ -168,19 +170,19 @@ class TestTcp:
         lo_server, lo_node = loopback_pair(7, BandwidthLedger())
         lo_server.send(down)
         lo_node.send(up)
-        return down, up, (lo_node.channel.recv_bytes(), lo_server.channel.recv_bytes())
+        return down, up, (lo_node.channel.recv_bytes(ref), lo_server.channel.recv_bytes(ref)), ref
 
     def test_multi_mib_frames_cross_on_one_thread(self, wide_frames):
         """A wide frame goes down and back up one link with no thread: each
         read writes the bytes its peer queued.  Both frames equal their
         loopback bytes."""
-        down, up, want = wide_frames
+        down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             server_ep.send(down)
-            got_down = node_ep.channel.recv_bytes()
+            got_down = node_ep.channel.recv_bytes(ref)
             node_ep.send(up)
-            got_up = server_ep.channel.recv_bytes()
+            got_up = server_ep.channel.recv_bytes(ref)
             assert (got_down, got_up) == want
             assert ledger.total_bits() == 8 * (len(down) + len(up) - 14 - 18)
 
@@ -191,18 +193,18 @@ class TestTcp:
         """Both ends queue a wide frame before either reads: a read writes
         only its peer's queue, so whichever end reads first, both frames
         cross on one thread and equal their loopback bytes."""
-        down, up, want = wide_frames
+        down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             server_ep.send(down)
             node_ep.send(up)
             assert server_ep.channel._queue and node_ep.channel._queue
             if server_reads_first:
-                got_up = server_ep.channel.recv_bytes()
-                got_down = node_ep.channel.recv_bytes()
+                got_up = server_ep.channel.recv_bytes(ref)
+                got_down = node_ep.channel.recv_bytes(ref)
             else:
-                got_down = node_ep.channel.recv_bytes()
-                got_up = server_ep.channel.recv_bytes()
+                got_down = node_ep.channel.recv_bytes(ref)
+                got_up = server_ep.channel.recv_bytes(ref)
             assert (got_down, got_up) == want
 
         self._run_pair(exchange, timeout=5.0)
@@ -244,14 +246,14 @@ class TestTcp:
         self._run_pair(exchange, timeout=0.3)
 
     def test_multi_mib_frames_cross_above_fd_1024(self, wide_frames, high_fds):
-        down, up, want = wide_frames
+        down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             assert node_ep.channel.sock.fileno() > 1024
             server_ep.send(down)
-            got_down = node_ep.channel.recv_bytes()
+            got_down = node_ep.channel.recv_bytes(ref)
             node_ep.send(up)
-            assert (got_down, server_ep.channel.recv_bytes()) == want
+            assert (got_down, server_ep.channel.recv_bytes(ref)) == want
 
         self._run_pair(exchange)
 
@@ -261,11 +263,38 @@ class TestTcp:
             tcp_connect("127.0.0.1", 1, 0, ledger, timeout=0.5)
 
 
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_length_the_layout_disagrees_with_fails_at_once(ref, kind):
+    """A weight upload whose header claims 4 bytes more than its layout fails
+    the read with a ProtocolError naming both lengths, on either transport: a
+    TCP read does not wait out its timeout for bytes that never come."""
+    ledger = BandwidthLedger()
+    with ExitStack() as stack:
+        if kind == "tcp":
+            srv = TcpServer(timeout=3.0)
+            stack.callback(srv.close)
+            server, node = tcp_pair(srv, 7, ledger)
+        else:
+            server, node = loopback_pair(7, ledger)
+        stack.callback(server.close)
+        stack.callback(node.close)
+        msg = Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=make_model(ref.arch))
+        frame = WireCodec.encode(msg, ref)
+        size = len(frame) - 18  # 14 header bytes and the sender id
+        struct.pack_into("<I", frame, 10, size + 4)
+        node.channel.send_bytes(frame)
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError) as err:
+            server.recv_frame(ref)
+        assert time.perf_counter() - t0 < 1.0
+        assert {str(size), str(size + 4)} <= set(re.findall(r"\d+", str(err.value)))
+
+
 class TestSessionPreamble:
     def test_preamble_not_booked(self):
         """The 4-byte hello identifies the session and costs nothing."""
         ledger = BandwidthLedger()
-        srv = TcpServer("127.0.0.1", 0)
+        srv = TcpServer()
         host, port = srv.address
 
         eps = {}
@@ -299,7 +328,7 @@ class TestSessionPreamble:
         accepted socket is closed rather than left to the garbage collector."""
         import socket
 
-        srv = TcpServer("127.0.0.1", 0, timeout=5.0)
+        srv = TcpServer(timeout=5.0)
         socket.create_connection(srv.address, timeout=5.0).close()
         with pytest.raises(TransportError, match="closed"):
             srv.accept_node(BandwidthLedger())
@@ -314,7 +343,7 @@ class TestSessionPreamble:
             raise TransportError("send failed")
 
         monkeypatch.setattr(transport._SocketChannel, "send_bytes", refuse)
-        srv = TcpServer("127.0.0.1", 0, timeout=5.0)
+        srv = TcpServer(timeout=5.0)
         with pytest.raises(TransportError, match="send failed"):
             tcp_connect(*srv.address, 0, BandwidthLedger(), timeout=5.0)
         srv.close()

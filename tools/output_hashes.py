@@ -2,8 +2,11 @@
 
 Each hash covers the metrics CSV, ``ledger.summary()``, the sorted ledger
 entries, the ``save_model`` artifact bytes, the packed mask history,
-``budget_history``, ``flagged_nodes`` and any rejected uploads; a run that
-raises hashes its error message and names the error class after the hash.
+``budget_history``, ``flagged_nodes`` and the (round, node) pairs of any
+uploads left out of FedAvg as non-finite, taken from ``node_events`` (or from
+``rejected_uploads`` on a tree older than that record, so the hashes stay
+comparable); a run that raises hashes its error message and names the error
+class after the hash.
 The configs are the 4-node test config under the variants below, the README
 desk config, clean and contaminated, and the benchmark's wide layout, each
 with all four algorithms over both transports.  An optional argument keeps
@@ -143,8 +146,13 @@ def output_hash(raw: dict, scratch: Path) -> str:
         h.update(pack_mask(mask))
     h.update(repr(res.budget_history).encode())
     h.update(repr(res.flagged_nodes).encode())
-    if getattr(res, "rejected_uploads", None):
-        h.update(repr(res.rejected_uploads).encode())
+    events = getattr(res, "node_events", None)
+    if events is None:
+        rejected = getattr(res, "rejected_uploads", None)
+    else:
+        rejected = [(r, node) for r, node, cause in events if cause == "non_finite"]
+    if rejected:
+        h.update(repr(rejected).encode())
     return h.hexdigest()
 
 
