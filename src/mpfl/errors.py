@@ -24,7 +24,7 @@ class ProtocolError(MpflError):
 
 
 class TransportError(MpflError):
-    """A transport session failed (disconnect, timeout, oversize frame)."""
+    """A transport session failed (disconnect, timeout, or a connection that is not the node's)."""
 
 
 class NodeError(MpflError):

@@ -150,12 +150,12 @@ def build_env(cfg: ExperimentConfig) -> Env:
     arch = cfg.arch.to_spec()
     if ds.x.shape[1] != arch.in_dim:
         raise ConfigError(
-            f"dataset.features: loaded {ds.x.shape[1]} features, "
+            f"arch.input_dim: loaded {ds.x.shape[1]} features, "
             f"architecture expects {arch.in_dim}"
         )
     if ds.num_classes > arch.num_classes:
         raise ConfigError(
-            f"dataset.classes: loaded {ds.num_classes} classes, "
+            f"arch.classes: loaded {ds.num_classes} classes, "
             f"architecture has {arch.num_classes} outputs"
         )
 

@@ -11,26 +11,22 @@ and a read never blocks.  TCP sockets are non-blocking, and a read that would
 block first writes what its peer has queued (see ``_SocketChannel``), so one
 thread drives both ends of a ``tcp_pair``.
 
-TCP sessions start with a 4-byte node id preamble so the server can label the
-connection before any protocol message flows; the preamble is session setup,
-not payload, and is never booked.
+A TCP link is paired by its socket addresses: the server takes a connection
+as a node's only if it comes from that node's own socket.
 """
 
 from __future__ import annotations
 
 import selectors
 import socket
-import struct
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .errors import TransportError
 from .model import ModelParams, PruneMask
 from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, message_category
 
-_PREAMBLE = struct.Struct("<I")
-_DEFAULT_TIMEOUT = 30.0
+_TIMEOUT = 30.0  # seconds a TCP accept, connect or read waits before it fails
 
 
 class _LoopbackChannel:
@@ -58,19 +54,22 @@ class _SocketChannel:
 
     A send queues a view of its frame, no copy, and writes what the kernel
     takes.  A read that would block writes its peer's queued bytes (the other
-    end, when ``tcp_pair`` made both) into this socket's receive buffer, then
-    waits up to ``timeout`` for this socket to turn readable, or fails.  This
+    end of its ``tcp_pair``) into this socket's receive buffer, then
+    waits up to ``_TIMEOUT`` for this socket to turn readable, or fails.  This
     end's own queue goes out when its peer reads.
     """
 
-    def __init__(self, sock: socket.socket, timeout: float):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
         self.sock.setblocking(False)
-        self.timeout = timeout
         # a selector, unlike select(), waits on descriptors of 1024 and above
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(sock, selectors.EVENT_READ)
-        self.peer: _SocketChannel | None = None
+        try:
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(sock, selectors.EVENT_READ)
+        except OSError as e:  # e.g. no descriptor left for the selector
+            sock.close()
+            raise TransportError(f"socket setup failed: {e}") from e
+        self.peer: _SocketChannel | None = None  # set by tcp_pair before any read
         self._queue: deque[memoryview] = deque()
 
     def send_bytes(self, frame) -> None:
@@ -93,9 +92,8 @@ class _SocketChannel:
                 queue[0] = queue[0][n:]
 
     def _wait(self) -> None:
-        if self.peer is not None:
-            self.peer._flush()
-        if not self._selector.select(self.timeout):
+        self.peer._flush()
+        if not self._selector.select(_TIMEOUT):
             raise TransportError("tcp recv timed out")
 
     def read_into(self, view: memoryview) -> None:
@@ -170,80 +168,64 @@ def loopback_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endp
 
 
 class TcpServer:
-    """Accepts node sessions; each session identifies itself with a preamble.
+    """Accepts node links, each only from its node's own socket.
 
     Both ends of every link live in the run's process, so the listener binds
     127.0.0.1 on a port the OS picks: no other host reaches it.
     """
 
-    def __init__(self, timeout: float = _DEFAULT_TIMEOUT):
-        self.timeout = timeout
+    def __init__(self):
         try:
             self._listener = socket.create_server(("127.0.0.1", 0))
         except OSError as e:
             raise TransportError(f"listen on 127.0.0.1 failed: {e}") from e
-        self._listener.settimeout(timeout)
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
-    def accept_node(self, ledger: BandwidthLedger) -> tuple[int, Endpoint]:
+    def accept_node(self, node: Endpoint) -> Endpoint:
+        """The server side of ``node``'s link.  The next connection must come
+        from ``node``'s own socket; any other is closed and fails the accept."""
+        self._listener.settimeout(_TIMEOUT)
         try:
-            sock, _ = self._listener.accept()
-        except socket.timeout:
-            raise TransportError("accept timed out") from None
-        chan = _SocketChannel(sock, self.timeout)
-        hello = bytearray(_PREAMBLE.size)
-        try:
-            chan.read_into(memoryview(hello))
-        except TransportError:
-            chan.close()
-            raise
-        (node_id,) = _PREAMBLE.unpack(hello)
-        return node_id, Endpoint(chan, ledger, DOWN, node_id)
+            sock, peer = self._listener.accept()
+        except OSError as e:  # a timeout, or no descriptor left for the socket
+            raise TransportError(f"accept failed: {e}") from e
+        want = node.channel.sock.getsockname()
+        if peer != want:
+            sock.close()
+            raise TransportError(f"refused {peer[0]}:{peer[1]}: node {node.peer_node_id} "
+                                 f"connected from {want[0]}:{want[1]}")
+        return Endpoint(_SocketChannel(sock), node.ledger, DOWN, node.peer_node_id)
 
     def close(self) -> None:
         self._listener.close()
 
 
-def tcp_connect(
-    host: str,
-    port: int,
-    node_id: int,
-    ledger: BandwidthLedger,
-    timeout: float = _DEFAULT_TIMEOUT,
-) -> Endpoint:
+def tcp_connect(host: str, port: int, node_id: int, ledger: BandwidthLedger) -> Endpoint:
+    """The node side of a link, connected to ``host:port``."""
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection((host, port), timeout=_TIMEOUT)
     except OSError as e:
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
-    chan = _SocketChannel(sock, timeout)
-    try:
-        chan.send_bytes(_PREAMBLE.pack(node_id))
-    except TransportError:
-        chan.close()
-        raise
-    return Endpoint(chan, ledger, UP, node_id)
+    return Endpoint(_SocketChannel(sock), ledger, UP, node_id)
 
 
 def tcp_pair(listener: TcpServer, node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
     """(server_side, node_side) endpoints of one TCP link, both in this process.
 
-    The node connects and sends its preamble before the accept, which the
-    listen backlog allows, so the accepted session must name ``node_id``.
+    The node connects before the accept, which the listen backlog allows,
+    and the accept takes only the connection from the node's own socket.
     Both ends then know each other: a read on either writes the bytes the
-    other has queued, so one thread drives the link.  Both ends take the
-    listener's timeout, and a failed pairing closes every socket it made.
+    other has queued, so one thread drives the link.  A failed pairing
+    closes every socket it made.
     """
-    with ExitStack() as stack:
-        host, port = listener.address
-        node = tcp_connect(host, port, node_id, ledger, listener.timeout)
-        stack.callback(node.close)
-        peer, server = listener.accept_node(ledger)
-        stack.callback(server.close)
-        if peer != node_id:
-            raise TransportError(f"node {node_id} connected as node {peer}")
-        stack.pop_all()
+    node = tcp_connect(*listener.address, node_id, ledger)
+    try:
+        server = listener.accept_node(node)
+    except BaseException:
+        node.close()
+        raise
     server.channel.peer, node.channel.peer = node.channel, server.channel
     return server, node

@@ -1,6 +1,9 @@
 """Config parsing, validation paths, overrides, and YAML round trips."""
 
 import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_args
 
 import pytest
 import yaml
@@ -8,6 +11,7 @@ import yaml
 from mpfl.cli import main
 from mpfl.config import (
     ALGORITHMS,
+    ExperimentConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -295,3 +299,24 @@ class TestOverrides:
         cfg = config_from_dict(minimal_raw())
         with pytest.raises(ConfigError, match="algorithm"):
             apply_overrides(cfg, {"algorithm": "nope"})
+
+
+def test_readme_lists_every_config_key():
+    """README's "Configuration" list is written by hand: every field of the
+    config dataclasses must be named in it, in backticks, and a section's keys
+    in the bullet that starts with that section's name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+    def named(text):
+        return set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", text))))
+
+    bullets = {re.match(r"`(\w+)`", b)[1]: named(b) for b in section.split("\n- ")[1:]}
+    missing = []
+    for f in fields(ExperimentConfig):
+        sub = next((t for t in (f.type, *get_args(f.type)) if is_dataclass(t)), None)
+        if sub is None:
+            missing += [f.name] if f.name not in named(section) else []
+        else:
+            missing += [f"{f.name}.{g.name}" for g in fields(sub) if g.name not in bullets.get(f.name, ())]
+    assert missing == []

@@ -276,51 +276,48 @@ class TestNodeFailure:
     def test_silent_tcp_peer_times_out_naming_node_and_round(self, monkeypatch):
         """A node that keeps its socket open but never uploads fails the round
         once the server's read has waited out the socket timeout."""
-        from mpfl.transport import TcpServer
+        from mpfl import transport
 
         exchange = experiment._node_exchange
-        listen = TcpServer.__init__
 
         def silent_exchange(node, ep, rnd):
             if node.node_id != 2:
                 exchange(node, ep, rnd)
 
-        def short_timeout(self):
-            listen(self, timeout=0.5)
-
         monkeypatch.setattr(experiment, "_node_exchange", silent_exchange)
-        monkeypatch.setattr(TcpServer, "__init__", short_timeout)
+        monkeypatch.setattr(transport, "_TIMEOUT", 0.5)
         start = time.monotonic()
         with pytest.raises(TransportError, match="node 2 in round 1: tcp recv timed out"):
             run(config_from_dict(small_raw(transport={"kind": "tcp"})))
         assert 0.5 <= time.monotonic() - start < 5.0
 
-    def test_misnamed_tcp_peer_names_both_ids(self, monkeypatch):
-        """A preamble naming the wrong node fails setup with a TransportError,
-        which ``compare`` isolates, and leaves no thread or port behind."""
-        from mpfl import transport
+    def test_stranger_tcp_peer_names_both_addresses(self, monkeypatch):
+        """A stranger that connects to the listener first and sends node 0's
+        id is refused: setup fails with a TransportError naming its address
+        and node 0's, which ``compare`` isolates, and leaves no thread or port
+        behind."""
         from mpfl.transport import TcpServer
 
-        connect = transport.tcp_connect
-        addresses = []
+        addresses, strangers = [], []
         listen = TcpServer.__init__
 
-        def misnamed_connect(host, port, node_id, *args, **kwargs):
-            return connect(host, port, 99 if node_id == 0 else node_id, *args, **kwargs)
-
-        def recording_listen(self, *args, **kwargs):
+        def stranger_first_listen(self, *args, **kwargs):
             listen(self, *args, **kwargs)
             addresses.append(self.address)
+            strangers.append(socket.create_connection(self.address, timeout=5.0))
+            strangers[-1].sendall(struct.pack("<I", 0))
 
-        monkeypatch.setattr(transport, "tcp_connect", misnamed_connect)
-        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+        monkeypatch.setattr(TcpServer, "__init__", stranger_first_listen)
         threads = threading.active_count()
         cfg = config_from_dict(small_raw(transport={"kind": "tcp"}))
         results, failures = compare([cfg])
         assert results == []
         ((_, err),) = failures
+        (stranger,) = strangers
+        host, port = stranger.getsockname()
+        stranger.close()
         assert isinstance(err, TransportError)
-        assert "node 0 connected as node 99" in str(err)
+        assert f"refused {host}:{port}: node 0 connected from 127.0.0.1:" in str(err)
         assert threading.active_count() == threads
         (address,) = addresses
         with pytest.raises(ConnectionRefusedError):
@@ -730,8 +727,19 @@ class TestEnvConsistency:
         raw = small_raw()
         raw["dataset"] = {"kind": "csv", "path": str(csv_path)}
         cfg = config_from_dict(raw)
-        with pytest.raises(MpflError, match="features"):
+        with pytest.raises(MpflError, match="arch.input_dim: loaded 2 features"):
             build_env(cfg)
+
+    def test_loaded_dataset_class_check(self, tmp_path):
+        """A CSV with more classes than the architecture has outputs names
+        ``arch.classes``, the key to fix; ``dataset.classes`` is not read."""
+        csv_path = tmp_path / "d.csv"
+        rows = (f"{i}," * 10 + f"{i % 4}" for i in range(40))
+        csv_path.write_text(",".join(f"f{j}" for j in range(10)) + ",label\n" + "\n".join(rows) + "\n")
+        raw = small_raw()
+        raw["dataset"] = {"kind": "csv", "path": str(csv_path)}
+        with pytest.raises(MpflError, match="arch.classes: loaded 4 classes"):
+            build_env(config_from_dict(raw))
 
     def test_csv_dataset_runs_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -748,6 +756,29 @@ class TestEnvConsistency:
             "final_rounds": 1,
             "arch": {"input_dim": 3, "hidden": [8], "classes": 2},
             "dataset": {"kind": "csv", "path": str(csv_path)},
+            "training": {"lr": 0.2, "epochs_per_round": 2, "batch_size": 16},
+            "pruning": {"schedule": [0.25], "min_keep": [1, 2]},
+        }
+        res = run(config_from_dict(raw))
+        assert res.final_accuracy > 0.8
+
+    def test_idx_dataset_runs_end_to_end(self, tmp_path):
+        """An IDX pair (uint8 images, uint8 labels) goes through ``build_env``
+        and a whole run."""
+        rng = np.random.default_rng(0)
+        y = rng.integers(0, 2, size=120).astype(np.uint8)
+        x = np.clip(rng.normal(100.0 + 60.0 * y[:, None, None], 20.0, size=(120, 2, 2)), 0, 255)
+        paths = {}
+        for key, arr in (("features_path", x.astype(np.uint8)), ("labels_path", y)):
+            paths[key] = tmp_path / f"{key}.idx"
+            head = struct.pack(">HBB", 0, 0x08, arr.ndim) + struct.pack(f">{arr.ndim}I", *arr.shape)
+            paths[key].write_bytes(head + arr.tobytes())
+        raw = {
+            "seed": 5,
+            "nodes": 3,
+            "final_rounds": 1,
+            "arch": {"input_dim": 4, "hidden": [8], "classes": 2},
+            "dataset": {"kind": "idx", **{k: str(v) for k, v in paths.items()}},
             "training": {"lr": 0.2, "epochs_per_round": 2, "batch_size": 16},
             "pruning": {"schedule": [0.25], "min_keep": [1, 2]},
         }

@@ -1,7 +1,10 @@
 """Loopback and TCP endpoints must move identical bytes and book them once."""
 
+import errno
 import os
 import re
+import selectors
+import socket
 import struct
 import threading
 import time
@@ -10,6 +13,7 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
+from mpfl import transport
 from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
 from mpfl.transport import TcpServer, loopback_pair, tcp_connect, tcp_pair
@@ -79,12 +83,14 @@ class TestLoopback:
 
 
 class TestTcp:
-    def _run_pair(self, exchange, timeout=30.0):
-        """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this thread."""
+    def _run_pair(self, exchange):
+        """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this
+        thread.  Pairing books nothing."""
         ledger = BandwidthLedger()
-        srv = TcpServer(timeout=timeout)
+        srv = TcpServer()
         try:
             server_ep, node_ep = tcp_pair(srv, 7, ledger)
+            assert ledger.entries == []
             try:
                 exchange(server_ep, node_ep, ledger)
             finally:
@@ -137,7 +143,7 @@ class TestTcp:
         [(2, 5, "unsupported version 2", 4), (1, 9, "unknown message type 9", 5)],
         ids=["bad_version", "unknown_type"],
     )
-    def test_bad_header_fails_before_the_body(self, ref, version, tag, match, offset):
+    def test_bad_header_fails_before_the_body(self, ref, monkeypatch, version, tag, match, offset):
         """The header announces a 1 MiB body that never comes: the read fails on
         the header at once instead of waiting out the socket timeout."""
 
@@ -149,7 +155,8 @@ class TestTcp:
             assert time.perf_counter() - t0 < 1.0
             assert err.value.offset == offset
 
-        self._run_pair(exchange, timeout=3.0)
+        monkeypatch.setattr(transport, "_TIMEOUT", 3.0)
+        self._run_pair(exchange)
 
     @pytest.fixture
     def wide_frames(self, monkeypatch):
@@ -189,7 +196,8 @@ class TestTcp:
         self._run_pair(exchange)
 
     @pytest.mark.parametrize("server_reads_first", [True, False], ids=["server_first", "node_first"])
-    def test_multi_mib_frames_queued_on_both_ends_cross(self, wide_frames, server_reads_first):
+    def test_multi_mib_frames_queued_on_both_ends_cross(self, wide_frames, monkeypatch,
+                                                         server_reads_first):
         """Both ends queue a wide frame before either reads: a read writes
         only its peer's queue, so whichever end reads first, both frames
         cross on one thread and equal their loopback bytes."""
@@ -207,9 +215,10 @@ class TestTcp:
                 got_up = server_ep.channel.recv_bytes(ref)
             assert (got_down, got_up) == want
 
-        self._run_pair(exchange, timeout=5.0)
+        monkeypatch.setattr(transport, "_TIMEOUT", 5.0)
+        self._run_pair(exchange)
 
-    def test_silent_peer_times_out(self, ref):
+    def test_silent_peer_times_out(self, ref, monkeypatch):
         """A read with nothing queued on its link waits out the timeout, then fails."""
 
         def exchange(server_ep, node_ep, ledger):
@@ -218,7 +227,8 @@ class TestTcp:
                 server_ep.recv(make_model(ref.arch), ref)
             assert 0.3 <= time.perf_counter() - t0 < 3.0
 
-        self._run_pair(exchange, timeout=0.3)
+        monkeypatch.setattr(transport, "_TIMEOUT", 0.3)
+        self._run_pair(exchange)
 
     @pytest.fixture
     def high_fds(self):
@@ -237,13 +247,14 @@ class TestTcp:
             for fd in held:
                 os.close(fd)
 
-    def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds):
+    def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds, monkeypatch):
         def exchange(server_ep, node_ep, ledger):
             assert server_ep.channel.sock.fileno() > 1024
             with pytest.raises(TransportError, match="tcp recv timed out"):
                 server_ep.recv(make_model(ref.arch), ref)
 
-        self._run_pair(exchange, timeout=0.3)
+        monkeypatch.setattr(transport, "_TIMEOUT", 0.3)
+        self._run_pair(exchange)
 
     def test_multi_mib_frames_cross_above_fd_1024(self, wide_frames, high_fds):
         down, up, want, ref = wide_frames
@@ -257,21 +268,34 @@ class TestTcp:
 
         self._run_pair(exchange)
 
-    def test_connect_refused(self):
-        ledger = BandwidthLedger()
+    def test_send_failure_raises_transport_error(self, ref):
+        """A send the kernel refuses fails as a TransportError, which
+        ``compare`` isolates, not as a raw ``OSError``."""
+
+        def exchange(server_ep, node_ep, ledger):
+            server_ep.channel.sock.shutdown(socket.SHUT_WR)
+            frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=ref), ref)
+            with pytest.raises(TransportError, match="send failed"):
+                server_ep.send(frame)
+
+        self._run_pair(exchange)
+
+    def test_connect_refused(self, monkeypatch):
+        monkeypatch.setattr(transport, "_TIMEOUT", 0.5)
         with pytest.raises(TransportError):
-            tcp_connect("127.0.0.1", 1, 0, ledger, timeout=0.5)
+            tcp_connect("127.0.0.1", 1, 0, BandwidthLedger())
 
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
-def test_length_the_layout_disagrees_with_fails_at_once(ref, kind):
+def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, kind):
     """A weight upload whose header claims 4 bytes more than its layout fails
     the read with a ProtocolError naming both lengths, on either transport: a
     TCP read does not wait out its timeout for bytes that never come."""
     ledger = BandwidthLedger()
     with ExitStack() as stack:
         if kind == "tcp":
-            srv = TcpServer(timeout=3.0)
+            monkeypatch.setattr(transport, "_TIMEOUT", 3.0)
+            srv = TcpServer()
             stack.callback(srv.close)
             server, node = tcp_pair(srv, 7, ledger)
         else:
@@ -290,61 +314,82 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, kind):
         assert {str(size), str(size + 4)} <= set(re.findall(r"\d+", str(err.value)))
 
 
-class TestSessionPreamble:
-    def test_preamble_not_booked(self):
-        """The 4-byte hello identifies the session and costs nothing."""
-        ledger = BandwidthLedger()
-        srv = TcpServer()
-        host, port = srv.address
-
-        eps = {}
-        t = threading.Thread(
-            target=lambda: eps.setdefault(
-                "node", tcp_connect(host, port, 3, ledger, timeout=5.0)
-            )
-        )
-        t.start()
-        node_id, server_ep = srv.accept_node(ledger)
-        t.join()
-        assert node_id == 3
-        assert ledger.total_bits() == 0
-        server_ep.close()
-        eps["node"].close()
-        srv.close()
-
+class TestPairing:
     @pytest.fixture
-    def closed(self, monkeypatch):
-        """Every ``_SocketChannel`` closed during the test."""
-        from mpfl import transport
+    def channels(self, monkeypatch):
+        """(made, closed): the local address of every ``_SocketChannel`` made,
+        and of every one closed, during the test."""
+        made, closed = [], []
+        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
 
-        closed = []
-        close = transport._SocketChannel.close
-        monkeypatch.setattr(transport._SocketChannel, "close",
-                            lambda self: (closed.append(self), close(self)))
-        return closed
+        def recording_init(self, sock, *args):
+            init(self, sock, *args)
+            made.append(sock.getsockname())
 
-    def test_missing_preamble_closes_the_session(self, closed):
-        """A peer that hangs up before its hello fails the accept, and the
-        accepted socket is closed rather than left to the garbage collector."""
-        import socket
+        def recording_close(self):
+            closed.append(self.sock.getsockname())
+            close(self)
 
-        srv = TcpServer(timeout=5.0)
-        socket.create_connection(srv.address, timeout=5.0).close()
-        with pytest.raises(TransportError, match="closed"):
-            srv.accept_node(BandwidthLedger())
+        monkeypatch.setattr(transport._SocketChannel, "__init__", recording_init)
+        monkeypatch.setattr(transport._SocketChannel, "close", recording_close)
+        return made, closed
+
+    def test_failed_accept_raises_transport_error(self, channels, monkeypatch):
+        """An accept the kernel refuses (here, out of descriptors) fails the
+        pairing as a TransportError, which ``compare`` isolates, not as a raw
+        ``OSError``; the node's socket is closed."""
+        made, closed = channels
+
+        def refuse(self):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        srv = TcpServer()
+        monkeypatch.setattr(socket.socket, "accept", refuse)
+        with pytest.raises(TransportError, match="accept failed: .*Too many open files"):
+            tcp_pair(srv, 0, BandwidthLedger())
         srv.close()
-        assert len(closed) == 1
+        assert closed == made and len(made) == 1
 
-    def test_failed_preamble_send_closes_the_socket(self, closed, monkeypatch):
-        """A node whose hello cannot be sent fails the connect and closes its socket."""
-        from mpfl import transport
+    def test_failed_channel_setup_closes_the_socket(self, monkeypatch):
+        """A connected socket whose selector cannot be made (out of
+        descriptors) fails the pairing as a TransportError and is closed, not
+        left to the garbage collector."""
+        made = []
+        connect = socket.create_connection
 
-        def refuse(self, frame):
-            raise TransportError("send failed")
+        def recording_connect(*args, **kwargs):
+            made.append(connect(*args, **kwargs))
+            return made[-1]
 
-        monkeypatch.setattr(transport._SocketChannel, "send_bytes", refuse)
-        srv = TcpServer(timeout=5.0)
-        with pytest.raises(TransportError, match="send failed"):
-            tcp_connect(*srv.address, 0, BandwidthLedger(), timeout=5.0)
+        def refuse():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        srv = TcpServer()
+        monkeypatch.setattr(socket, "create_connection", recording_connect)
+        monkeypatch.setattr(selectors, "DefaultSelector", refuse)
+        with pytest.raises(TransportError, match="socket setup failed: .*Too many open files"):
+            tcp_pair(srv, 0, BandwidthLedger())
         srv.close()
-        assert len(closed) == 1
+        (sock,) = made
+        assert sock.fileno() == -1
+
+    def test_stranger_connecting_first_is_refused(self, channels):
+        """A raw socket that connects first and sends a node id is not taken
+        for the node: the pairing fails at once naming both addresses, and
+        closes the node's socket and the stranger's accepted one."""
+        made, closed = channels
+        srv = TcpServer()
+        with socket.create_connection(srv.address, timeout=5.0) as stranger:
+            stranger.sendall(struct.pack("<I", 0))
+            t0 = time.perf_counter()
+            with pytest.raises(TransportError, match="refused") as err:
+                tcp_pair(srv, 0, BandwidthLedger())
+            assert time.perf_counter() - t0 < 1.0
+            srv.close()
+            (node,) = made
+            assert closed == [node]
+            for host, port in (node, stranger.getsockname()):
+                assert f"{host}:{port}" in str(err.value)
+            # closed with the stranger's id unread, the accepted socket resets
+            with pytest.raises(ConnectionResetError):
+                stranger.recv(1)
