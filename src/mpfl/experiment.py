@@ -28,6 +28,7 @@ of the config seed.
 
 from __future__ import annotations
 
+import copy
 import csv
 import ctypes
 import functools
@@ -246,19 +247,32 @@ def _routed(frame: tuple[MsgType, int, int | None, memoryview], node_id: int,
     return payload
 
 
+@contextmanager
+def _blaming(node_id: int, idx: int) -> Iterator[None]:
+    """Raise a transport or protocol failure in the block again, of its class
+    and with its offset, naming the node and the round."""
+    try:
+        yield
+    except (TransportError, ProtocolError) as e:
+        named = copy.copy(e)
+        named.args = (f"node {node_id} in round {idx}: {e}",)
+        raise named from e
+
+
 def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], rnd: _Round,
               frame: bytes) -> Iterator[tuple[int, memoryview]]:
     """Send ``frame`` on each link in node-id order, run that node's step, and
     yield its routed upload as (node, payload); a payload is valid until the
-    next is taken.  A transport failure names the node and the round."""
+    next is taken.  A transport failure or an unreadable upload names the node
+    and the round; a misrouted one names them itself."""
     for node, server, ep in links:
-        try:
+        with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
-            if rnd.step is not None:
-                yield node.node_id, _routed(server.recv_frame(rnd.mask), node.node_id, rnd)
-        except TransportError as e:
-            raise TransportError(f"node {node.node_id} in round {rnd.idx}: {e}") from e
+            if rnd.step is None:
+                continue
+            upload = server.recv_frame(rnd.mask)
+        yield node.node_id, _routed(upload, node.node_id, rnd)
 
 
 @contextmanager
@@ -355,7 +369,10 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
             rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
-            votes = [unpack_mask(payload, mask.arch) for _, payload in exchange(rnd)]
+            votes = []
+            for node_id, payload in exchange(rnd):
+                with _blaming(node_id, idx):
+                    votes.append(unpack_mask(payload, mask.arch))
             new_mask = ps.reduce(votes, mask, rnd.increment)
             # every node has finished its step, so the local models are stable:
             # the would-be aggregate of the finite ones is evaluated for

@@ -6,18 +6,19 @@ interchangeable byte for byte.  A received frame is decoded against the
 reference mask the caller names, a weight frame into a model the caller owns,
 or handed over split, undecoded.
 
-Neither transport needs a thread.  Loopback frames wait in in-process buffers
-and a read never blocks.  TCP sockets are non-blocking, and a read that would
-block first writes what its peer has queued (see ``_SocketChannel``), so one
-thread drives both ends of a ``tcp_pair``.
-
-A TCP link is paired by its socket addresses: the server takes a connection
-as a node's only if it comes from that node's own socket.
+Both transports carry every frame through the same channel over a
+non-blocking stream socket; they differ only in how a link's two sockets are
+made.  A loopback link is a Unix socket pair made in the process.  A TCP
+link is a connection to a listener on 127.0.0.1, paired by its socket
+addresses: the server takes a connection as a node's only if it comes from
+that node's own socket.  Neither needs a thread: a read that would block
+first writes what its peer has queued (see ``_SocketChannel``), so one
+thread drives both ends of a link.
 """
 
 from __future__ import annotations
 
-import selectors
+import select
 import socket
 from collections import deque
 from dataclasses import dataclass
@@ -26,50 +27,27 @@ from .errors import TransportError
 from .model import ModelParams, PruneMask
 from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, message_category
 
-_TIMEOUT = 30.0  # seconds a TCP accept, connect or read waits before it fails
-
-
-class _LoopbackChannel:
-    """One side of an in-process pair: frames queue in the peer's buffer.
-
-    Nothing blocks: a recv with no frame waiting raises at once.
-    """
-
-    def __init__(self, inbox: deque[bytes], outbox: deque[bytes]):
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def send_bytes(self, frame: bytes) -> None:
-        self._outbox.append(frame)
-
-    def recv_bytes(self, ref_mask: PruneMask) -> bytes:
-        """The next frame, whole; its layout is checked when it is split or decoded."""
-        if not self._inbox:
-            raise TransportError("loopback recv on an empty channel")
-        return self._inbox.popleft()
+_TIMEOUT = 30.0  # seconds an accept, connect or read waits before it fails
 
 
 class _SocketChannel:
-    """Framed reads/writes over one non-blocking TCP connection.
+    """Framed reads/writes over one non-blocking stream socket.
 
     A send queues a view of its frame, no copy, and writes what the kernel
     takes.  A read that would block writes its peer's queued bytes (the other
-    end of its ``tcp_pair``) into this socket's receive buffer, then
-    waits up to ``_TIMEOUT`` for this socket to turn readable, or fails.  This
-    end's own queue goes out when its peer reads.
+    end of its link) into this socket's receive buffer, then waits up to
+    ``_TIMEOUT`` for this socket to turn readable, or fails.  This end's own
+    queue goes out when its peer reads.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.sock.setblocking(False)
-        # a selector, unlike select(), waits on descriptors of 1024 and above
-        try:
-            self._selector = selectors.DefaultSelector()
-            self._selector.register(sock, selectors.EVENT_READ)
-        except OSError as e:  # e.g. no descriptor left for the selector
-            sock.close()
-            raise TransportError(f"socket setup failed: {e}") from e
-        self.peer: _SocketChannel | None = None  # set by tcp_pair before any read
+        # poll, unlike select(), waits on descriptors of 1024 and above, and
+        # holds no descriptor of its own
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self.peer: _SocketChannel | None = None  # set by _joined before any read
         self._queue: deque[memoryview] = deque()
 
     def send_bytes(self, frame) -> None:
@@ -93,8 +71,8 @@ class _SocketChannel:
 
     def _wait(self) -> None:
         self.peer._flush()
-        if not self._selector.select(_TIMEOUT):
-            raise TransportError("tcp recv timed out")
+        if not self._poll.poll(_TIMEOUT * 1000):
+            raise TransportError("recv timed out")
 
     def read_into(self, view: memoryview) -> None:
         """Fill ``view`` from the socket."""
@@ -114,7 +92,6 @@ class _SocketChannel:
         return WireCodec.read_frame(self.read_into, ref_mask)
 
     def close(self) -> None:
-        self._selector.close()
         try:
             self.sock.close()
         except OSError:
@@ -125,7 +102,7 @@ class _SocketChannel:
 class Endpoint:
     """One side of a channel: ships and books encoded frames, decodes received ones."""
 
-    channel: object
+    channel: _SocketChannel
     ledger: BandwidthLedger
     send_direction: str  # UP for node endpoints, DOWN for the server side
     peer_node_id: int
@@ -153,18 +130,24 @@ class Endpoint:
         return WireCodec.split_frame(self.channel.recv_bytes(ref_mask))
 
     def close(self) -> None:
-        close = getattr(self.channel, "close", None)
-        if close:
-            close()
+        self.channel.close()
+
+
+def _joined(server: Endpoint, node: Endpoint) -> tuple[Endpoint, Endpoint]:
+    """(server, node), each end now knowing the other: a read on either writes
+    the bytes the other has queued, so one thread drives the link."""
+    server.channel.peer, node.channel.peer = node.channel, server.channel
+    return server, node
 
 
 def loopback_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
-    """(server_side, node_side) endpoints joined by in-process frame buffers."""
-    to_node: deque[bytes] = deque()
-    to_server: deque[bytes] = deque()
-    server = Endpoint(_LoopbackChannel(to_server, to_node), ledger, DOWN, node_id)
-    node = Endpoint(_LoopbackChannel(to_node, to_server), ledger, UP, node_id)
-    return server, node
+    """(server_side, node_side) endpoints of one Unix socket pair."""
+    try:
+        a, b = socket.socketpair()
+    except OSError as e:  # e.g. no descriptor left for the pair
+        raise TransportError(f"socket pair failed: {e}") from e
+    return _joined(Endpoint(_SocketChannel(a), ledger, DOWN, node_id),
+                   Endpoint(_SocketChannel(b), ledger, UP, node_id))
 
 
 class TcpServer:
@@ -216,10 +199,8 @@ def tcp_pair(listener: TcpServer, node_id: int, ledger: BandwidthLedger) -> tupl
     """(server_side, node_side) endpoints of one TCP link, both in this process.
 
     The node connects before the accept, which the listen backlog allows,
-    and the accept takes only the connection from the node's own socket.
-    Both ends then know each other: a read on either writes the bytes the
-    other has queued, so one thread drives the link.  A failed pairing
-    closes every socket it made.
+    and the accept takes only the connection from the node's own socket.  A
+    failed pairing closes every socket it made.
     """
     node = tcp_connect(*listener.address, node_id, ledger)
     try:
@@ -227,5 +208,4 @@ def tcp_pair(listener: TcpServer, node_id: int, ledger: BandwidthLedger) -> tupl
     except BaseException:
         node.close()
         raise
-    server.channel.peer, node.channel.peer = node.channel, server.channel
-    return server, node
+    return _joined(server, node)

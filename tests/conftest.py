@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpfl.model import ArchSpec, ModelParams, PruneMask, init_params
+from mpfl.transport import loopback_pair
 
 
 def make_arch(*dims: int) -> ArchSpec:
@@ -64,6 +65,21 @@ def tiny_model(tiny_arch) -> ModelParams:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def loopback():
+    """``loopback_pair``, whose endpoints are closed after the test."""
+    made = []
+
+    def pair(node_id, ledger):
+        server, node = loopback_pair(node_id, ledger)
+        made.extend((server, node))
+        return server, node
+
+    yield pair
+    for ep in made:
+        ep.close()
 
 
 @pytest.fixture(autouse=True)

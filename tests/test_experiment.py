@@ -1,6 +1,8 @@
 """End-to-end runs: metrics schema, determinism, artifacts, comparisons."""
 
 import dataclasses
+import errno
+import os
 import socket
 import struct
 import threading
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from mpfl import experiment
+from mpfl import transport as mpfl_transport
 from mpfl.config import config_from_dict
 from mpfl.errors import ConstraintError, MpflError, NodeError, ProtocolError, TransportError
 from mpfl.experiment import (
@@ -27,7 +30,7 @@ from mpfl.experiment import (
 )
 from mpfl.model import PruneMask
 from mpfl.pruning import apply_mask
-from mpfl.wire import UP, Message, MsgType
+from mpfl.wire import UP, Message, MsgType, WireCodec
 
 from conftest import make_arch, make_model, same_params, zero_group_mask
 
@@ -273,11 +276,11 @@ class TestNodeFailure:
         assert time.monotonic() - start < 5.0
         assert isinstance(info.value.__cause__, TransportError)
 
-    def test_silent_tcp_peer_times_out_naming_node_and_round(self, monkeypatch):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_silent_peer_times_out_naming_node_and_round(self, monkeypatch, transport):
         """A node that keeps its socket open but never uploads fails the round
-        once the server's read has waited out the socket timeout."""
-        from mpfl import transport
-
+        once the server's read has waited out the socket timeout, on either
+        transport."""
         exchange = experiment._node_exchange
 
         def silent_exchange(node, ep, rnd):
@@ -285,11 +288,77 @@ class TestNodeFailure:
                 exchange(node, ep, rnd)
 
         monkeypatch.setattr(experiment, "_node_exchange", silent_exchange)
-        monkeypatch.setattr(transport, "_TIMEOUT", 0.5)
+        monkeypatch.setattr(mpfl_transport, "_TIMEOUT", 0.5)
         start = time.monotonic()
-        with pytest.raises(TransportError, match="node 2 in round 1: tcp recv timed out"):
-            run(config_from_dict(small_raw(transport={"kind": "tcp"})))
+        with pytest.raises(TransportError, match="node 2 in round 1: recv timed out"):
+            run(config_from_dict(small_raw(transport={"kind": transport})))
         assert 0.5 <= time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("corrupt, match, offset", [
+        (lambda f: b"XXXX" + f[4:], r"bad magic b'XXXX' \(offset 0\)", 0),
+        # the last byte holds the 3 output groups' mask bits; bit 7 is padding
+        (lambda f: f[:-1] + bytes([f[-1] | 0x80]), r"nonzero padding bits in mask payload", 3),
+    ], ids=["bad_magic", "mask_padding"])
+    def test_corrupt_upload_names_node_and_round(self, monkeypatch, transport, corrupt, match,
+                                                 offset):
+        """A node-2 vote corrupted on its way up fails the run with a
+        ProtocolError of the same offset that names the node and the round,
+        whether the read or the vote's unpacking finds it."""
+        send = mpfl_transport._SocketChannel.send_bytes
+
+        def corrupting_send(self, frame):
+            if WireCodec.split_frame(frame)[2] == 2:
+                frame = corrupt(bytes(frame))
+            send(self, frame)
+
+        monkeypatch.setattr(mpfl_transport._SocketChannel, "send_bytes", corrupting_send)
+        with pytest.raises(ProtocolError, match=f"^node 2 in round 1: {match}") as err:
+            run(config_from_dict(small_raw(transport={"kind": transport})))
+        assert err.value.offset == offset
+        assert isinstance(err.value.__cause__, ProtocolError)
+
+    def test_failed_socket_pair_is_isolated_and_closes_every_socket(self, monkeypatch):
+        """A socket pair the kernel refuses (here, out of descriptors, for the
+        third node) fails the run's setup as a TransportError, which
+        ``compare`` isolates; the pairs made before it are closed."""
+        made = []
+        socketpair = socket.socketpair
+
+        def refusing_socketpair(*args):
+            if len(made) == 4:
+                raise OSError(errno.EMFILE, "Too many open files")
+            made.extend(socketpair(*args))
+            return made[-2], made[-1]
+
+        monkeypatch.setattr(socket, "socketpair", refusing_socketpair)
+        results, failures = compare([config_from_dict(small_raw())])
+        assert results == []
+        ((_, err),) = failures
+        assert isinstance(err, TransportError)
+        assert "socket pair failed: [Errno 24] Too many open files" in str(err)
+        assert len(made) == 4 and all(sock.fileno() == -1 for sock in made)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completed", "node_error"])
+    def test_run_leaves_no_descriptor_open(self, monkeypatch, transport, fails):
+        """A run, completed or failed by a node, closes every descriptor it opened."""
+        from mpfl.federation import Node
+
+        if fails:
+            def failing_train(self, mask):
+                raise RuntimeError("disk on fire")
+
+            monkeypatch.setattr(Node, "train", failing_train)
+        cfg = config_from_dict(small_raw(transport={"kind": transport}))
+        before = len(os.listdir("/proc/self/fd"))
+        if fails:
+            with pytest.raises(NodeError):
+                run(cfg)
+        else:
+            run(cfg)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_stranger_tcp_peer_names_both_addresses(self, monkeypatch):
         """A stranger that connects to the listener first and sends node 0's

@@ -3,7 +3,6 @@
 import errno
 import os
 import re
-import selectors
 import socket
 import struct
 import threading
@@ -16,7 +15,7 @@ import pytest
 from mpfl import transport
 from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
-from mpfl.transport import TcpServer, loopback_pair, tcp_connect, tcp_pair
+from mpfl.transport import TcpServer, tcp_connect, tcp_pair
 from mpfl.wire import (
     CAT_MASK,
     DOWN,
@@ -38,18 +37,18 @@ def ref():
 
 
 class TestLoopback:
-    def test_mask_roundtrip(self, ref, rng):
+    def test_mask_roundtrip(self, ref, rng, loopback):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(0, ledger)
+        server, node = loopback(0, ledger)
         mask = random_mask(ref.arch, rng)
         node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask), ref))
         got = server.recv(make_model(ref.arch), ref)
         assert got.mask == mask
         assert got.round_idx == 2
 
-    def test_weights_roundtrip(self, ref):
+    def test_weights_roundtrip(self, ref, loopback):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(1, ledger)
+        server, node = loopback(1, ledger)
         model = make_model(ref.arch, seed=3)
         server.send(WireCodec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model), ref))
         dest = make_model(ref.arch, seed=4)
@@ -63,9 +62,9 @@ class TestLoopback:
         )
         assert same_params(got.params, rounded)
 
-    def test_ledger_directions(self, ref, rng):
+    def test_ledger_directions(self, ref, rng, loopback):
         ledger = BandwidthLedger()
-        server, node = loopback_pair(5, ledger)
+        server, node = loopback(5, ledger)
         mask = PruneMask.ones(ref.arch)
         node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), ref))
         server.send(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), ref))
@@ -75,11 +74,14 @@ class TestLoopback:
         assert ledger.per_node_bits() == {5: 2 * size_bits}
         assert ledger.total_bits(category=CAT_MASK) == 2 * size_bits
 
-    def test_recv_timeout(self, ref):
-        ledger = BandwidthLedger()
-        server, _ = loopback_pair(0, ledger)
-        with pytest.raises(TransportError):
+    def test_recv_timeout(self, ref, loopback, monkeypatch):
+        """A read with nothing sent waits out the timeout, then fails, as on TCP."""
+        monkeypatch.setattr(transport, "_TIMEOUT", 0.2)
+        server, _ = loopback(0, BandwidthLedger())
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError, match="recv timed out"):
             server.recv(make_model(ref.arch), ref)
+        assert 0.2 <= time.perf_counter() - t0 < 3.0
 
 
 class TestTcp:
@@ -99,12 +101,12 @@ class TestTcp:
         finally:
             srv.close()
 
-    def test_byte_identical_to_loopback(self, ref, rng):
+    def test_byte_identical_to_loopback(self, ref, rng, loopback):
         mask = random_mask(ref.arch, rng)
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
         lo_ledger = BandwidthLedger()
-        lo_server, lo_node = loopback_pair(7, lo_ledger)
+        lo_server, lo_node = loopback(7, lo_ledger)
         lo_node.send(WireCodec.encode(msg, ref))
         lo_frame = lo_server.channel.recv_bytes(ref)
 
@@ -159,7 +161,7 @@ class TestTcp:
         self._run_pair(exchange)
 
     @pytest.fixture
-    def wide_frames(self, monkeypatch):
+    def wide_frames(self, monkeypatch, loopback):
         """(down, up, their loopback bytes, their layout): a 64-16384-10 weight
         frame each way, 4.9 MB, more than a loopback socket takes in one send.
         Starting a thread fails the test."""
@@ -174,7 +176,7 @@ class TestTcp:
         up = WireCodec.encode(Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=model), ref)
         assert len(down) > 4_000_000
 
-        lo_server, lo_node = loopback_pair(7, BandwidthLedger())
+        lo_server, lo_node = loopback(7, BandwidthLedger())
         lo_server.send(down)
         lo_node.send(up)
         return down, up, (lo_node.channel.recv_bytes(ref), lo_server.channel.recv_bytes(ref)), ref
@@ -250,7 +252,7 @@ class TestTcp:
     def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds, monkeypatch):
         def exchange(server_ep, node_ep, ledger):
             assert server_ep.channel.sock.fileno() > 1024
-            with pytest.raises(TransportError, match="tcp recv timed out"):
+            with pytest.raises(TransportError, match="recv timed out"):
                 server_ep.recv(make_model(ref.arch), ref)
 
         monkeypatch.setattr(transport, "_TIMEOUT", 0.3)
@@ -287,7 +289,7 @@ class TestTcp:
 
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
-def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, kind):
+def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, loopback, kind):
     """A weight upload whose header claims 4 bytes more than its layout fails
     the read with a ProtocolError naming both lengths, on either transport: a
     TCP read does not wait out its timeout for bytes that never come."""
@@ -299,7 +301,7 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, kind):
             stack.callback(srv.close)
             server, node = tcp_pair(srv, 7, ledger)
         else:
-            server, node = loopback_pair(7, ledger)
+            server, node = loopback(7, ledger)
         stack.callback(server.close)
         stack.callback(node.close)
         msg = Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=make_model(ref.arch))
@@ -349,29 +351,6 @@ class TestPairing:
             tcp_pair(srv, 0, BandwidthLedger())
         srv.close()
         assert closed == made and len(made) == 1
-
-    def test_failed_channel_setup_closes_the_socket(self, monkeypatch):
-        """A connected socket whose selector cannot be made (out of
-        descriptors) fails the pairing as a TransportError and is closed, not
-        left to the garbage collector."""
-        made = []
-        connect = socket.create_connection
-
-        def recording_connect(*args, **kwargs):
-            made.append(connect(*args, **kwargs))
-            return made[-1]
-
-        def refuse():
-            raise OSError(errno.EMFILE, "Too many open files")
-
-        srv = TcpServer()
-        monkeypatch.setattr(socket, "create_connection", recording_connect)
-        monkeypatch.setattr(selectors, "DefaultSelector", refuse)
-        with pytest.raises(TransportError, match="socket setup failed: .*Too many open files"):
-            tcp_pair(srv, 0, BandwidthLedger())
-        srv.close()
-        (sock,) = made
-        assert sock.fileno() == -1
 
     def test_stranger_connecting_first_is_refused(self, channels):
         """A raw socket that connects first and sends a node id is not taken

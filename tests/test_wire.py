@@ -286,13 +286,11 @@ class TestLedger:
         assert led.total_bits(direction=DOWN, category=CAT_WEIGHTS) == 500
         assert led.per_node_bits() == {0: 600, 1: 100}
 
-    def test_headers_excluded_by_default(self):
+    def test_headers_excluded_by_default(self, loopback):
         """A send books its frame minus the 14-byte header, 18 with a node id."""
-        from mpfl.transport import loopback_pair
-
         arch = make_arch(3, 6, 2)
         led = BandwidthLedger()
-        server, node = loopback_pair(5, led)
+        server, node = loopback(5, led)
         mask = PruneMask.ones(arch)
         down = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), mask)
         up = WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), mask)
