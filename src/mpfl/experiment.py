@@ -61,7 +61,7 @@ from .federation import Node, ParameterServer, fedavg
 from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy
 from .pruning import apply_mask, compute_mask, weight_scores
-from .transport import Endpoint, TcpServer, loopback_pair, tcp_pair
+from .transport import Endpoint, loopback_pair, tcp_pair
 from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask,
                    packed_view, scatter_params, unpack_mask)
 
@@ -281,16 +281,13 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
     """Open the server's sessions with the nodes over the configured transport and
     yield the round's exchange, which encodes each broadcast once.  The exchange
     is lazy: a round runs as its uploads are taken, and only once all are taken
-    is it done.  No session needs a thread: over TCP both ends of every link
-    live here, joined by ``tcp_pair``.  The listener and each endpoint go on
-    one stack the moment they exist, so leaving the block, mid-round included,
-    closes everything the sessions opened."""
+    is it done.  No session needs a thread: both ends of every link live
+    here, made by ``loopback_pair`` or ``tcp_pair``, and no listener outlives
+    the making of its link.  Each endpoint goes on one stack the moment it
+    exists, so leaving the block, mid-round included, closes everything the
+    sessions opened."""
     with ExitStack() as stack:
-        pair = loopback_pair
-        if cfg.transport.kind == "tcp":
-            listener = TcpServer()
-            stack.callback(listener.close)
-            pair = functools.partial(tcp_pair, listener)
+        pair = tcp_pair if cfg.transport.kind == "tcp" else loopback_pair
         links = []
         for node in nodes:
             server, ep = pair(node.node_id, ledger)

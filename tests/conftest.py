@@ -1,12 +1,13 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 from mpfl.model import ArchSpec, ModelParams, PruneMask, init_params
-from mpfl.transport import loopback_pair
+from mpfl.transport import TcpServer, loopback_pair
 
 
 def make_arch(*dims: int) -> ArchSpec:
@@ -80,6 +81,27 @@ def loopback():
     yield pair
     for ep in made:
         ep.close()
+
+
+@pytest.fixture
+def tcp_listeners(monkeypatch):
+    """The address of every ``TcpServer`` made during the test."""
+    addresses = []
+    listen = TcpServer.__init__
+
+    def recording_listen(self):
+        listen(self)
+        addresses.append(self.address)
+
+    monkeypatch.setattr(TcpServer, "__init__", recording_listen)
+    return addresses
+
+
+def assert_refused(addresses) -> None:
+    """Each of ``addresses`` refuses a connection: no listener is left on it."""
+    for address in addresses:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=1.0).close()
 
 
 @pytest.fixture(autouse=True)

@@ -30,9 +30,10 @@ from mpfl.experiment import (
 )
 from mpfl.model import PruneMask
 from mpfl.pruning import apply_mask
+from mpfl.transport import Endpoint, TcpServer
 from mpfl.wire import UP, Message, MsgType, WireCodec
 
-from conftest import make_arch, make_model, same_params, zero_group_mask
+from conftest import assert_refused, make_arch, make_model, same_params, zero_group_mask
 
 
 def small_raw(**extra):
@@ -208,6 +209,54 @@ class TestDeterminism:
             run(config_from_dict(small_raw(algorithm=algorithm)))
 
 
+class TestSessions:
+    """While its rounds run, a run holds its links' sockets and nothing more."""
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_rounds_run_without_a_listening_port(self, monkeypatch, tcp_listeners, transport):
+        """Seen from node 9's step in round 1: the process holds two descriptors
+        per node more than before the run (checked where ``/proc/self/fd``
+        exists), and over TCP every listener the run made refuses a
+        connection."""
+        has_fds = os.path.isdir("/proc/self/fd")
+        exchange = experiment._node_exchange
+        held = []
+
+        def probing_exchange(node, ep, rnd):
+            if (node.node_id, rnd.idx) == (9, 1):
+                held.append(len(os.listdir("/proc/self/fd")) if has_fds else None)
+                assert_refused(tcp_listeners)
+            exchange(node, ep, rnd)
+
+        monkeypatch.setattr(experiment, "_node_exchange", probing_exchange)
+        raw = small_raw(nodes=10, transport={"kind": transport})
+        before = len(os.listdir("/proc/self/fd")) if has_fds else None
+        run(config_from_dict(raw))
+        assert len(tcp_listeners) == (raw["nodes"] if transport == "tcp" else 0)
+        (during,) = held
+        if has_fds:
+            assert during - before == 2 * raw["nodes"]
+
+
+@pytest.fixture
+def endpoints(monkeypatch):
+    """(made, closed): every ``Endpoint`` made and every one closed during the test."""
+    made, closed = [], []
+    init, close = Endpoint.__init__, Endpoint.close
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def counting_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(Endpoint, "__init__", counting_init)
+    monkeypatch.setattr(Endpoint, "close", counting_close)
+    return made, closed
+
+
 class TestNodeFailure:
     """A node that raises or drops fails the run within the round, naming node and round."""
 
@@ -234,29 +283,22 @@ class TestNodeFailure:
         assert "disk on fire" in str(info.value)
 
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
-    def test_failed_tcp_run_releases_threads_and_port(self, monkeypatch, algorithm):
+    def test_failed_tcp_run_releases_threads_and_port(self, monkeypatch, tcp_listeners,
+                                                      algorithm):
         from mpfl.federation import Node
-        from mpfl.transport import TcpServer
-
-        addresses = []
-        listen = TcpServer.__init__
-
-        def recording_listen(self, *args, **kwargs):
-            listen(self, *args, **kwargs)
-            addresses.append(self.address)
 
         def failing_train(self, mask):
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
         monkeypatch.setattr(Node, "train", failing_train)
+        raw = small_raw(algorithm=algorithm, transport={"kind": "tcp"})
         threads = threading.active_count()
         with pytest.raises(NodeError):
-            run(config_from_dict(small_raw(algorithm=algorithm, transport={"kind": "tcp"})))
+            run(config_from_dict(raw))
         assert threading.active_count() == threads
-        (address,) = addresses
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(address, timeout=1.0).close()
+        # one listener per link
+        assert len(tcp_listeners) == raw["nodes"]
+        assert_refused(tcp_listeners)
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_dropped_peer_names_node_and_round(self, monkeypatch, transport):
@@ -304,15 +346,17 @@ class TestNodeFailure:
                                                  offset):
         """A node-2 vote corrupted on its way up fails the run with a
         ProtocolError of the same offset that names the node and the round,
-        whether the read or the vote's unpacking finds it."""
-        send = mpfl_transport._SocketChannel.send_bytes
+        whether the read or the vote's unpacking finds it.  The frame is
+        corrupted below ``Endpoint.send``, in the socket write, which takes a
+        vote frame in one piece on either transport."""
+        send = socket.socket.send
 
-        def corrupting_send(self, frame):
-            if WireCodec.split_frame(frame)[2] == 2:
-                frame = corrupt(bytes(frame))
-            send(self, frame)
+        def corrupting_send(self, data, *flags):
+            if WireCodec.split_frame(data)[2] == 2:
+                data = corrupt(bytes(data))
+            return send(self, data, *flags)
 
-        monkeypatch.setattr(mpfl_transport._SocketChannel, "send_bytes", corrupting_send)
+        monkeypatch.setattr(socket.socket, "send", corrupting_send)
         with pytest.raises(ProtocolError, match=f"^node 2 in round 1: {match}") as err:
             run(config_from_dict(small_raw(transport={"kind": transport})))
         assert err.value.offset == offset
@@ -365,8 +409,6 @@ class TestNodeFailure:
         id is refused: setup fails with a TransportError naming its address
         and node 0's, which ``compare`` isolates, and leaves no thread or port
         behind."""
-        from mpfl.transport import TcpServer
-
         addresses, strangers = [], []
         listen = TcpServer.__init__
 
@@ -392,28 +434,14 @@ class TestNodeFailure:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(address, timeout=1.0).close()
 
-    def test_failed_tcp_accept_closes_every_endpoint(self, monkeypatch):
+    def test_failed_tcp_accept_closes_every_endpoint(self, monkeypatch, endpoints,
+                                                     tcp_listeners):
         """An accept that fails after its node connected fails setup, which
         ``compare`` isolates; every socket made is closed and no thread or
         port is left behind."""
-        from mpfl import transport
-        from mpfl.transport import TcpServer
-
-        made, closed, addresses, accepts = [], [], [], []
-        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
-        listen, accept = TcpServer.__init__, TcpServer.accept_node
-
-        def counting_init(self, *args):
-            made.append(self)
-            init(self, *args)
-
-        def counting_close(self):
-            closed.append(self)
-            close(self)
-
-        def recording_listen(self, *args, **kwargs):
-            listen(self, *args, **kwargs)
-            addresses.append(self.address)
+        made, closed = endpoints
+        accepts = []
+        accept = TcpServer.accept_node
 
         def failing_accept(self, *args):
             accepts.append(self)
@@ -421,9 +449,6 @@ class TestNodeFailure:
                 raise TransportError("accept refused")
             return accept(self, *args)
 
-        monkeypatch.setattr(transport._SocketChannel, "__init__", counting_init)
-        monkeypatch.setattr(transport._SocketChannel, "close", counting_close)
-        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
         monkeypatch.setattr(TcpServer, "accept_node", failing_accept)
         threads = threading.active_count()
         results, failures = compare([config_from_dict(small_raw(transport={"kind": "tcp"}))])
@@ -434,9 +459,9 @@ class TestNodeFailure:
         assert len(made) == 5
         assert {id(c) for c in made} <= {id(c) for c in closed}
         assert threading.active_count() == threads
-        (address,) = addresses
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(address, timeout=1.0).close()
+        # one listener per link tried, node 2's included
+        assert len(tcp_listeners) == 3
+        assert_refused(tcp_listeners)
 
 
 class TestWeightPath:
@@ -475,8 +500,6 @@ class TestWeightPath:
     def test_pruned_group_arrives_as_zero(self, monkeypatch, transport):
         """A group the server prunes was live, and nonzero, in each node's model;
         the next broadcast, decoded into that model, zeroes it."""
-        from mpfl.transport import Endpoint
-
         recv = Endpoint.recv
         seen = []
 
@@ -526,36 +549,17 @@ class TestWeightPath:
         assert MsgType.WEIGHT_UPLOAD not in decoded
         assert len(decoded) == len(broadcasts)
 
-    def test_reduce_failing_mid_round_leaves_nothing_running(self, monkeypatch):
+    def test_reduce_failing_mid_round_leaves_nothing_running(self, monkeypatch, endpoints,
+                                                              tcp_listeners):
         """A reduce that raises after taking one upload ends the run with its
         error while the other nodes' uploads (229 kB each) are still unread;
         every socket is closed and no thread or port is left behind."""
-        from mpfl import transport
-        from mpfl.transport import TcpServer
-
-        made, closed, addresses = [], [], []
-        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
-        listen = TcpServer.__init__
-
-        def counting_init(self, *args):
-            made.append(self)
-            init(self, *args)
-
-        def counting_close(self):
-            closed.append(self)
-            close(self)
-
-        def recording_listen(self, *args, **kwargs):
-            listen(self, *args, **kwargs)
-            addresses.append(self.address)
+        made, closed = endpoints
 
         def failing_fedavg(models):
             next(iter(models))
             raise ConstraintError("reduce gave up")
 
-        monkeypatch.setattr(transport._SocketChannel, "__init__", counting_init)
-        monkeypatch.setattr(transport._SocketChannel, "close", counting_close)
-        monkeypatch.setattr(TcpServer, "__init__", recording_listen)
         monkeypatch.setattr(experiment, "fedavg", failing_fedavg)
         raw = small_raw(algorithm="pruning_fl", transport={"kind": "tcp"},
                         arch={"input_dim": 10, "hidden": [4096], "classes": 3})
@@ -565,9 +569,8 @@ class TestWeightPath:
         assert len(made) == 2 * raw["nodes"]
         assert {id(c) for c in made} <= {id(c) for c in closed}
         assert threading.active_count() == threads
-        (address,) = addresses
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(address, timeout=1.0).close()
+        assert len(tcp_listeners) == raw["nodes"]
+        assert_refused(tcp_listeners)
 
 
 class TestUploadRouting:

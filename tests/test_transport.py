@@ -1,12 +1,14 @@
 """Loopback and TCP endpoints must move identical bytes and book them once."""
 
 import errno
+import gc
 import os
 import re
 import socket
 import struct
 import threading
 import time
+import weakref
 from contextlib import ExitStack
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from mpfl import transport
 from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
-from mpfl.transport import TcpServer, tcp_connect, tcp_pair
+from mpfl.transport import Endpoint, TcpServer, loopback_pair, tcp_connect, tcp_pair
 from mpfl.wire import (
     CAT_MASK,
     DOWN,
@@ -27,7 +29,20 @@ from mpfl.wire import (
     WireCodec,
 )
 
-from conftest import make_arch, make_model, packed_mask_bits, random_mask, same_params
+from conftest import (
+    assert_refused,
+    make_arch,
+    make_model,
+    packed_mask_bits,
+    random_mask,
+    same_params,
+)
+
+
+def frame_of(ep, ref):
+    """The next frame ``ep`` reads, split: (type, round, node_id, payload bytes)."""
+    mtype, round_idx, node_id, payload = ep.recv_frame(ref)
+    return mtype, round_idx, node_id, bytes(payload)
 
 
 @pytest.fixture
@@ -74,6 +89,28 @@ class TestLoopback:
         assert ledger.per_node_bits() == {5: 2 * size_bits}
         assert ledger.total_bits(category=CAT_MASK) == 2 * size_bits
 
+    def test_peer_cycle_stays_out_of_repr_and_eq(self, loopback):
+        """The two ends of a link know each other, but neither repr nor == follows
+        that cycle: each end shows and compares by its own fields."""
+        server, node = loopback(3, BandwidthLedger())
+        assert server.peer is node and node.peer is server
+        assert "peer=" not in repr(server) and "_queue" not in repr(node)
+        assert server == server and server != node
+
+    def test_closed_ends_are_freed_without_the_cycle_collector(self):
+        """Closing both ends unlinks them, so a finished run's endpoints, and the
+        ledger they hold, go as soon as the run drops them."""
+        server, node = loopback_pair(0, BandwidthLedger())
+        refs = weakref.ref(server), weakref.ref(node)
+        gc.disable()
+        try:
+            server.close()
+            node.close()
+            del server, node
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_recv_timeout(self, ref, loopback, monkeypatch):
         """A read with nothing sent waits out the timeout, then fails, as on TCP."""
         monkeypatch.setattr(transport, "_TIMEOUT", 0.2)
@@ -89,17 +126,13 @@ class TestTcp:
         """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this
         thread.  Pairing books nothing."""
         ledger = BandwidthLedger()
-        srv = TcpServer()
+        server_ep, node_ep = tcp_pair(7, ledger)
+        assert ledger.entries == []
         try:
-            server_ep, node_ep = tcp_pair(srv, 7, ledger)
-            assert ledger.entries == []
-            try:
-                exchange(server_ep, node_ep, ledger)
-            finally:
-                server_ep.close()
-                node_ep.close()
+            exchange(server_ep, node_ep, ledger)
         finally:
-            srv.close()
+            server_ep.close()
+            node_ep.close()
 
     def test_byte_identical_to_loopback(self, ref, rng, loopback):
         mask = random_mask(ref.arch, rng)
@@ -108,15 +141,15 @@ class TestTcp:
         lo_ledger = BandwidthLedger()
         lo_server, lo_node = loopback(7, lo_ledger)
         lo_node.send(WireCodec.encode(msg, ref))
-        lo_frame = lo_server.channel.recv_bytes(ref)
+        lo_frame = frame_of(lo_server, ref)
 
         frames = {}
 
         def exchange(server_ep, node_ep, ledger):
             node_ep.send(WireCodec.encode(msg, ref))
-            frames["tcp"] = server_ep.channel.recv_bytes(ref)
-            got = WireCodec.decode(frames["tcp"], make_model(ref.arch), ref)
-            assert got.mask == mask
+            frames["tcp"] = frame_of(server_ep, ref)
+            node_ep.send(WireCodec.encode(msg, ref))
+            assert server_ep.recv(make_model(ref.arch), ref).mask == mask
 
         self._run_pair(exchange)
         assert frames["tcp"] == lo_frame
@@ -150,7 +183,7 @@ class TestTcp:
         the header at once instead of waiting out the socket timeout."""
 
         def exchange(server_ep, node_ep, ledger):
-            node_ep.channel.send_bytes(struct.pack("<4sBBII", MAGIC, version, tag, 0, 1 << 20))
+            node_ep.sock.send(struct.pack("<4sBBII", MAGIC, version, tag, 0, 1 << 20))
             t0 = time.perf_counter()
             with pytest.raises(ProtocolError, match=match) as err:
                 server_ep.recv(make_model(ref.arch), ref)
@@ -162,9 +195,9 @@ class TestTcp:
 
     @pytest.fixture
     def wide_frames(self, monkeypatch, loopback):
-        """(down, up, their loopback bytes, their layout): a 64-16384-10 weight
-        frame each way, 4.9 MB, more than a loopback socket takes in one send.
-        Starting a thread fails the test."""
+        """(down, up, their loopback frames split, their layout): a 64-16384-10
+        weight frame each way, 4.9 MB, more than a loopback socket takes in one
+        send.  Starting a thread fails the test."""
 
         def refuse(self):
             raise AssertionError("started a thread")
@@ -179,19 +212,19 @@ class TestTcp:
         lo_server, lo_node = loopback(7, BandwidthLedger())
         lo_server.send(down)
         lo_node.send(up)
-        return down, up, (lo_node.channel.recv_bytes(ref), lo_server.channel.recv_bytes(ref)), ref
+        return down, up, (frame_of(lo_node, ref), frame_of(lo_server, ref)), ref
 
     def test_multi_mib_frames_cross_on_one_thread(self, wide_frames):
         """A wide frame goes down and back up one link with no thread: each
         read writes the bytes its peer queued.  Both frames equal their
-        loopback bytes."""
+        loopback frames."""
         down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             server_ep.send(down)
-            got_down = node_ep.channel.recv_bytes(ref)
+            got_down = frame_of(node_ep, ref)
             node_ep.send(up)
-            got_up = server_ep.channel.recv_bytes(ref)
+            got_up = frame_of(server_ep, ref)
             assert (got_down, got_up) == want
             assert ledger.total_bits() == 8 * (len(down) + len(up) - 14 - 18)
 
@@ -202,19 +235,19 @@ class TestTcp:
                                                          server_reads_first):
         """Both ends queue a wide frame before either reads: a read writes
         only its peer's queue, so whichever end reads first, both frames
-        cross on one thread and equal their loopback bytes."""
+        cross on one thread and equal their loopback frames."""
         down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
             server_ep.send(down)
             node_ep.send(up)
-            assert server_ep.channel._queue and node_ep.channel._queue
+            assert server_ep._queue and node_ep._queue
             if server_reads_first:
-                got_up = server_ep.channel.recv_bytes(ref)
-                got_down = node_ep.channel.recv_bytes(ref)
+                got_up = frame_of(server_ep, ref)
+                got_down = frame_of(node_ep, ref)
             else:
-                got_down = node_ep.channel.recv_bytes(ref)
-                got_up = server_ep.channel.recv_bytes(ref)
+                got_down = frame_of(node_ep, ref)
+                got_up = frame_of(server_ep, ref)
             assert (got_down, got_up) == want
 
         monkeypatch.setattr(transport, "_TIMEOUT", 5.0)
@@ -251,7 +284,7 @@ class TestTcp:
 
     def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds, monkeypatch):
         def exchange(server_ep, node_ep, ledger):
-            assert server_ep.channel.sock.fileno() > 1024
+            assert server_ep.sock.fileno() > 1024
             with pytest.raises(TransportError, match="recv timed out"):
                 server_ep.recv(make_model(ref.arch), ref)
 
@@ -262,11 +295,11 @@ class TestTcp:
         down, up, want, ref = wide_frames
 
         def exchange(server_ep, node_ep, ledger):
-            assert node_ep.channel.sock.fileno() > 1024
+            assert node_ep.sock.fileno() > 1024
             server_ep.send(down)
-            got_down = node_ep.channel.recv_bytes(ref)
+            got_down = frame_of(node_ep, ref)
             node_ep.send(up)
-            assert (got_down, server_ep.channel.recv_bytes(ref)) == want
+            assert (got_down, frame_of(server_ep, ref)) == want
 
         self._run_pair(exchange)
 
@@ -275,7 +308,7 @@ class TestTcp:
         ``compare`` isolates, not as a raw ``OSError``."""
 
         def exchange(server_ep, node_ep, ledger):
-            server_ep.channel.sock.shutdown(socket.SHUT_WR)
+            server_ep.sock.shutdown(socket.SHUT_WR)
             frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=ref), ref)
             with pytest.raises(TransportError, match="send failed"):
                 server_ep.send(frame)
@@ -297,9 +330,7 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, loopba
     with ExitStack() as stack:
         if kind == "tcp":
             monkeypatch.setattr(transport, "_TIMEOUT", 3.0)
-            srv = TcpServer()
-            stack.callback(srv.close)
-            server, node = tcp_pair(srv, 7, ledger)
+            server, node = tcp_pair(7, ledger)
         else:
             server, node = loopback(7, ledger)
         stack.callback(server.close)
@@ -308,7 +339,7 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, loopba
         frame = WireCodec.encode(msg, ref)
         size = len(frame) - 18  # 14 header bytes and the sender id
         struct.pack_into("<I", frame, 10, size + 4)
-        node.channel.send_bytes(frame)
+        node.sock.sendall(frame)
         t0 = time.perf_counter()
         with pytest.raises(ProtocolError) as err:
             server.recv_frame(ref)
@@ -318,11 +349,11 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, loopba
 
 class TestPairing:
     @pytest.fixture
-    def channels(self, monkeypatch):
-        """(made, closed): the local address of every ``_SocketChannel`` made,
-        and of every one closed, during the test."""
+    def endpoint_addresses(self, monkeypatch):
+        """(made, closed): the local address of every ``Endpoint`` made, and
+        of every one closed, during the test."""
         made, closed = [], []
-        init, close = transport._SocketChannel.__init__, transport._SocketChannel.close
+        init, close = Endpoint.__init__, Endpoint.close
 
         def recording_init(self, sock, *args):
             init(self, sock, *args)
@@ -332,39 +363,49 @@ class TestPairing:
             closed.append(self.sock.getsockname())
             close(self)
 
-        monkeypatch.setattr(transport._SocketChannel, "__init__", recording_init)
-        monkeypatch.setattr(transport._SocketChannel, "close", recording_close)
+        monkeypatch.setattr(Endpoint, "__init__", recording_init)
+        monkeypatch.setattr(Endpoint, "close", recording_close)
         return made, closed
 
-    def test_failed_accept_raises_transport_error(self, channels, monkeypatch):
+    def test_failed_accept_raises_transport_error(self, endpoint_addresses, tcp_listeners,
+                                                  monkeypatch):
         """An accept the kernel refuses (here, out of descriptors) fails the
         pairing as a TransportError, which ``compare`` isolates, not as a raw
-        ``OSError``; the node's socket is closed."""
-        made, closed = channels
+        ``OSError``; the node's socket and the listener are closed."""
+        made, closed = endpoint_addresses
 
         def refuse(self):
             raise OSError(errno.EMFILE, "Too many open files")
 
-        srv = TcpServer()
         monkeypatch.setattr(socket.socket, "accept", refuse)
         with pytest.raises(TransportError, match="accept failed: .*Too many open files"):
-            tcp_pair(srv, 0, BandwidthLedger())
-        srv.close()
+            tcp_pair(0, BandwidthLedger())
         assert closed == made and len(made) == 1
+        assert len(tcp_listeners) == 1
+        assert_refused(tcp_listeners)
 
-    def test_stranger_connecting_first_is_refused(self, channels):
+    def test_stranger_connecting_first_is_refused(self, endpoint_addresses, monkeypatch):
         """A raw socket that connects first and sends a node id is not taken
         for the node: the pairing fails at once naming both addresses, and
-        closes the node's socket and the stranger's accepted one."""
-        made, closed = channels
-        srv = TcpServer()
-        with socket.create_connection(srv.address, timeout=5.0) as stranger:
-            stranger.sendall(struct.pack("<I", 0))
-            t0 = time.perf_counter()
-            with pytest.raises(TransportError, match="refused") as err:
-                tcp_pair(srv, 0, BandwidthLedger())
-            assert time.perf_counter() - t0 < 1.0
-            srv.close()
+        closes the node's socket, the stranger's accepted one and the
+        listener."""
+        made, closed = endpoint_addresses
+        addresses, strangers = [], []
+        listen = TcpServer.__init__
+
+        def stranger_first_listen(self):
+            listen(self)
+            addresses.append(self.address)
+            strangers.append(socket.create_connection(self.address, timeout=5.0))
+            strangers[-1].sendall(struct.pack("<I", 0))
+
+        monkeypatch.setattr(TcpServer, "__init__", stranger_first_listen)
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError, match="refused") as err:
+            tcp_pair(0, BandwidthLedger())
+        assert time.perf_counter() - t0 < 1.0
+        (stranger,) = strangers
+        with stranger:
             (node,) = made
             assert closed == [node]
             for host, port in (node, stranger.getsockname()):
@@ -372,3 +413,5 @@ class TestPairing:
             # closed with the stranger's id unread, the accepted socket resets
             with pytest.raises(ConnectionResetError):
                 stranger.recv(1)
+        assert len(addresses) == 1
+        assert_refused(addresses)
