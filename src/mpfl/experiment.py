@@ -18,9 +18,13 @@ upload), and the uploads stream back one at a time in node-id order, split
 but not decoded; the loop reduces them as they arrive into the next round's
 broadcast.  Mask votes are unpacked into a list; weight uploads are summed
 in their wire layout, and the mean is scattered into a model once a round.
-On both transports one thread runs the round: each node's step runs inline,
-in node-id order, between the broadcast on its link and the read of its
-upload.
+The nodes' steps run on one lane per usable core (``_Lanes``): lane 0 is the
+run's own process, each other lane a forked worker that trains its nodes'
+models in place in shared memory.  The run's process does everything else,
+with no thread on either transport: it sends each broadcast on every link,
+decodes it into each node's model and starts the node's step; then, in
+node-id order, it takes each step's result, encodes and sends the upload,
+and reads it.  So every frame and output is the same for any lane count.
 All transmitted bytes flow through the framed wire codec, every send is
 booked in the bandwidth ledger, and all results are deterministic functions
 of the config seed.
@@ -35,12 +39,15 @@ import functools
 import io
 import itertools
 import logging
+import mmap
+import os
+import signal
 import struct
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +71,9 @@ from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, loopback_pair, tcp_pair
 from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask,
                    packed_view, scatter_params, unpack_mask)
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 log = logging.getLogger(__name__)
 
@@ -175,11 +185,21 @@ def build_env(cfg: ExperimentConfig) -> Env:
 
 
 def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
+    """The run's nodes, each starting from ``env.w0``.  Every node model lives
+    in one anonymous shared mapping, so a forked lane worker (see ``_Lanes``)
+    trains it in place and the run's process reads it."""
+    arrays = env.w0.weights + env.w0.biases
+    w0 = np.concatenate([a.ravel() for a in arrays])
+    shared = np.frombuffer(mmap.mmap(-1, w0.nbytes * cfg.nodes), np.float64).reshape(cfg.nodes, -1)
+    shared[:] = w0
+    cuts, layers = np.cumsum([a.size for a in arrays])[:-1], len(env.w0.weights)
+    nodes = []
     # nodes never write their shard, so they share the env's arrays
-    return [
-        Node(i, x, y, env.w0.copy(), np.random.default_rng(seq), cfg.training, cfg.pruning)
-        for i, ((x, y), seq) in enumerate(zip(env.shards, env.node_seeds))
-    ]
+    for i, ((x, y), seq) in enumerate(zip(env.shards, env.node_seeds)):
+        views = [v.reshape(a.shape) for v, a in zip(np.split(shared[i], cuts), arrays)]
+        model = ModelParams(env.w0.arch, views[:layers], views[layers:])
+        nodes.append(Node(i, x, y, model, np.random.default_rng(seq), cfg.training, cfg.pruning))
+    return nodes
 
 
 # --- lockstep rounds ---------------------------------------------------------
@@ -194,24 +214,37 @@ class _Round:
     encode their uploads against; ``increment`` is the round's sparsity
     increment; ``upload`` is the message type the step returns.  A round
     without a ``step`` is the last: the nodes take the broadcast and answer
-    nothing.
+    nothing.  ``lanes`` runs the steps; the sessions set it.
     """
 
     idx: int
-    down: Message
-    ref: PruneMask
+    down: Message | None
+    ref: PruneMask | None
     mask: PruneMask
     step: Callable[[Node, _Round], Message] | None
     increment: float = 0.0
     upload: MsgType = MsgType.WEIGHT_UPLOAD
+    lanes: _Lanes | None = None
 
 
 def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
-    """A node's side of one round: decode the broadcast, step, upload; failures raise NodeError."""
+    """A node's side of a broadcast: decode it into the node's model, then start
+    the node's step on its lane; failures raise NodeError."""
     try:
         ep.recv(node.model, rnd.ref)
         if rnd.step is not None:
-            ep.send(WireCodec.encode(rnd.step(node, rnd), rnd.mask))
+            rnd.lanes.start(node, rnd)
+    except Exception as e:
+        raise NodeError(node.node_id, rnd.idx, e) from e
+
+
+def _upload(node: Node, ep: Endpoint, rnd: _Round) -> None:
+    """A node's upload: the result of its started step, encoded against the
+    round's mask; failures, the step's own included, raise NodeError."""
+    try:
+        msg = rnd.lanes.finish(node, rnd)
+        if msg is not None:
+            ep.send(WireCodec.encode(msg, rnd.mask))
     except Exception as e:
         raise NodeError(node.node_id, rnd.idx, e) from e
 
@@ -232,6 +265,142 @@ def _train(node: Node, rnd: _Round) -> Message:
     """Train under the global mask, then upload the weights."""
     node.train(rnd.mask)
     return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
+
+
+def _lane_count(nodes: int) -> int:
+    """One lane per usable core, at most one per node.  One lane where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing: Windows, and macOS,
+    where forking after its BLAS has run is unsafe."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(nodes, len(os.sched_getaffinity(0)))
+
+
+class _Lanes:
+    """Runs the nodes' steps on L = ``_lane_count`` lanes, node i on lane i % L.
+
+    Lane 0 is the run's own process, which runs a step inline when its result
+    is taken.  Each other lane is a worker forked before any link is made,
+    driven through one ``Pipe``.  A worker runs each step in place on the
+    node's model, in the shared mapping of ``_make_nodes``, and replies with
+    the step's exception or its message, whose params, when they are that
+    model, it names instead of copying.  It learns each round's mask once,
+    and finds the step by the identity of the run's callable in a table taken
+    at fork time, so a patched step runs there too.  Each node's rng lives
+    only in its lane.  A worker exits at EOF of its pipe, so it never outlives
+    the run's process; ``close`` kills and reaps every worker.
+    """
+
+    def __init__(self, nodes: list[Node]):
+        self._steps = (_vote, _sync, _train)
+        self._count = _lane_count(len(nodes))
+        self._workers: list[list] = []  # lane k at k - 1: [pipe end, pid, idx of its round]
+        self._started: set[int] = set()  # nodes whose step's result is not taken yet
+        try:
+            for _ in range(1, self._count):
+                self._fork(nodes)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, nodes: list[Node]) -> None:
+        from multiprocessing.connection import Pipe  # here: a one-lane run loads none of it
+
+        try:
+            ours, theirs = Pipe()
+        except OSError as e:  # e.g. no descriptor left for the pipe
+            raise TransportError(f"pipe to a lane worker failed: {e}") from e
+        try:
+            pid = os.fork()
+        except OSError as e:  # e.g. no process left for the worker
+            ours.close()
+            theirs.close()
+            raise TransportError(f"forking a lane worker failed: {e}") from e
+        if pid == 0:  # the worker, which must never return into the caller's code
+            code = 1
+            try:
+                ours.close()
+                for conn, _, _ in self._workers:
+                    conn.close()
+                self._serve(theirs, nodes)
+                code = 0
+            finally:
+                os._exit(code)
+        theirs.close()
+        self._workers.append([ours, pid, -1])
+
+    def _serve(self, conn: Connection, nodes: list[Node]) -> None:
+        """A worker's loop: run each node step it is sent and reply, until EOF."""
+        while True:
+            try:
+                node_id, told = conn.recv()
+            except EOFError:
+                return
+            if told is not None:
+                step, rnd = told
+                rnd.step = self._steps[step]
+            node = nodes[node_id]
+            try:
+                reply = rnd.step(node, rnd)
+                shared = reply.params is node.model
+                if shared:
+                    reply = copy.copy(reply)
+                    reply.params = None
+            except Exception as e:
+                reply, shared = e, False
+            try:
+                conn.send((reply, shared))
+            except Exception:  # a reply that does not pickle
+                conn.send((RuntimeError(f"{type(reply).__name__}: {reply}"), False))
+
+    def start(self, node: Node, rnd: _Round) -> None:
+        """Start ``node``'s step of ``rnd``: send it to the node's worker, or
+        keep it for ``finish`` on lane 0."""
+        self._started.add(node.node_id)
+        lane = node.node_id % self._count
+        if lane == 0:
+            return
+        worker = self._workers[lane - 1]
+        told = None
+        if worker[2] != rnd.idx:  # each round that has steps has its own idx
+            worker[2] = rnd.idx
+            told = (self._steps.index(rnd.step),
+                    replace(rnd, down=None, ref=None, step=None, lanes=None))
+        try:
+            worker[0].send((node.node_id, told))
+        except OSError:
+            pass  # the worker is gone: ``finish`` names the node whose result is missing
+
+    def finish(self, node: Node, rnd: _Round) -> Message | None:
+        """The message of ``node``'s started step, or None if none was started;
+        the step's exception is raised here."""
+        if node.node_id not in self._started:
+            return None
+        self._started.remove(node.node_id)
+        lane = node.node_id % self._count
+        if lane == 0:
+            return rnd.step(node, rnd)
+        conn, pid, _ = self._workers[lane - 1]
+        try:
+            reply, shared = conn.recv()
+        except (EOFError, OSError):
+            raise RuntimeError(f"worker process {pid} ended") from None
+        if isinstance(reply, Exception):
+            raise reply
+        if shared:
+            reply.params = node.model
+        return reply
+
+    def close(self) -> None:
+        """Kill and reap every worker, idle or mid-step."""
+        for conn, pid, _ in self._workers:
+            conn.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD ignored
+                pass
+        self._workers.clear()
 
 
 def _routed(frame: tuple[MsgType, int, int | None, memoryview], node_id: int,
@@ -261,16 +430,20 @@ def _blaming(node_id: int, idx: int) -> Iterator[None]:
 
 def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], rnd: _Round,
               frame: bytes) -> Iterator[tuple[int, memoryview]]:
-    """Send ``frame`` on each link in node-id order, run that node's step, and
-    yield its routed upload as (node, payload); a payload is valid until the
-    next is taken.  A transport failure or an unreadable upload names the node
-    and the round; a misrouted one names them itself."""
+    """Send ``frame`` on each link in node-id order and start that node's step,
+    then, in node-id order again, upload each node's step result and yield its
+    routed upload as (node, payload); a payload is valid until the next is
+    taken.  A transport failure or an unreadable upload names the node and the
+    round; a misrouted one names them itself."""
     for node, server, ep in links:
         with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
-            if rnd.step is None:
-                continue
+    if rnd.step is None:
+        return
+    for node, server, ep in links:
+        with _blaming(node.node_id, rnd.idx):
+            _upload(node, ep, rnd)
             upload = server.recv_frame(rnd.mask)
         yield node.node_id, _routed(upload, node.node_id, rnd)
 
@@ -281,12 +454,15 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
     """Open the server's sessions with the nodes over the configured transport and
     yield the round's exchange, which encodes each broadcast once.  The exchange
     is lazy: a round runs as its uploads are taken, and only once all are taken
-    is it done.  No session needs a thread: both ends of every link live
-    here, made by ``loopback_pair`` or ``tcp_pair``, and no listener outlives
-    the making of its link.  Each endpoint goes on one stack the moment it
-    exists, so leaving the block, mid-round included, closes everything the
-    sessions opened."""
+    is it done.  The lane workers are forked first, so they hold no link
+    socket.  No session needs a thread: both ends of every link live in the
+    run's process, made by ``loopback_pair`` or ``tcp_pair``, and no listener
+    outlives the making of its link.  The lanes and each endpoint go on one
+    stack the moment they exist, so leaving the block, mid-round included,
+    reaps every worker and closes everything the sessions opened."""
     with ExitStack() as stack:
+        lanes = _Lanes(nodes)
+        stack.callback(lanes.close)
         pair = tcp_pair if cfg.transport.kind == "tcp" else loopback_pair
         links = []
         for node in nodes:
@@ -294,7 +470,8 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
             stack.callback(server.close)
             stack.callback(ep.close)
             links.append((node, server, ep))
-        yield lambda rnd: _exchange(links, rnd, WireCodec.encode(rnd.down, rnd.ref))
+        yield lambda rnd: _exchange(links, replace(rnd, lanes=lanes),
+                                    WireCodec.encode(rnd.down, rnd.ref))
 
 
 # --- metrics helpers ---------------------------------------------------------
@@ -543,10 +720,11 @@ def _one_blas_thread() -> Iterator[None]:
     """Pin OpenBLAS to one thread for the block, then restore the caller's count.
 
     A run's GEMMs are at most one training batch tall: OpenBLAS's workers
-    would split those small GEMMs, then spin between calls on cores the run
-    does not need.  OpenBLAS splits a GEMM over its rows and columns, never
-    over the summed dimension, so one thread gives bit-identical results.
-    The count is process-wide.
+    would split those small GEMMs, then spin between calls on the cores the
+    other lanes train on.  OpenBLAS splits a GEMM over its rows and columns,
+    never over the summed dimension, so one thread gives bit-identical
+    results.  The count is process-wide, and a lane worker forked in the
+    block inherits it.
     """
     blas = _blas_threads()
     if blas is None:

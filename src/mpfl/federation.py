@@ -169,7 +169,10 @@ class Node:
     """One training participant: a data shard plus a model it owns.
 
     The node decodes every weight broadcast into its model's arrays and trains
-    them in place.  The run, not the node, records how it behaved.
+    them in place.  In a run the model lives in shared memory, so the node's
+    steps may run in a forked worker while the run's process decodes and
+    encodes the same arrays; its rng advances only where its steps run.  The
+    run, not the node, records how it behaved.
     """
 
     node_id: int

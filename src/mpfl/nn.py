@@ -7,8 +7,8 @@ Every pass writes its hidden activations, backpropagated deltas and weight
 gradients into buffers that its call allocates once, and adds biases, applies
 ReLU and updates weights in place, so an SGD step allocates nothing of
 activation or weight size.  The buffers belong to the call, never to the
-module: a run trains its nodes one after another on one thread, but a
-library caller may train models on several threads at once.
+module: a run trains each lane's nodes one after another, one lane per
+process, but a library caller may train models on several threads at once.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import os
 import socket
 import threading
 
@@ -111,3 +112,14 @@ def no_thread_left_running():
     yield
     left = [t for t in threading.enumerate() if t not in before]
     assert not left, f"threads left running: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """A test that leaves a child process, running or unreaped, fails."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process left behind: waitpid(-1) gave pid {pid}")

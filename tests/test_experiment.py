@@ -31,7 +31,7 @@ from mpfl.experiment import (
 from mpfl.model import PruneMask
 from mpfl.pruning import apply_mask
 from mpfl.transport import Endpoint, TcpServer
-from mpfl.wire import UP, Message, MsgType, WireCodec
+from mpfl.wire import UP, Message, MsgType, WireCodec, pack_mask
 
 from conftest import assert_refused, make_arch, make_model, same_params, zero_group_mask
 
@@ -215,9 +215,9 @@ class TestSessions:
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_rounds_run_without_a_listening_port(self, monkeypatch, tcp_listeners, transport):
         """Seen from node 9's step in round 1: the process holds two descriptors
-        per node more than before the run (checked where ``/proc/self/fd``
-        exists), and over TCP every listener the run made refuses a
-        connection."""
+        per node and one pipe end per lane worker more than before the run
+        (checked where ``/proc/self/fd`` exists), and over TCP every listener
+        the run made refuses a connection."""
         has_fds = os.path.isdir("/proc/self/fd")
         exchange = experiment._node_exchange
         held = []
@@ -235,7 +235,120 @@ class TestSessions:
         assert len(tcp_listeners) == (raw["nodes"] if transport == "tcp" else 0)
         (during,) = held
         if has_fds:
-            assert during - before == 2 * raw["nodes"]
+            workers = experiment._lane_count(raw["nodes"]) - 1
+            assert during - before == 2 * raw["nodes"] + workers
+
+
+# where either is missing a run has one lane, whatever the cores
+forks = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                           reason="a run has one lane on this platform")
+
+
+def usable_cores(monkeypatch, count: int) -> None:
+    """The run sees ``count`` usable cores, where it can use more than one."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestLanes:
+    """Node steps spread over one lane per usable core give the outputs of one
+    lane, and a run leaves no worker behind."""
+
+    VARIANTS = {
+        "mpfl": {},
+        "pruning_fl": {"algorithm": "pruning_fl"},
+        "fedavg": {"algorithm": "fedavg", "pruning": {"schedule": []}},
+        # node 1 diverges in every vote round and uploads non-finite weights after
+        "mpfl-diverging": {"contamination": [{"node": 1, "kind": "noise", "sigma": 1e300}]},
+    }
+
+    @staticmethod
+    def outputs(res, path) -> tuple:
+        save_model(path, res.final_model, res.final_mask)
+        return (rows_to_csv(res.rows), res.ledger.summary(),
+                sorted((e.round_idx, e.node_id, e.direction, e.category, e.bits)
+                       for e in res.ledger.entries),
+                path.read_bytes(), [pack_mask(m) for m in res.mask_history], res.node_events)
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_outputs_do_not_depend_on_the_lanes(self, monkeypatch, tmp_path, variant, transport):
+        raw = small_raw(transport={"kind": transport}, **self.VARIANTS[variant])
+        got = {}
+        for cores in (1, 2, 3, raw["nodes"] + 3):
+            usable_cores(monkeypatch, cores)
+            got[cores] = self.outputs(run(config_from_dict(raw)), tmp_path / f"{cores}.bin")
+        assert all(out == got[1] for out in got.values())
+
+    @forks
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_worker_that_dies_names_node_and_round(self, monkeypatch, transport):
+        """A worker that exits in node 1's first step fails the run at once with
+        a NodeError naming node 1 and round 1, and leaves no child process
+        (the autouse fixture) and no descriptor behind."""
+        parent, train = os.getpid(), experiment._train
+
+        def dying_train(node, rnd):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train(node, rnd)
+
+        monkeypatch.setattr(experiment, "_train", dying_train)
+        usable_cores(monkeypatch, 2)
+        has_fds = os.path.isdir("/proc/self/fd")
+        before = len(os.listdir("/proc/self/fd")) if has_fds else None
+        start = time.monotonic()
+        with pytest.raises(NodeError, match="node 1 failed in round 1: RuntimeError: worker "
+                                            "process [0-9]+ ended") as info:
+            run(config_from_dict(small_raw(algorithm="pruning_fl", transport={"kind": transport})))
+        assert time.monotonic() - start < 5.0
+        assert (info.value.node_id, info.value.round_idx) == (1, 1)
+        if has_fds:
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    @forks
+    def test_failed_fork_is_isolated_and_closes_every_pipe(self, monkeypatch):
+        """A worker the kernel refuses (here the second of three) fails the run's
+        setup as a TransportError, which ``compare`` isolates; the worker
+        forked before it is reaped (the autouse fixture) and no pipe is left."""
+        calls = []
+        fork = os.fork
+
+        def refusing_fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        usable_cores(monkeypatch, 3)
+        has_fds = os.path.isdir("/proc/self/fd")
+        before = len(os.listdir("/proc/self/fd")) if has_fds else None
+        results, failures = compare([config_from_dict(small_raw())])
+        assert results == []
+        ((_, err),) = failures
+        assert isinstance(err, TransportError)
+        assert "forking a lane worker failed: [Errno 11]" in str(err)
+        if has_fds:
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    @forks
+    def test_unpicklable_step_error_names_node_and_round(self, monkeypatch):
+        """A worker's step error that does not pickle comes back as a
+        RuntimeError carrying its class name and message."""
+        class Unpicklable(Exception):
+            pass
+
+        def failing_vote(node, rnd):
+            if node.node_id == 1:
+                raise Unpicklable("disk on fire")
+            return Message(MsgType.MASK_UPLOAD, rnd.idx, node_id=node.node_id, mask=rnd.mask)
+
+        monkeypatch.setattr(experiment, "_vote", failing_vote)
+        usable_cores(monkeypatch, 2)
+        with pytest.raises(NodeError, match="node 1 failed in round 1: RuntimeError: "
+                                            "Unpicklable: disk on fire"):
+            run(config_from_dict(small_raw()))
 
 
 @pytest.fixture
@@ -634,17 +747,25 @@ class TestBlasThreads:
         assert experiment._blas_threads() is not None
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
-    def test_node_steps_see_one_thread(self, monkeypatch, blas_threads, transport):
-        seen = []
+    def test_node_steps_see_one_thread(self, monkeypatch, tmp_path, blas_threads, transport):
+        """Every step sees one thread, in the run's process and in its lane
+        worker; the steps write what they see to a file, since a worker's
+        memory is its own."""
+        seen = tmp_path / "seen"
         train = experiment._train
 
         def recording_train(node, rnd):
-            seen.append(blas_threads())
+            with open(seen, "a") as f:
+                f.write(f"{os.getpid()} {blas_threads()}\n")
             return train(node, rnd)
 
         monkeypatch.setattr(experiment, "_train", recording_train)
+        usable_cores(monkeypatch, 2)
         run(config_from_dict(small_raw(algorithm="pruning_fl", transport={"kind": transport})))
-        assert len(seen) == 4 * 4 and set(seen) == {1}
+        steps = [line.split() for line in seen.read_text().splitlines()]
+        assert len(steps) == 4 * 4 and {count for _, count in steps} == {"1"}
+        if experiment._lane_count(4) > 1:
+            assert {pid for pid, _ in steps} - {str(os.getpid())}, "no step ran in a worker"
         assert blas_threads() == 2
 
     def test_count_restored_after_node_error(self, monkeypatch, blas_threads):
