@@ -44,6 +44,7 @@ import os
 import signal
 import struct
 import sys
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -214,7 +215,7 @@ class _Round:
     encode their uploads against; ``increment`` is the round's sparsity
     increment; ``upload`` is the message type the step returns.  A round
     without a ``step`` is the last: the nodes take the broadcast and answer
-    nothing.  ``lanes`` runs the steps; the sessions set it.
+    nothing.
     """
 
     idx: int
@@ -224,29 +225,16 @@ class _Round:
     step: Callable[[Node, _Round], Message] | None
     increment: float = 0.0
     upload: MsgType = MsgType.WEIGHT_UPLOAD
-    lanes: _Lanes | None = None
 
 
 def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
-    """A node's side of a broadcast: decode it into the node's model, then start
-    the node's step on its lane; failures raise NodeError."""
-    try:
-        ep.recv(node.model, rnd.ref)
-        if rnd.step is not None:
-            rnd.lanes.start(node, rnd)
-    except Exception as e:
-        raise NodeError(node.node_id, rnd.idx, e) from e
+    """A node's side of a broadcast: decode it into the node's model."""
+    ep.recv(node.model, rnd.ref)
 
 
-def _upload(node: Node, ep: Endpoint, rnd: _Round) -> None:
-    """A node's upload: the result of its started step, encoded against the
-    round's mask; failures, the step's own included, raise NodeError."""
-    try:
-        msg = rnd.lanes.finish(node, rnd)
-        if msg is not None:
-            ep.send(WireCodec.encode(msg, rnd.mask))
-    except Exception as e:
-        raise NodeError(node.node_id, rnd.idx, e) from e
+def _upload(node: Node, ep: Endpoint, rnd: _Round, msg: Message) -> None:
+    """A node's upload: its step's message, encoded against the round's mask."""
+    ep.send(WireCodec.encode(msg, rnd.mask))
 
 
 def _vote(node: Node, rnd: _Round) -> Message:
@@ -270,8 +258,10 @@ def _train(node: Node, rnd: _Round) -> Message:
 def _lane_count(nodes: int) -> int:
     """One lane per usable core, at most one per node.  One lane where
     ``os.fork`` or ``os.sched_getaffinity`` is missing: Windows, and macOS,
-    where forking after its BLAS has run is unsafe."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    where forking after its BLAS has run is unsafe.  One lane while the caller
+    runs threads of its own, since a fork copies only the calling thread and a
+    lock another thread holds would stay locked in the worker."""
+    if threading.active_count() > 1 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(nodes, len(os.sched_getaffinity(0)))
 
@@ -281,21 +271,20 @@ class _Lanes:
 
     Lane 0 is the run's own process, which runs a step inline when its result
     is taken.  Each other lane is a worker forked before any link is made,
-    driven through one ``Pipe``.  A worker runs each step in place on the
-    node's model, in the shared mapping of ``_make_nodes``, and replies with
-    the step's exception or its message, whose params, when they are that
-    model, it names instead of copying.  It learns each round's mask once,
-    and finds the step by the identity of the run's callable in a table taken
-    at fork time, so a patched step runs there too.  Each node's rng lives
-    only in its lane.  A worker exits at EOF of its pipe, so it never outlives
-    the run's process; ``close`` kills and reaps every worker.
+    driven through one ``Pipe``: a request is a node, its step's index and the
+    round, and the reply is the step's message or its exception.  A worker
+    runs the step in place on the node's model, in the shared mapping of
+    ``_make_nodes``, so a reply leaves out params that are that model.  It
+    finds the step by the identity of the run's callable in a table taken at
+    fork time, so a patched step runs there too.  Each node's rng lives only
+    in its lane.  A worker exits at EOF of its pipe, so it never outlives the
+    run's process; ``close`` kills and reaps every worker.
     """
 
     def __init__(self, nodes: list[Node]):
         self._steps = (_vote, _sync, _train)
         self._count = _lane_count(len(nodes))
-        self._workers: list[list] = []  # lane k at k - 1: [pipe end, pid, idx of its round]
-        self._started: set[int] = set()  # nodes whose step's result is not taken yet
+        self._workers: list[tuple[Connection, int]] = []  # lane k at k - 1: (pipe end, pid)
         try:
             for _ in range(1, self._count):
                 self._fork(nodes)
@@ -310,90 +299,79 @@ class _Lanes:
             ours, theirs = Pipe()
         except OSError as e:  # e.g. no descriptor left for the pipe
             raise TransportError(f"pipe to a lane worker failed: {e}") from e
+        failure = None
         try:
-            pid = os.fork()
-        except OSError as e:  # e.g. no process left for the worker
-            ours.close()
-            theirs.close()
-            raise TransportError(f"forking a lane worker failed: {e}") from e
-        if pid == 0:  # the worker, which must never return into the caller's code
-            code = 1
-            try:
-                ours.close()
-                for conn, _, _ in self._workers:
-                    conn.close()
-                self._serve(theirs, nodes)
-                code = 0
-            finally:
-                os._exit(code)
+            if os.fork() == 0:  # the worker, which must never return into the caller's code
+                code = 1
+                try:
+                    ours.close()
+                    for conn, _ in self._workers:
+                        conn.close()
+                    theirs.send(os.getpid())
+                    self._serve(theirs, nodes)
+                    code = 0
+                finally:
+                    os._exit(code)
+        except Exception as e:  # refused, or failed in the parent once the child exists
+            failure = e
         theirs.close()
-        self._workers.append([ours, pid, -1])
+        try:  # a worker's first message is its pid, so whatever failed, it is reaped
+            self._workers.append((ours, ours.recv()))
+        except EOFError as e:  # no worker was made
+            ours.close()
+            failure = failure or e
+        if failure is not None:
+            raise TransportError(f"forking a lane worker failed: {failure}") from failure
 
     def _serve(self, conn: Connection, nodes: list[Node]) -> None:
         """A worker's loop: run each node step it is sent and reply, until EOF."""
         while True:
             try:
-                node_id, told = conn.recv()
+                node_id, step, rnd = conn.recv()
             except EOFError:
                 return
-            if told is not None:
-                step, rnd = told
-                rnd.step = self._steps[step]
             node = nodes[node_id]
             try:
-                reply = rnd.step(node, rnd)
-                shared = reply.params is node.model
-                if shared:
-                    reply = copy.copy(reply)
+                reply = self._steps[step](node, rnd)
+                if reply.params is node.model:  # a new message, which only this reply holds
                     reply.params = None
             except Exception as e:
-                reply, shared = e, False
+                reply = e
             try:
-                conn.send((reply, shared))
+                conn.send(reply)
             except Exception:  # a reply that does not pickle
-                conn.send((RuntimeError(f"{type(reply).__name__}: {reply}"), False))
+                conn.send(RuntimeError(f"{type(reply).__name__}: {reply}"))
 
     def start(self, node: Node, rnd: _Round) -> None:
         """Start ``node``'s step of ``rnd``: send it to the node's worker, or
-        keep it for ``finish`` on lane 0."""
-        self._started.add(node.node_id)
+        leave it to ``finish`` on lane 0."""
         lane = node.node_id % self._count
-        if lane == 0:
-            return
-        worker = self._workers[lane - 1]
-        told = None
-        if worker[2] != rnd.idx:  # each round that has steps has its own idx
-            worker[2] = rnd.idx
-            told = (self._steps.index(rnd.step),
-                    replace(rnd, down=None, ref=None, step=None, lanes=None))
-        try:
-            worker[0].send((node.node_id, told))
-        except OSError:
-            pass  # the worker is gone: ``finish`` names the node whose result is missing
+        if lane:
+            try:
+                self._workers[lane - 1][0].send((node.node_id, self._steps.index(rnd.step),
+                                                 replace(rnd, down=None, ref=None, step=None)))
+            except OSError:
+                pass  # the worker is gone: ``finish`` names the node whose result is missing
 
-    def finish(self, node: Node, rnd: _Round) -> Message | None:
-        """The message of ``node``'s started step, or None if none was started;
-        the step's exception is raised here."""
-        if node.node_id not in self._started:
-            return None
-        self._started.remove(node.node_id)
+    def finish(self, node: Node, rnd: _Round) -> Message:
+        """The message of ``node``'s started step; the step's exception is raised here."""
         lane = node.node_id % self._count
         if lane == 0:
             return rnd.step(node, rnd)
-        conn, pid, _ = self._workers[lane - 1]
+        conn, pid = self._workers[lane - 1]
         try:
-            reply, shared = conn.recv()
+            reply = conn.recv()
         except (EOFError, OSError):
             raise RuntimeError(f"worker process {pid} ended") from None
         if isinstance(reply, Exception):
             raise reply
-        if shared:
+        if reply.mtype is MsgType.WEIGHT_UPLOAD and reply.params is None:
             reply.params = node.model
         return reply
 
     def close(self) -> None:
         """Kill and reap every worker, idle or mid-step."""
-        for conn, pid, _ in self._workers:
+        for conn, pid in self._workers:
             conn.close()
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -418,32 +396,37 @@ def _routed(frame: tuple[MsgType, int, int | None, memoryview], node_id: int,
 
 @contextmanager
 def _blaming(node_id: int, idx: int) -> Iterator[None]:
-    """Raise a transport or protocol failure in the block again, of its class
-    and with its offset, naming the node and the round."""
+    """Raise any failure in the block again naming the node and the round: a
+    transport or protocol failure as a copy of its class and offset, any other
+    as a NodeError chaining it."""
     try:
         yield
     except (TransportError, ProtocolError) as e:
         named = copy.copy(e)
         named.args = (f"node {node_id} in round {idx}: {e}",)
         raise named from e
+    except Exception as e:
+        raise NodeError(node_id, idx, e) from e
 
 
-def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], rnd: _Round,
+def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes, rnd: _Round,
               frame: bytes) -> Iterator[tuple[int, memoryview]]:
-    """Send ``frame`` on each link in node-id order and start that node's step,
-    then, in node-id order again, upload each node's step result and yield its
-    routed upload as (node, payload); a payload is valid until the next is
-    taken.  A transport failure or an unreadable upload names the node and the
-    round; a misrouted one names them itself."""
+    """Send ``frame`` on each link in node-id order, decode it and start that
+    node's step, then, in node-id order again, upload each node's step result
+    and yield its routed upload as (node, payload); a payload is valid until
+    the next is taken.  Any failure in a node's part of the round names the
+    node and the round; a misrouted upload names them itself."""
     for node, server, ep in links:
         with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
+            if rnd.step is not None:
+                lanes.start(node, rnd)
     if rnd.step is None:
         return
     for node, server, ep in links:
         with _blaming(node.node_id, rnd.idx):
-            _upload(node, ep, rnd)
+            _upload(node, ep, rnd, lanes.finish(node, rnd))
             upload = server.recv_frame(rnd.mask)
         yield node.node_id, _routed(upload, node.node_id, rnd)
 
@@ -470,8 +453,7 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
             stack.callback(server.close)
             stack.callback(ep.close)
             links.append((node, server, ep))
-        yield lambda rnd: _exchange(links, replace(rnd, lanes=lanes),
-                                    WireCodec.encode(rnd.down, rnd.ref))
+        yield lambda rnd: _exchange(links, lanes, rnd, WireCodec.encode(rnd.down, rnd.ref))
 
 
 # --- metrics helpers ---------------------------------------------------------

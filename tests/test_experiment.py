@@ -333,6 +333,66 @@ class TestLanes:
             assert len(os.listdir("/proc/self/fd")) == before
 
     @forks
+    def test_fork_that_fails_after_forking_is_isolated_and_reaped(self, monkeypatch):
+        """A fork that raises in the run's process after the child exists (as
+        CPython 3.12's DeprecationWarning in a multi-threaded process does, and
+        here the second of three) fails setup as a TransportError, which
+        ``compare`` isolates; both children are reaped (the autouse fixture)
+        and no pipe is left."""
+        calls = []
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            calls.append(pid)
+            if pid and len(calls) == 2:
+                raise DeprecationWarning("This process is multi-threaded, use of fork() "
+                                         "may lead to deadlocks in the child.")
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        usable_cores(monkeypatch, 3)
+        has_fds = os.path.isdir("/proc/self/fd")
+        before = len(os.listdir("/proc/self/fd")) if has_fds else None
+        results, failures = compare([config_from_dict(small_raw())])
+        assert results == [] and len(calls) == 2
+        ((_, err),) = failures
+        assert isinstance(err, TransportError)
+        assert "forking a lane worker failed: This process is multi-threaded" in str(err)
+        assert isinstance(err.__cause__, DeprecationWarning)
+        if has_fds:
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    @forks
+    def test_caller_with_a_thread_runs_one_lane(self, monkeypatch, tmp_path):
+        """While the caller runs a thread of its own, every step runs in the
+        run's process, since a fork would copy only the calling thread, and
+        the outputs are those of one lane."""
+        seen = tmp_path / "seen"
+        train = experiment._train
+
+        def recording_train(node, rnd):
+            with open(seen, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return train(node, rnd)
+
+        monkeypatch.setattr(experiment, "_train", recording_train)
+        raw = small_raw(algorithm="pruning_fl")
+        usable_cores(monkeypatch, 3)
+        assert experiment._lane_count(raw["nodes"]) == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            threaded = self.outputs(run(config_from_dict(raw)), tmp_path / "threaded.bin")
+        finally:
+            stop.set()
+            thread.join()
+        assert seen.read_text().split() == [str(os.getpid())] * 4 * 4
+        usable_cores(monkeypatch, 1)
+        assert threaded == self.outputs(run(config_from_dict(raw)), tmp_path / "one.bin")
+
+    @forks
     def test_unpicklable_step_error_names_node_and_round(self, monkeypatch):
         """A worker's step error that does not pickle comes back as a
         RuntimeError carrying its class name and message."""
@@ -371,7 +431,12 @@ def endpoints(monkeypatch):
 
 
 class TestNodeFailure:
-    """A node that raises or drops fails the run within the round, naming node and round."""
+    """A node that raises or drops fails the run within the round, naming node and round.
+
+    Tests that loop over ``LANES`` fail node 2 of 4 both inline, on one lane,
+    and in a lane worker, on three."""
+
+    LANES = (1, 3)
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
@@ -387,13 +452,15 @@ class TestNodeFailure:
 
         monkeypatch.setattr(Node, "train", failing_train)
         cfg = config_from_dict(small_raw(algorithm=algorithm, transport={"kind": transport}))
-        start = time.monotonic()
-        with pytest.raises(NodeError, match="node 2 failed in round 1") as info:
-            run(cfg)
-        assert time.monotonic() - start < 5.0
-        assert (info.value.node_id, info.value.round_idx) == (2, 1)
-        assert isinstance(info.value.__cause__, RuntimeError)
-        assert "disk on fire" in str(info.value)
+        for cores in self.LANES:
+            usable_cores(monkeypatch, cores)
+            start = time.monotonic()
+            with pytest.raises(NodeError, match="node 2 failed in round 1") as info:
+                run(cfg)
+            assert time.monotonic() - start < 5.0
+            assert (info.value.node_id, info.value.round_idx) == (2, 1)
+            assert isinstance(info.value.__cause__, RuntimeError)
+            assert "disk on fire" in str(info.value)
 
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
     def test_failed_tcp_run_releases_threads_and_port(self, monkeypatch, tcp_listeners,
@@ -425,29 +492,33 @@ class TestNodeFailure:
 
         monkeypatch.setattr(experiment, "_node_exchange", dropping_exchange)
         cfg = config_from_dict(small_raw(transport={"kind": transport}))
-        start = time.monotonic()
-        with pytest.raises(TransportError, match="node 2 in round 1: ") as info:
-            run(cfg)
-        assert time.monotonic() - start < 5.0
-        assert isinstance(info.value.__cause__, TransportError)
+        for cores in self.LANES:
+            usable_cores(monkeypatch, cores)
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="node 2 in round 1: ") as info:
+                run(cfg)
+            assert time.monotonic() - start < 5.0
+            assert isinstance(info.value.__cause__, TransportError)
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_silent_peer_times_out_naming_node_and_round(self, monkeypatch, transport):
         """A node that keeps its socket open but never uploads fails the round
         once the server's read has waited out the socket timeout, on either
         transport."""
-        exchange = experiment._node_exchange
+        upload = experiment._upload
 
-        def silent_exchange(node, ep, rnd):
+        def silent_upload(node, ep, rnd, msg):
             if node.node_id != 2:
-                exchange(node, ep, rnd)
+                upload(node, ep, rnd, msg)
 
-        monkeypatch.setattr(experiment, "_node_exchange", silent_exchange)
+        monkeypatch.setattr(experiment, "_upload", silent_upload)
         monkeypatch.setattr(mpfl_transport, "_TIMEOUT", 0.5)
-        start = time.monotonic()
-        with pytest.raises(TransportError, match="node 2 in round 1: recv timed out"):
-            run(config_from_dict(small_raw(transport={"kind": transport})))
-        assert 0.5 <= time.monotonic() - start < 5.0
+        for cores in self.LANES:
+            usable_cores(monkeypatch, cores)
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="node 2 in round 1: recv timed out"):
+                run(config_from_dict(small_raw(transport={"kind": transport})))
+            assert 0.5 <= time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("corrupt, match, offset", [
@@ -476,25 +547,32 @@ class TestNodeFailure:
         assert isinstance(err.value.__cause__, ProtocolError)
 
     def test_failed_socket_pair_is_isolated_and_closes_every_socket(self, monkeypatch):
-        """A socket pair the kernel refuses (here, out of descriptors, for the
-        third node) fails the run's setup as a TransportError, which
-        ``compare`` isolates; the pairs made before it are closed."""
-        made = []
+        """A socket pair the kernel refuses (here, out of descriptors) fails the
+        run's setup as a TransportError, which ``compare`` isolates; the pairs
+        made before it are closed.  On one lane the third pair refused is node
+        2's link; on three, the first is the pipe to the first lane worker,
+        which ``multiprocessing.Pipe`` makes as a socket pair."""
         socketpair = socket.socketpair
+        for cores, refused, match in ((1, 2, "socket pair failed"),
+                                      (3, 0, "pipe to a lane worker failed")):
+            made = []
 
-        def refusing_socketpair(*args):
-            if len(made) == 4:
-                raise OSError(errno.EMFILE, "Too many open files")
-            made.extend(socketpair(*args))
-            return made[-2], made[-1]
+            def refusing_socketpair(*args):
+                if len(made) == 2 * refused:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                made.extend(socketpair(*args))
+                return made[-2], made[-1]
 
-        monkeypatch.setattr(socket, "socketpair", refusing_socketpair)
-        results, failures = compare([config_from_dict(small_raw())])
-        assert results == []
-        ((_, err),) = failures
-        assert isinstance(err, TransportError)
-        assert "socket pair failed: [Errno 24] Too many open files" in str(err)
-        assert len(made) == 4 and all(sock.fileno() == -1 for sock in made)
+            monkeypatch.setattr(socket, "socketpair", refusing_socketpair)
+            usable_cores(monkeypatch, cores)
+            if experiment._lane_count(4) != cores:
+                continue  # no lane worker on this platform
+            results, failures = compare([config_from_dict(small_raw())])
+            assert results == []
+            ((_, err),) = failures
+            assert isinstance(err, TransportError)
+            assert f"{match}: [Errno 24] Too many open files" in str(err)
+            assert len(made) == 2 * refused and all(sock.fileno() == -1 for sock in made)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
