@@ -22,9 +22,10 @@ The nodes' steps run on one lane per usable core (``_Lanes``): lane 0 is the
 run's own process, each other lane a forked worker that trains its nodes'
 models in place in shared memory.  The run's process does everything else,
 with no thread on either transport: it sends each broadcast on every link,
-decodes it into each node's model and starts the node's step; then, in
-node-id order, it takes each step's result, encodes and sends the upload,
-and reads it.  So every frame and output is the same for any lane count.
+decodes it into each node's model and sends each worker the round's step;
+then, in node-id order, it takes each node's step result (a vote or
+nothing), encodes and sends the upload, and reads it.  So every frame and
+output is the same for any lane count.
 All transmitted bytes flow through the framed wire codec, every send is
 booked in the bandwidth ledger, and all results are deterministic functions
 of the config seed.
@@ -41,6 +42,7 @@ import itertools
 import logging
 import mmap
 import os
+import pickle
 import signal
 import struct
 import sys
@@ -213,16 +215,16 @@ class _Round:
     ``ref`` is the mask the nodes hold before the broadcast, which encodes it;
     ``mask`` is the global mask after it, which the nodes train under and
     encode their uploads against; ``increment`` is the round's sparsity
-    increment; ``upload`` is the message type the step returns.  A round
-    without a ``step`` is the last: the nodes take the broadcast and answer
-    nothing.
+    increment; ``upload`` is the type of the nodes' uploads.  A step returns
+    the node's mask vote, or None to upload its model.  A round without a
+    ``step`` is the last: the nodes take the broadcast and answer nothing.
     """
 
     idx: int
     down: Message | None
     ref: PruneMask | None
     mask: PruneMask
-    step: Callable[[Node, _Round], Message] | None
+    step: Callable[[Node, _Round], PruneMask | None] | None
     increment: float = 0.0
     upload: MsgType = MsgType.WEIGHT_UPLOAD
 
@@ -232,27 +234,25 @@ def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
     ep.recv(node.model, rnd.ref)
 
 
-def _upload(node: Node, ep: Endpoint, rnd: _Round, msg: Message) -> None:
-    """A node's upload: its step's message, encoded against the round's mask."""
+def _upload(node: Node, ep: Endpoint, rnd: _Round, vote: PruneMask | None) -> None:
+    """A node's upload, encoded against the round's mask: its vote or its model, by the type."""
+    msg = Message(rnd.upload, rnd.idx, node_id=node.node_id, mask=vote, params=node.model)
     ep.send(WireCodec.encode(msg, rnd.mask))
 
 
-def _vote(node: Node, rnd: _Round) -> Message:
-    """Train under the global mask, then upload this node's mask vote."""
-    local = node.local_round(rnd.mask, rnd.increment)
-    return Message(MsgType.MASK_UPLOAD, rnd.idx, node_id=node.node_id, mask=local)
+def _vote(node: Node, rnd: _Round) -> PruneMask:
+    """Train under the global mask, then vote this node's local mask."""
+    return node.local_round(rnd.mask, rnd.increment)
 
 
-def _sync(node: Node, rnd: _Round) -> Message:
-    """Upload the local model without training; encoding against the global
-    mask drops the pruned groups."""
-    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
+def _sync(node: Node, rnd: _Round) -> None:
+    """Nothing: the node uploads its local model untrained; encoding against
+    the global mask drops the pruned groups."""
 
 
-def _train(node: Node, rnd: _Round) -> Message:
-    """Train under the global mask, then upload the weights."""
+def _train(node: Node, rnd: _Round) -> None:
+    """Train under the global mask; the node uploads the weights."""
     node.train(rnd.mask)
-    return Message(MsgType.WEIGHT_UPLOAD, rnd.idx, node_id=node.node_id, params=node.model)
 
 
 def _lane_count(nodes: int) -> int:
@@ -270,11 +270,11 @@ class _Lanes:
     """Runs the nodes' steps on L = ``_lane_count`` lanes, node i on lane i % L.
 
     Lane 0 is the run's own process, which runs a step inline when its result
-    is taken.  Each other lane is a worker forked before any link is made,
-    driven through one ``Pipe``: a request is a node, its step's index and the
-    round, and the reply is the step's message or its exception.  A worker
-    runs the step in place on the node's model, in the shared mapping of
-    ``_make_nodes``, so a reply leaves out params that are that model.  It
+    is taken.  Each other lane is a worker forked with its nodes before any
+    link is made, driven through one ``Pipe``: a round's one request is its
+    step's index and the round; the worker runs the step on its nodes in
+    order, in place on their models in the shared mapping of ``_make_nodes``,
+    and replies for each with the vote, None or the step's exception.  It
     finds the step by the identity of the run's callable in a table taken at
     fork time, so a patched step runs there too.  Each node's rng lives only
     in its lane.  A worker exits at EOF of its pipe, so it never outlives the
@@ -286,8 +286,8 @@ class _Lanes:
         self._count = _lane_count(len(nodes))
         self._workers: list[tuple[Connection, int]] = []  # lane k at k - 1: (pipe end, pid)
         try:
-            for _ in range(1, self._count):
-                self._fork(nodes)
+            for k in range(1, self._count):
+                self._fork(nodes[k::self._count])
         except BaseException:
             self.close()
             raise
@@ -324,37 +324,33 @@ class _Lanes:
             raise TransportError(f"forking a lane worker failed: {failure}") from failure
 
     def _serve(self, conn: Connection, nodes: list[Node]) -> None:
-        """A worker's loop: run each node step it is sent and reply, until EOF."""
+        """A worker's loop: run each round's step on its nodes and reply for each, until EOF."""
         while True:
             try:
-                node_id, step, rnd = conn.recv()
+                step, rnd = conn.recv()
             except EOFError:
                 return
-            node = nodes[node_id]
-            try:
-                reply = self._steps[step](node, rnd)
-                if reply.params is node.model:  # a new message, which only this reply holds
-                    reply.params = None
-            except Exception as e:
-                reply = e
-            try:
+            for node in nodes:
+                try:
+                    reply = self._steps[step](node, rnd)
+                except Exception as e:
+                    try:
+                        reply = pickle.loads(pickle.dumps(e))
+                    except Exception:  # an error that does not survive pickling
+                        reply = RuntimeError(f"{type(e).__name__}: {e}")
                 conn.send(reply)
-            except Exception:  # a reply that does not pickle
-                conn.send(RuntimeError(f"{type(reply).__name__}: {reply}"))
 
-    def start(self, node: Node, rnd: _Round) -> None:
-        """Start ``node``'s step of ``rnd``: send it to the node's worker, or
-        leave it to ``finish`` on lane 0."""
-        lane = node.node_id % self._count
-        if lane:
+    def start(self, rnd: _Round) -> None:
+        """Send every worker the round's step; lane 0's steps wait for ``finish``."""
+        request = (self._steps.index(rnd.step), replace(rnd, down=None, ref=None, step=None))
+        for conn, _ in self._workers:
             try:
-                self._workers[lane - 1][0].send((node.node_id, self._steps.index(rnd.step),
-                                                 replace(rnd, down=None, ref=None, step=None)))
+                conn.send(request)
             except OSError:
-                pass  # the worker is gone: ``finish`` names the node whose result is missing
+                pass  # the worker is gone: ``finish`` names its first node
 
-    def finish(self, node: Node, rnd: _Round) -> Message:
-        """The message of ``node``'s started step; the step's exception is raised here."""
+    def finish(self, node: Node, rnd: _Round) -> PruneMask | None:
+        """The result of ``node``'s started step; the step's exception is raised here."""
         lane = node.node_id % self._count
         if lane == 0:
             return rnd.step(node, rnd)
@@ -365,8 +361,6 @@ class _Lanes:
             raise RuntimeError(f"worker process {pid} ended") from None
         if isinstance(reply, Exception):
             raise reply
-        if reply.mtype is MsgType.WEIGHT_UPLOAD and reply.params is None:
-            reply.params = node.model
         return reply
 
     def close(self) -> None:
@@ -411,19 +405,18 @@ def _blaming(node_id: int, idx: int) -> Iterator[None]:
 
 def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes, rnd: _Round,
               frame: bytes) -> Iterator[tuple[int, memoryview]]:
-    """Send ``frame`` on each link in node-id order, decode it and start that
-    node's step, then, in node-id order again, upload each node's step result
-    and yield its routed upload as (node, payload); a payload is valid until
-    the next is taken.  Any failure in a node's part of the round names the
-    node and the round; a misrouted upload names them itself."""
+    """Send ``frame`` on each link in node-id order and decode it, start the
+    round's steps, then, in node-id order again, upload each node's step
+    result and yield its routed upload as (node, payload); a payload is valid
+    until the next is taken.  Any failure in a node's part of the round names
+    the node and the round; a misrouted upload names them itself."""
     for node, server, ep in links:
         with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
-            if rnd.step is not None:
-                lanes.start(node, rnd)
     if rnd.step is None:
         return
+    lanes.start(rnd)
     for node, server, ep in links:
         with _blaming(node.node_id, rnd.idx):
             _upload(node, ep, rnd, lanes.finish(node, rnd))

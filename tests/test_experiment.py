@@ -36,6 +36,13 @@ from mpfl.wire import UP, Message, MsgType, WireCodec, pack_mask
 from conftest import assert_refused, make_arch, make_model, same_params, zero_group_mask
 
 
+class Two(Exception):
+    """An error that pickles but does not unpickle: it keeps one arg of its two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 def small_raw(**extra):
     raw = {
         "seed": 3,
@@ -392,6 +399,20 @@ class TestLanes:
         usable_cores(monkeypatch, 1)
         assert threaded == self.outputs(run(config_from_dict(raw)), tmp_path / "one.bin")
 
+    @staticmethod
+    def fail_node_1_vote(monkeypatch, error: Exception, stand_in: str) -> None:
+        """Node 1's vote, on the worker of two lanes, raises ``error``: the run
+        fails naming node 1 and round 1, with the stand-in RuntimeError."""
+        def failing_vote(node, rnd):
+            if node.node_id == 1:
+                raise error
+            return rnd.mask
+
+        monkeypatch.setattr(experiment, "_vote", failing_vote)
+        usable_cores(monkeypatch, 2)
+        with pytest.raises(NodeError, match=f"node 1 failed in round 1: RuntimeError: {stand_in}$"):
+            run(config_from_dict(small_raw()))
+
     @forks
     def test_unpicklable_step_error_names_node_and_round(self, monkeypatch):
         """A worker's step error that does not pickle comes back as a
@@ -399,16 +420,34 @@ class TestLanes:
         class Unpicklable(Exception):
             pass
 
-        def failing_vote(node, rnd):
-            if node.node_id == 1:
-                raise Unpicklable("disk on fire")
-            return Message(MsgType.MASK_UPLOAD, rnd.idx, node_id=node.node_id, mask=rnd.mask)
+        self.fail_node_1_vote(monkeypatch, Unpicklable("disk on fire"), "Unpicklable: disk on fire")
 
-        monkeypatch.setattr(experiment, "_vote", failing_vote)
-        usable_cores(monkeypatch, 2)
-        with pytest.raises(NodeError, match="node 1 failed in round 1: RuntimeError: "
-                                            "Unpicklable: disk on fire"):
-            run(config_from_dict(small_raw()))
+    @forks
+    def test_step_error_that_does_not_unpickle_names_node_and_round(self, monkeypatch):
+        """So does one that pickles but fails to unpickle, rather than the
+        TypeError its unpickling raises."""
+        self.fail_node_1_vote(monkeypatch, Two("disk", "fire"), "Two: disk and fire")
+
+    @forks
+    @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
+    def test_one_request_per_worker_per_round(self, monkeypatch, algorithm):
+        """On three lanes of six nodes, the run's process sends each of its two
+        workers one request a round with a step, however many nodes a worker
+        has; every such round gives one metrics row."""
+        from multiprocessing.connection import Connection
+
+        parent, send = os.getpid(), Connection.send
+        sent = []
+
+        def counting_send(self, obj):
+            if os.getpid() == parent:
+                sent.append(obj)
+            return send(self, obj)
+
+        monkeypatch.setattr(Connection, "send", counting_send)
+        usable_cores(monkeypatch, 3)
+        res = run(config_from_dict(small_raw(nodes=6, algorithm=algorithm)))
+        assert len(sent) == 2 * len(res.rows)
 
 
 @pytest.fixture
@@ -507,9 +546,9 @@ class TestNodeFailure:
         transport."""
         upload = experiment._upload
 
-        def silent_upload(node, ep, rnd, msg):
+        def silent_upload(node, ep, rnd, vote):
             if node.node_id != 2:
-                upload(node, ep, rnd, msg)
+                upload(node, ep, rnd, vote)
 
         monkeypatch.setattr(experiment, "_upload", silent_upload)
         monkeypatch.setattr(mpfl_transport, "_TIMEOUT", 0.5)
@@ -770,13 +809,15 @@ class TestUploadRouting:
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("field, wrong", [("round_idx", 2), ("node_id", 3)])
     def test_misrouted_upload_rejected(self, monkeypatch, transport, field, wrong):
-        vote = experiment._vote
+        upload = experiment._upload
 
-        def misrouted_vote(node, rnd):
-            msg = vote(node, rnd)
-            return dataclasses.replace(msg, **{field: wrong}) if node.node_id == 2 else msg
+        def misrouted_upload(node, ep, rnd, vote):
+            if node.node_id != 2:
+                return upload(node, ep, rnd, vote)
+            msg = Message(rnd.upload, rnd.idx, node_id=2, mask=vote)
+            ep.send(WireCodec.encode(dataclasses.replace(msg, **{field: wrong}), rnd.mask))
 
-        monkeypatch.setattr(experiment, "_vote", misrouted_vote)
+        monkeypatch.setattr(experiment, "_upload", misrouted_upload)
         cfg = config_from_dict(small_raw(transport={"kind": transport}))
         with pytest.raises(ProtocolError, match="node 2 in round 1 sent an upload tagged"):
             run(cfg)
@@ -788,11 +829,13 @@ class TestUploadRouting:
     ])
     def test_upload_of_the_wrong_type_rejected(self, monkeypatch, transport, algorithm, step,
                                                sent, expected):
-        def wrong_type(node, rnd):
-            return Message(MsgType[sent], rnd.idx, node_id=node.node_id, mask=rnd.mask,
-                           params=node.model)
+        def wrong_type(node, ep, rnd, vote):
+            assert rnd.step is getattr(experiment, step)  # the round whose upload is mistyped
+            msg = Message(MsgType[sent], rnd.idx, node_id=node.node_id, mask=rnd.mask,
+                          params=node.model)
+            ep.send(WireCodec.encode(msg, rnd.mask))
 
-        monkeypatch.setattr(experiment, step, wrong_type)
+        monkeypatch.setattr(experiment, "_upload", wrong_type)
         cfg = config_from_dict(small_raw(algorithm=algorithm, transport={"kind": transport}))
         with pytest.raises(ProtocolError, match=f"node 0 in round 1 sent an upload tagged node 0, "
                                                 f"round 1, {sent}; the round expects {expected}"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpfl import pruning
 from mpfl.errors import ConfigError
 from mpfl.model import ModelParams, PruneMask, ScoreVector
 from mpfl.pruning import (
@@ -100,6 +101,7 @@ class TestNearestRank:
             (3, 0.5, 2),
             (1, 0.99, 1),
             (0, 0.5, 0),
+            (1, 1e-9, 0),
         ],
     )
     def test_examples(self, n, frac, want):
@@ -118,7 +120,7 @@ class TestNearestRank:
         r = nearest_rank(n, frac)
         assert 0 <= r <= n
         if frac > 0 and n > 0:
-            assert r >= 1 or frac * n < 1e-9
+            assert r >= 1 or frac * n <= pruning._RANK_EPS
 
 
 class TestPruneCount:
