@@ -163,6 +163,9 @@ class ExperimentConfig:
             _require(self.dataset.classes == self.arch.classes, "dataset.classes",
                      f"dataset has {self.dataset.classes} classes, "
                      f"architecture expects {self.arch.classes}")
+        else:  # a csv or idx dataset is loaded, from files it must name
+            for key in ("path",) if self.dataset.kind == "csv" else ("features_path", "labels_path"):
+                _require(getattr(self.dataset, key) != "", f"dataset.{key}", "must name the file to load")
         _require(self.dataset.raw_feature_bits >= 1, "dataset.raw_feature_bits",
                  "must be >= 1")
         seen = set()

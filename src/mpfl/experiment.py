@@ -26,9 +26,9 @@ decodes it into each node's model and sends each worker the round's step;
 then, in node-id order, it takes each node's step result (a vote or
 nothing), encodes and sends the upload, and reads it.  So every frame and
 output is the same for any lane count.
-All transmitted bytes flow through the framed wire codec, every send is
-booked in the bandwidth ledger, and all results are deterministic functions
-of the config seed.
+All transmitted bytes flow through the framed wire codec, the exchange books
+each frame by protocol at the server's end (a broadcast as it is sent, an
+upload once routed), and all results are deterministic functions of the seed.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ from .model import ArchSpec, ModelParams, PruneMask, init_params
 from .nn import accuracy
 from .pruning import apply_mask, compute_mask, weight_scores
 from .transport import Endpoint, loopback_pair, tcp_pair
-from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, pack_mask,
-                   packed_view, scatter_params, unpack_mask)
+from .wire import (CAT_DATA, DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec,
+                   header_overhead_bytes, message_category, pack_mask, packed_view,
+                   scatter_params, unpack_mask)
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -403,14 +404,18 @@ def _blaming(node_id: int, idx: int) -> Iterator[None]:
         raise NodeError(node_id, idx, e) from e
 
 
-def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes, rnd: _Round,
-              frame: bytes) -> Iterator[tuple[int, memoryview]]:
-    """Send ``frame`` on each link in node-id order and decode it, start the
-    round's steps, then, in node-id order again, upload each node's step
-    result and yield its routed upload as (node, payload); a payload is valid
-    until the next is taken.  Any failure in a node's part of the round names
-    the node and the round; a misrouted upload names them itself."""
+def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes,
+              ledger: BandwidthLedger, rnd: _Round) -> Iterator[tuple[int, memoryview]]:
+    """Encode the round's broadcast once and, in node-id order, book it, send it
+    and decode it; start the steps; then, in node-id order again, upload each
+    step's result, and book and yield the routed upload as (node, payload),
+    valid until the next is taken.  A failure in a node's part of the round
+    names the node and the round; a misrouted upload names them itself."""
+    frame = WireCodec.encode(rnd.down, rnd.ref)
+    category = message_category(rnd.down.mtype)
+    bits = 8 * (len(frame) - header_overhead_bytes(rnd.down.mtype))
     for node, server, ep in links:
+        ledger.record(node.node_id, rnd.down.round_idx, DOWN, category, bits)
         with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
@@ -421,18 +426,20 @@ def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes, rnd: 
         with _blaming(node.node_id, rnd.idx):
             _upload(node, ep, rnd, lanes.finish(node, rnd))
             upload = server.recv_frame(rnd.mask)
-        yield node.node_id, _routed(upload, node.node_id, rnd)
+        payload = _routed(upload, node.node_id, rnd)
+        ledger.record(node.node_id, rnd.idx, UP, message_category(rnd.upload), 8 * len(payload))
+        yield node.node_id, payload
 
 
 @contextmanager
 def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
               nodes: list[Node]) -> Iterator[Callable[[_Round], Iterator[tuple[int, memoryview]]]]:
-    """Open the server's sessions with the nodes over the configured transport and
-    yield the round's exchange, which encodes each broadcast once.  The exchange
-    is lazy: a round runs as its uploads are taken, and only once all are taken
-    is it done.  The lane workers are forked first, so they hold no link
-    socket.  No session needs a thread: both ends of every link live in the
-    run's process, made by ``loopback_pair`` or ``tcp_pair``, and no listener
+    """Open the server's sessions with the nodes over the configured transport
+    and yield the round's exchange, booking into ``ledger``.  The exchange is
+    lazy: a round runs as its uploads are taken, and only once all are taken is
+    it done.  The lane workers are forked first, so they hold no link socket.
+    No session needs a thread: both ends of every link live in the run's
+    process, made by ``loopback_pair`` or ``tcp_pair``, and no listener
     outlives the making of its link.  The lanes and each endpoint go on one
     stack the moment they exist, so leaving the block, mid-round included,
     reaps every worker and closes everything the sessions opened."""
@@ -442,11 +449,11 @@ def _sessions(cfg: ExperimentConfig, ledger: BandwidthLedger,
         pair = tcp_pair if cfg.transport.kind == "tcp" else loopback_pair
         links = []
         for node in nodes:
-            server, ep = pair(node.node_id, ledger)
+            server, ep = pair(node.node_id)
             stack.callback(server.close)
             stack.callback(ep.close)
             links.append((node, server, ep))
-        yield lambda rnd: _exchange(links, lanes, rnd, WireCodec.encode(rnd.down, rnd.ref))
+        yield functools.partial(_exchange, links, lanes, ledger)
 
 
 # --- metrics helpers ---------------------------------------------------------

@@ -1,11 +1,10 @@
 """Loopback and TCP transports carrying identical frame bytes.
 
 An Endpoint is one end of one node<->server link: it owns the link's
-non-blocking stream socket on its side, sends encoded frames and books their
-payload bits in the ledger, so the two transports are interchangeable byte
-for byte.  A received frame is decoded against the reference mask the caller
-names, a weight frame into a model the caller owns, or handed over split,
-undecoded.
+non-blocking stream socket on its side and only moves frames, so the two
+transports are interchangeable byte for byte; the round driver books them.
+A received frame is decoded against the reference mask the caller names, a
+weight frame into a model the caller owns, or handed over split, undecoded.
 
 The transports differ only in how a link's two sockets are made.  A
 loopback link is a Unix socket pair made in the process.  A TCP link is a
@@ -25,25 +24,24 @@ from dataclasses import dataclass
 
 from .errors import TransportError
 from .model import ModelParams, PruneMask
-from .wire import DOWN, UP, BandwidthLedger, Message, MsgType, WireCodec, message_category
+from .wire import DOWN, UP, Message, MsgType, WireCodec
 
 _TIMEOUT = 30.0  # seconds an accept, connect or read waits before it fails
 
 
 @dataclass
 class Endpoint:
-    """One end of a node<->server link: it books and ships encoded frames, and
-    reads and decodes received ones, over one non-blocking stream socket.
+    """One end of a node<->server link: it ships encoded frames, and reads and
+    decodes received ones, over one non-blocking stream socket.
 
-    A send books its frame, queues a view of it, no copy, and writes what the
-    kernel takes.  A read that would block writes its peer's queued bytes (the
+    A send queues a view of its frame, no copy, and writes what the kernel
+    takes.  A read that would block writes its peer's queued bytes (the
     other end of its link) into this socket's receive buffer, then waits up to
     ``_TIMEOUT`` for this socket to turn readable, or fails.  This end's own
     queue goes out when its peer reads.
     """
 
     sock: socket.socket
-    ledger: BandwidthLedger
     send_direction: str  # UP for node endpoints, DOWN for the server side
     peer_node_id: int
 
@@ -58,16 +56,7 @@ class Endpoint:
         self._poll.register(self.sock, select.POLLIN)
 
     def send(self, frame: bytes) -> None:
-        """Book and ship one encoded frame; a broadcast sends the same frame on every link."""
-        mtype, round_idx, _, payload = WireCodec.split_frame(frame)
-        # the link is labeled with the node it serves, in both directions
-        self.ledger.record(
-            self.peer_node_id,
-            round_idx,
-            self.send_direction,
-            message_category(mtype),
-            payload_bits=len(payload) * 8,
-        )
+        """Ship one encoded frame; a broadcast sends the same frame on every link."""
         self._queue.append(memoryview(frame))
         self._flush()
 
@@ -126,13 +115,13 @@ def _joined(server: Endpoint, node: Endpoint) -> tuple[Endpoint, Endpoint]:
     return server, node
 
 
-def loopback_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
+def loopback_pair(node_id: int) -> tuple[Endpoint, Endpoint]:
     """(server_side, node_side) endpoints of one Unix socket pair."""
     try:
         a, b = socket.socketpair()
     except OSError as e:  # e.g. no descriptor left for the pair
         raise TransportError(f"socket pair failed: {e}") from e
-    return _joined(Endpoint(a, ledger, DOWN, node_id), Endpoint(b, ledger, UP, node_id))
+    return _joined(Endpoint(a, DOWN, node_id), Endpoint(b, UP, node_id))
 
 
 class TcpServer:
@@ -165,22 +154,22 @@ class TcpServer:
             sock.close()
             raise TransportError(f"refused {peer[0]}:{peer[1]}: node {node.peer_node_id} "
                                  f"connected from {want[0]}:{want[1]}")
-        return Endpoint(sock, node.ledger, DOWN, node.peer_node_id)
+        return Endpoint(sock, DOWN, node.peer_node_id)
 
     def close(self) -> None:
         self._listener.close()
 
 
-def tcp_connect(host: str, port: int, node_id: int, ledger: BandwidthLedger) -> Endpoint:
+def tcp_connect(host: str, port: int, node_id: int) -> Endpoint:
     """The node side of a link, connected to ``host:port``."""
     try:
         sock = socket.create_connection((host, port), timeout=_TIMEOUT)
     except OSError as e:
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
-    return Endpoint(sock, ledger, UP, node_id)
+    return Endpoint(sock, UP, node_id)
 
 
-def tcp_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]:
+def tcp_pair(node_id: int) -> tuple[Endpoint, Endpoint]:
     """(server_side, node_side) endpoints of one TCP link, both in this process.
 
     The link's own listener lives only while the link is made.  The node
@@ -191,7 +180,7 @@ def tcp_pair(node_id: int, ledger: BandwidthLedger) -> tuple[Endpoint, Endpoint]
     """
     listener = TcpServer()
     try:
-        node = tcp_connect(*listener.address, node_id, ledger)
+        node = tcp_connect(*listener.address, node_id)
         try:
             return _joined(listener.accept_node(node), node)
         except BaseException:

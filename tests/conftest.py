@@ -74,8 +74,8 @@ def loopback():
     """``loopback_pair``, whose endpoints are closed after the test."""
     made = []
 
-    def pair(node_id, ledger):
-        server, node = loopback_pair(node_id, ledger)
+    def pair(node_id):
+        server, node = loopback_pair(node_id)
         made.extend((server, node))
         return server, node
 

@@ -186,6 +186,24 @@ class TestValidation:
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: dataset.samples: ")
 
+    @pytest.mark.parametrize("dataset, key", [
+        ({"kind": "csv"}, "dataset.path"),
+        ({"kind": "idx", "labels_path": "y.idx"}, "dataset.features_path"),
+        ({"kind": "idx", "features_path": "x.idx"}, "dataset.labels_path"),
+    ], ids=["csv", "idx_features", "idx_labels"])
+    def test_loaded_dataset_without_a_path_names_the_key(self, tmp_path, capsys, dataset, key):
+        """Each used to pass validation and fail in the data layer, reading the
+        directory '.', without naming a key."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must name the file to load$"):
+            config_from_dict(minimal_raw(dataset=dataset))
+        cfg_path = tmp_path / "blobs.yaml"
+        cfg_path.write_text(yaml.safe_dump(minimal_raw()))
+        argv = ["run", "-c", str(cfg_path), "-o", str(tmp_path / "out")]
+        for name, value in dataset.items():
+            argv += ["--set", f"dataset.{name}={value}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             config_from_dict(minimal_raw(version=2))

@@ -31,9 +31,11 @@ from mpfl.experiment import (
 from mpfl.model import PruneMask
 from mpfl.pruning import apply_mask
 from mpfl.transport import Endpoint, TcpServer
-from mpfl.wire import UP, Message, MsgType, WireCodec, pack_mask
+from mpfl.wire import (DOWN, UP, LedgerEntry, Message, MsgType, WireCodec, message_category,
+                       pack_mask)
 
-from conftest import assert_refused, make_arch, make_model, same_params, zero_group_mask
+from conftest import (assert_refused, make_arch, make_model, packed_mask_bits, same_params,
+                      zero_group_mask)
 
 
 class Two(Exception):
@@ -801,6 +803,88 @@ class TestWeightPath:
         assert threading.active_count() == threads
         assert len(tcp_listeners) == raw["nodes"]
         assert_refused(tcp_listeners)
+
+
+class TestBooking:
+    """The exchange books each frame once, by protocol, at the server's end: in
+    each round a broadcast to every node in node order as it is sent, then every
+    node's upload in node order once it is routed.  A frame's payload is booked,
+    never its header."""
+
+    @staticmethod
+    def sent_frames(monkeypatch) -> list[tuple[int, str, bytes]]:
+        """Every frame an ``Endpoint`` sends during the run, as (node, direction, frame)."""
+        send, frames = Endpoint.send, []
+
+        def recording_send(self, frame):
+            frames.append((self.peer_node_id, self.send_direction, bytes(frame)))
+            send(self, frame)
+
+        monkeypatch.setattr(Endpoint, "send", recording_send)
+        return frames
+
+    def test_ledger_directions(self):
+        """Vote uploads and mask broadcasts are mask bits, the rest weights;
+        every node is booked the same, both ways."""
+        raw = small_raw()
+        res = run(config_from_dict(raw))
+        nodes, votes, arch = raw["nodes"], len(res.mask_history), res.final_mask.arch
+        entries = res.ledger.entries
+        assert len(entries) == 2 * nodes * len(res.rows)
+        for e in entries:
+            if e.direction == UP:
+                assert e.category == ("mask" if e.round_idx <= votes else "weights"), e
+        masks = [e for e in entries if e.category == "mask"]
+        assert [e.direction for e in masks].count(DOWN) == votes * nodes
+        assert {e.bits for e in masks} == {packed_mask_bits(arch)}
+        weights_down = [e for e in entries if e.direction == DOWN and e.category == "weights"]
+        assert len(weights_down) == (1 + raw["final_rounds"]) * nodes
+        per_node = res.ledger.per_node_bits()
+        assert sorted(per_node) == list(range(nodes))
+        assert set(per_node.values()) == {res.ledger.total_bits() // nodes}
+
+    def test_ledger_matches_loopback(self):
+        """TCP books the entries loopback books, in the same order."""
+        for algorithm in ("mpfl", "pruning_fl"):
+            raw = small_raw(algorithm=algorithm)
+            base = run(config_from_dict(raw)).ledger.entries
+            tcp = run(config_from_dict({**raw, "transport": {"kind": "tcp"}})).ledger.entries
+            assert base == tcp, algorithm
+
+    def test_headers_excluded_by_default(self, monkeypatch):
+        """Each entry is its frame less the 14-byte header, 18 with the
+        sender's id: the whole frame is sent, and only its payload booked."""
+        frames = self.sent_frames(monkeypatch)
+        res = run(config_from_dict(small_raw(algorithm="pruning_fl")))
+        assert [(e.node_id, e.direction, e.bits) for e in res.ledger.entries] == [
+            (node, d, 8 * (len(frame) - (14 if d == DOWN else 18))) for node, d, frame in frames
+        ]
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
+    def test_entries_in_protocol_order(self, monkeypatch, algorithm, transport, lanes):
+        """Unsorted, the entries are each round's broadcasts then its uploads,
+        each in node order, with pruning_fl's closing broadcast last and
+        unanswered; each is the entry its sent frame's own header and payload
+        give, tagged with the frame's round."""
+        usable_cores(monkeypatch, lanes)
+        frames = self.sent_frames(monkeypatch)
+        raw = small_raw(algorithm=algorithm, transport={"kind": transport})
+        res = run(config_from_dict(raw))
+        everyone = range(raw["nodes"])
+        closing = [(n, DOWN) for n in everyone] if algorithm == "pruning_fl" else []
+        want = [(n, d) for d in (DOWN, UP) for n in everyone] * len(res.rows) + closing
+        assert [(e.node_id, e.direction) for e in res.ledger.entries] == want
+        assert [e.round_idx for e in res.ledger.entries if e.direction == UP] == [
+            row.round_idx for row in res.rows for _ in everyone
+        ]
+        booked = []
+        for node, direction, frame in frames:
+            mtype, round_idx, _, payload = WireCodec.split_frame(frame)
+            booked.append(LedgerEntry(node, round_idx, direction, message_category(mtype),
+                                      8 * len(payload)))
+        assert res.ledger.entries == booked
 
 
 class TestUploadRouting:

@@ -1,4 +1,4 @@
-"""Loopback and TCP endpoints must move identical bytes and book them once."""
+"""Loopback and TCP endpoints must move identical bytes."""
 
 import errno
 import gc
@@ -18,25 +18,9 @@ from mpfl import transport
 from mpfl.errors import ProtocolError, TransportError
 from mpfl.model import ModelParams, PruneMask
 from mpfl.transport import Endpoint, TcpServer, loopback_pair, tcp_connect, tcp_pair
-from mpfl.wire import (
-    CAT_MASK,
-    DOWN,
-    MAGIC,
-    UP,
-    BandwidthLedger,
-    Message,
-    MsgType,
-    WireCodec,
-)
+from mpfl.wire import MAGIC, Message, MsgType, WireCodec
 
-from conftest import (
-    assert_refused,
-    make_arch,
-    make_model,
-    packed_mask_bits,
-    random_mask,
-    same_params,
-)
+from conftest import assert_refused, make_arch, make_model, random_mask, same_params
 
 
 def frame_of(ep, ref):
@@ -53,8 +37,7 @@ def ref():
 
 class TestLoopback:
     def test_mask_roundtrip(self, ref, rng, loopback):
-        ledger = BandwidthLedger()
-        server, node = loopback(0, ledger)
+        server, node = loopback(0)
         mask = random_mask(ref.arch, rng)
         node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 2, node_id=0, mask=mask), ref))
         got = server.recv(make_model(ref.arch), ref)
@@ -62,8 +45,7 @@ class TestLoopback:
         assert got.round_idx == 2
 
     def test_weights_roundtrip(self, ref, loopback):
-        ledger = BandwidthLedger()
-        server, node = loopback(1, ledger)
+        server, node = loopback(1)
         model = make_model(ref.arch, seed=3)
         server.send(WireCodec.encode(Message(MsgType.INIT_WEIGHTS, 0, params=model), ref))
         dest = make_model(ref.arch, seed=4)
@@ -77,30 +59,18 @@ class TestLoopback:
         )
         assert same_params(got.params, rounded)
 
-    def test_ledger_directions(self, ref, rng, loopback):
-        ledger = BandwidthLedger()
-        server, node = loopback(5, ledger)
-        mask = PruneMask.ones(ref.arch)
-        node.send(WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), ref))
-        server.send(WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), ref))
-        size_bits = packed_mask_bits(ref.arch)
-        assert ledger.total_bits(direction=UP) == size_bits
-        assert ledger.total_bits(direction=DOWN) == size_bits
-        assert ledger.per_node_bits() == {5: 2 * size_bits}
-        assert ledger.total_bits(category=CAT_MASK) == 2 * size_bits
-
     def test_peer_cycle_stays_out_of_repr_and_eq(self, loopback):
         """The two ends of a link know each other, but neither repr nor == follows
         that cycle: each end shows and compares by its own fields."""
-        server, node = loopback(3, BandwidthLedger())
+        server, node = loopback(3)
         assert server.peer is node and node.peer is server
         assert "peer=" not in repr(server) and "_queue" not in repr(node)
         assert server == server and server != node
 
     def test_closed_ends_are_freed_without_the_cycle_collector(self):
-        """Closing both ends unlinks them, so a finished run's endpoints, and the
-        ledger they hold, go as soon as the run drops them."""
-        server, node = loopback_pair(0, BandwidthLedger())
+        """Closing both ends unlinks them, so a finished run's endpoints go as
+        soon as the run drops them."""
+        server, node = loopback_pair(0)
         refs = weakref.ref(server), weakref.ref(node)
         gc.disable()
         try:
@@ -114,7 +84,7 @@ class TestLoopback:
     def test_recv_timeout(self, ref, loopback, monkeypatch):
         """A read with nothing sent waits out the timeout, then fails, as on TCP."""
         monkeypatch.setattr(transport, "_TIMEOUT", 0.2)
-        server, _ = loopback(0, BandwidthLedger())
+        server, _ = loopback(0)
         t0 = time.perf_counter()
         with pytest.raises(TransportError, match="recv timed out"):
             server.recv(make_model(ref.arch), ref)
@@ -124,12 +94,10 @@ class TestLoopback:
 class TestTcp:
     def _run_pair(self, exchange):
         """Run ``exchange(server_ep, node_ep)`` over a real socket pair, on this
-        thread.  Pairing books nothing."""
-        ledger = BandwidthLedger()
-        server_ep, node_ep = tcp_pair(7, ledger)
-        assert ledger.entries == []
+        thread."""
+        server_ep, node_ep = tcp_pair(7)
         try:
-            exchange(server_ep, node_ep, ledger)
+            exchange(server_ep, node_ep)
         finally:
             server_ep.close()
             node_ep.close()
@@ -138,14 +106,13 @@ class TestTcp:
         mask = random_mask(ref.arch, rng)
         msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
 
-        lo_ledger = BandwidthLedger()
-        lo_server, lo_node = loopback(7, lo_ledger)
+        lo_server, lo_node = loopback(7)
         lo_node.send(WireCodec.encode(msg, ref))
         lo_frame = frame_of(lo_server, ref)
 
         frames = {}
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             node_ep.send(WireCodec.encode(msg, ref))
             frames["tcp"] = frame_of(server_ep, ref)
             node_ep.send(WireCodec.encode(msg, ref))
@@ -154,19 +121,8 @@ class TestTcp:
         self._run_pair(exchange)
         assert frames["tcp"] == lo_frame
 
-    def test_ledger_matches_loopback(self, ref, rng):
-        mask = random_mask(ref.arch, rng)
-        msg = Message(MsgType.MASK_UPLOAD, 4, node_id=7, mask=mask)
-
-        def exchange(server_ep, node_ep, ledger):
-            node_ep.send(WireCodec.encode(msg, ref))
-            server_ep.recv(make_model(ref.arch), ref)
-            assert ledger.total_bits(direction=UP) == packed_mask_bits(ref.arch)
-
-        self._run_pair(exchange)
-
     def test_disconnect_raises_transport_error(self, ref):
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             node_ep.close()
             with pytest.raises(TransportError):
                 server_ep.recv(make_model(ref.arch), ref)
@@ -182,7 +138,7 @@ class TestTcp:
         """The header announces a 1 MiB body that never comes: the read fails on
         the header at once instead of waiting out the socket timeout."""
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             node_ep.sock.send(struct.pack("<4sBBII", MAGIC, version, tag, 0, 1 << 20))
             t0 = time.perf_counter()
             with pytest.raises(ProtocolError, match=match) as err:
@@ -209,7 +165,7 @@ class TestTcp:
         up = WireCodec.encode(Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=model), ref)
         assert len(down) > 4_000_000
 
-        lo_server, lo_node = loopback(7, BandwidthLedger())
+        lo_server, lo_node = loopback(7)
         lo_server.send(down)
         lo_node.send(up)
         return down, up, (frame_of(lo_node, ref), frame_of(lo_server, ref)), ref
@@ -220,13 +176,12 @@ class TestTcp:
         loopback frames."""
         down, up, want, ref = wide_frames
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             server_ep.send(down)
             got_down = frame_of(node_ep, ref)
             node_ep.send(up)
             got_up = frame_of(server_ep, ref)
             assert (got_down, got_up) == want
-            assert ledger.total_bits() == 8 * (len(down) + len(up) - 14 - 18)
 
         self._run_pair(exchange)
 
@@ -238,7 +193,7 @@ class TestTcp:
         cross on one thread and equal their loopback frames."""
         down, up, want, ref = wide_frames
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             server_ep.send(down)
             node_ep.send(up)
             assert server_ep._queue and node_ep._queue
@@ -256,7 +211,7 @@ class TestTcp:
     def test_silent_peer_times_out(self, ref, monkeypatch):
         """A read with nothing queued on its link waits out the timeout, then fails."""
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             t0 = time.perf_counter()
             with pytest.raises(TransportError, match="timed out"):
                 server_ep.recv(make_model(ref.arch), ref)
@@ -283,7 +238,7 @@ class TestTcp:
                 os.close(fd)
 
     def test_silent_peer_times_out_above_fd_1024(self, ref, high_fds, monkeypatch):
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             assert server_ep.sock.fileno() > 1024
             with pytest.raises(TransportError, match="recv timed out"):
                 server_ep.recv(make_model(ref.arch), ref)
@@ -294,7 +249,7 @@ class TestTcp:
     def test_multi_mib_frames_cross_above_fd_1024(self, wide_frames, high_fds):
         down, up, want, ref = wide_frames
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             assert node_ep.sock.fileno() > 1024
             server_ep.send(down)
             got_down = frame_of(node_ep, ref)
@@ -307,7 +262,7 @@ class TestTcp:
         """A send the kernel refuses fails as a TransportError, which
         ``compare`` isolates, not as a raw ``OSError``."""
 
-        def exchange(server_ep, node_ep, ledger):
+        def exchange(server_ep, node_ep):
             server_ep.sock.shutdown(socket.SHUT_WR)
             frame = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=ref), ref)
             with pytest.raises(TransportError, match="send failed"):
@@ -318,7 +273,7 @@ class TestTcp:
     def test_connect_refused(self, monkeypatch):
         monkeypatch.setattr(transport, "_TIMEOUT", 0.5)
         with pytest.raises(TransportError):
-            tcp_connect("127.0.0.1", 1, 0, BandwidthLedger())
+            tcp_connect("127.0.0.1", 1, 0)
 
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
@@ -326,13 +281,12 @@ def test_length_the_layout_disagrees_with_fails_at_once(ref, monkeypatch, loopba
     """A weight upload whose header claims 4 bytes more than its layout fails
     the read with a ProtocolError naming both lengths, on either transport: a
     TCP read does not wait out its timeout for bytes that never come."""
-    ledger = BandwidthLedger()
     with ExitStack() as stack:
         if kind == "tcp":
             monkeypatch.setattr(transport, "_TIMEOUT", 3.0)
-            server, node = tcp_pair(7, ledger)
+            server, node = tcp_pair(7)
         else:
-            server, node = loopback(7, ledger)
+            server, node = loopback(7)
         stack.callback(server.close)
         stack.callback(node.close)
         msg = Message(MsgType.WEIGHT_UPLOAD, 1, node_id=7, params=make_model(ref.arch))
@@ -379,7 +333,7 @@ class TestPairing:
 
         monkeypatch.setattr(socket.socket, "accept", refuse)
         with pytest.raises(TransportError, match="accept failed: .*Too many open files"):
-            tcp_pair(0, BandwidthLedger())
+            tcp_pair(0)
         assert closed == made and len(made) == 1
         assert len(tcp_listeners) == 1
         assert_refused(tcp_listeners)
@@ -402,7 +356,7 @@ class TestPairing:
         monkeypatch.setattr(TcpServer, "__init__", stranger_first_listen)
         t0 = time.perf_counter()
         with pytest.raises(TransportError, match="refused") as err:
-            tcp_pair(0, BandwidthLedger())
+            tcp_pair(0)
         assert time.perf_counter() - t0 < 1.0
         (stranger,) = strangers
         with stranger:

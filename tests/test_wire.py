@@ -286,18 +286,6 @@ class TestLedger:
         assert led.total_bits(direction=DOWN, category=CAT_WEIGHTS) == 500
         assert led.per_node_bits() == {0: 600, 1: 100}
 
-    def test_headers_excluded_by_default(self, loopback):
-        """A send books its frame minus the 14-byte header, 18 with a node id."""
-        arch = make_arch(3, 6, 2)
-        led = BandwidthLedger()
-        server, node = loopback(5, led)
-        mask = PruneMask.ones(arch)
-        down = WireCodec.encode(Message(MsgType.GLOBAL_MASK, 1, mask=mask), mask)
-        up = WireCodec.encode(Message(MsgType.MASK_UPLOAD, 1, node_id=5, mask=mask), mask)
-        server.send(down)
-        node.send(up)
-        assert [e.bits for e in led.entries] == [(len(down) - 14) * 8, (len(up) - 18) * 8]
-
     def test_data_upload_category(self):
         led = BandwidthLedger()
         led.record(3, 0, UP, CAT_DATA, 10_000)
