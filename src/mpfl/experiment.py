@@ -22,8 +22,8 @@ The nodes' steps run on one lane per usable core (``_Lanes``): lane 0 is the
 run's own process, each other lane a forked worker that trains its nodes'
 models in place in shared memory.  The run's process does everything else,
 with no thread on either transport: it sends each broadcast on every link,
-decodes it into each node's model and sends each worker the round's step;
-then, in node-id order, it takes each node's step result (a vote or
+decodes it into each node's model and sends each worker the round; then,
+in node-id order, it takes each node's ``_step`` result (a vote or
 nothing), encodes and sends the upload, and reads it.  So every frame and
 output is the same for any lane count.
 All transmitted bytes flow through the framed wire codec, the exchange books
@@ -211,23 +211,23 @@ def _make_nodes(cfg: ExperimentConfig, env: Env) -> list[Node]:
 
 @dataclass
 class _Round:
-    """One lockstep round: a broadcast, then a step on every node.
+    """One lockstep round: a broadcast, then every node's ``_step``.
 
     ``ref`` is the mask the nodes hold before the broadcast, which encodes it;
     ``mask`` is the global mask after it, which the nodes train under and
-    encode their uploads against; ``increment`` is the round's sparsity
-    increment; ``upload`` is the type of the nodes' uploads.  A step returns
-    the node's mask vote, or None to upload its model.  A round without a
-    ``step`` is the last: the nodes take the broadcast and answer nothing.
+    encode their uploads against; ``upload`` is the type of the nodes'
+    uploads, a vote for ``increment`` or weights, trained unless ``train`` is
+    off.  A round with no ``upload`` is the last: the nodes take the broadcast
+    and answer nothing.
     """
 
     idx: int
     down: Message | None
     ref: PruneMask | None
     mask: PruneMask
-    step: Callable[[Node, _Round], PruneMask | None] | None
+    upload: MsgType | None = MsgType.WEIGHT_UPLOAD
     increment: float = 0.0
-    upload: MsgType = MsgType.WEIGHT_UPLOAD
+    train: bool = True
 
 
 def _node_exchange(node: Node, ep: Endpoint, rnd: _Round) -> None:
@@ -241,19 +241,14 @@ def _upload(node: Node, ep: Endpoint, rnd: _Round, vote: PruneMask | None) -> No
     ep.send(WireCodec.encode(msg, rnd.mask))
 
 
-def _vote(node: Node, rnd: _Round) -> PruneMask:
-    """Train under the global mask, then vote this node's local mask."""
-    return node.local_round(rnd.mask, rnd.increment)
-
-
-def _sync(node: Node, rnd: _Round) -> None:
-    """Nothing: the node uploads its local model untrained; encoding against
-    the global mask drops the pruned groups."""
-
-
-def _train(node: Node, rnd: _Round) -> None:
-    """Train under the global mask; the node uploads the weights."""
-    node.train(rnd.mask)
+def _step(node: Node, rnd: _Round) -> PruneMask | None:
+    """Train the node under the global mask, unless the round says not to, and
+    return its mask vote in a vote round, else None to upload its model."""
+    if rnd.upload is MsgType.MASK_UPLOAD:
+        return node.local_round(rnd.mask, rnd.increment)
+    if rnd.train:
+        node.train(rnd.mask)
+    return None
 
 
 def _lane_count(nodes: int) -> int:
@@ -272,18 +267,16 @@ class _Lanes:
 
     Lane 0 is the run's own process, which runs a step inline when its result
     is taken.  Each other lane is a worker forked with its nodes before any
-    link is made, driven through one ``Pipe``: a round's one request is its
-    step's index and the round; the worker runs the step on its nodes in
-    order, in place on their models in the shared mapping of ``_make_nodes``,
-    and replies for each with the vote, None or the step's exception.  It
-    finds the step by the identity of the run's callable in a table taken at
-    fork time, so a patched step runs there too.  Each node's rng lives only
-    in its lane.  A worker exits at EOF of its pipe, so it never outlives the
-    run's process; ``close`` kills and reaps every worker.
+    link is made, driven through one ``Pipe``: a round's one request is the
+    round, less its broadcast and ``ref``; the worker runs ``_step`` on its
+    nodes in order, in place on their models in the shared mapping of
+    ``_make_nodes``, and replies for each with the vote, None or the step's
+    exception.  Each node's rng lives only in its lane.  A worker exits at EOF
+    of its pipe, so it never outlives the run's process; ``close`` kills and
+    reaps every worker.
     """
 
     def __init__(self, nodes: list[Node]):
-        self._steps = (_vote, _sync, _train)
         self._count = _lane_count(len(nodes))
         self._workers: list[tuple[Connection, int]] = []  # lane k at k - 1: (pipe end, pid)
         try:
@@ -325,15 +318,17 @@ class _Lanes:
             raise TransportError(f"forking a lane worker failed: {failure}") from failure
 
     def _serve(self, conn: Connection, nodes: list[Node]) -> None:
-        """A worker's loop: run each round's step on its nodes and reply for each, until EOF."""
+        """A worker's loop: run ``_step`` for each round on its nodes and reply for
+        each, until EOF.  ``_step`` is the module global the worker inherited at
+        fork, so a step patched before the run runs here too."""
         while True:
             try:
-                step, rnd = conn.recv()
+                rnd = conn.recv()
             except EOFError:
                 return
             for node in nodes:
                 try:
-                    reply = self._steps[step](node, rnd)
+                    reply = _step(node, rnd)
                 except Exception as e:
                     try:
                         reply = pickle.loads(pickle.dumps(e))
@@ -342,8 +337,8 @@ class _Lanes:
                 conn.send(reply)
 
     def start(self, rnd: _Round) -> None:
-        """Send every worker the round's step; lane 0's steps wait for ``finish``."""
-        request = (self._steps.index(rnd.step), replace(rnd, down=None, ref=None, step=None))
+        """Send every worker the round; lane 0's steps wait for ``finish``."""
+        request = replace(rnd, down=None, ref=None)
         for conn, _ in self._workers:
             try:
                 conn.send(request)
@@ -354,7 +349,7 @@ class _Lanes:
         """The result of ``node``'s started step; the step's exception is raised here."""
         lane = node.node_id % self._count
         if lane == 0:
-            return rnd.step(node, rnd)
+            return _step(node, rnd)
         conn, pid = self._workers[lane - 1]
         try:
             reply = conn.recv()
@@ -409,8 +404,9 @@ def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes,
     """Encode the round's broadcast once and, in node-id order, book it, send it
     and decode it; start the steps; then, in node-id order again, upload each
     step's result, and book and yield the routed upload as (node, payload),
-    valid until the next is taken.  A failure in a node's part of the round
-    names the node and the round; a misrouted upload names them itself."""
+    valid until the next is taken; a round with no upload ends after the
+    broadcast.  A failure in a node's part of the round names the node and
+    the round; a misrouted upload names them itself."""
     frame = WireCodec.encode(rnd.down, rnd.ref)
     category = message_category(rnd.down.mtype)
     bits = 8 * (len(frame) - header_overhead_bytes(rnd.down.mtype))
@@ -419,7 +415,7 @@ def _exchange(links: list[tuple[Node, Endpoint, Endpoint]], lanes: _Lanes,
         with _blaming(node.node_id, rnd.idx):
             server.send(frame)
             _node_exchange(node, ep, rnd)
-    if rnd.step is None:
+    if rnd.upload is None:
         return
     lanes.start(rnd)
     for node, server, ep in links:
@@ -524,7 +520,7 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
     with _sessions(cfg, ledger, nodes) as exchange:
         # vote until the schedule ends or the target is reached
         while idx <= len(schedule) and mask.sparsity() < target - 1e-9:
-            rnd = _Round(idx, down, ref, mask, _vote, schedule[idx - 1], MsgType.MASK_UPLOAD)
+            rnd = _Round(idx, down, ref, mask, MsgType.MASK_UPLOAD, schedule[idx - 1])
             votes = []
             for node_id, payload in exchange(rnd):
                 with _blaming(node_id, idx):
@@ -543,14 +539,14 @@ def run_mpfl(cfg: ExperimentConfig, env: Env) -> RunResult:
             mask_history.append(new_mask.copy())
             down, ref, mask = Message(MsgType.GLOBAL_MASK, idx, mask=new_mask), mask, new_mask
             idx += 1
-        # sync the local models under the frozen mask, then fine-tune with FedAvg
-        step = _sync
+        # sync the local models under the frozen mask, untrained, then fine-tune with FedAvg
+        sync = idx
         for idx in range(idx, idx + cfg.final_rounds + 1):
-            rnd = _Round(idx, down, ref, mask, step)
+            rnd = _Round(idx, down, ref, mask, train=idx > sync)
             # the uploads carry the groups live in ``mask``; the average is zero in the others
             avg = _average_uploads(exchange(rnd), rnd, events)
             points.append((idx, mask.sparsity(), accuracy(avg, env.test.x, env.test.y)))
-            down, ref, step = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask, _train
+            down, ref = Message(MsgType.GLOBAL_WEIGHTS, idx + 1, params=avg), mask
     return RunResult(
         cfg,
         _rows(cfg, points, ledger),
@@ -576,7 +572,7 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
     ref = mask = PruneMask.ones(env.w0.arch)
     with _sessions(cfg, ledger, nodes) as exchange:
         for idx, inc in enumerate(increments, start=1):
-            rnd = _Round(idx, down, ref, mask, _train)
+            rnd = _Round(idx, down, ref, mask)
             avg = _average_uploads(exchange(rnd), rnd, events)
             # the uploads are masked already, so only a round that prunes re-masks
             new_mask = mask
@@ -589,9 +585,9 @@ def run_pruning_fl(cfg: ExperimentConfig, env: Env) -> RunResult:
             # the broadcast is encoded against the mask the nodes know; the newly
             # pruned groups arrive as explicit zeros
             down, ref, mask = Message(MsgType.GLOBAL_WEIGHTS, idx, params=avg), mask, new_mask
-        # the last broadcast ends the run: the nodes take it and answer nothing;
-        # draining the exchange runs every node's step
-        list(exchange(_Round(down.round_idx, down, ref, mask, None)))
+        # the last broadcast ends the run: draining the exchange sends it to
+        # every node, which decodes it and answers nothing
+        list(exchange(_Round(down.round_idx, down, ref, mask, upload=None)))
     return RunResult(
         cfg,
         _rows(cfg, points, ledger),

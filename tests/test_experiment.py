@@ -10,11 +10,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mpfl import experiment
 from mpfl import transport as mpfl_transport
 from mpfl.config import config_from_dict
 from mpfl.errors import ConstraintError, MpflError, NodeError, ProtocolError, TransportError
+from mpfl.federation import Node
 from mpfl.experiment import (
     CSV_HEADER,
     MetricsRow,
@@ -295,14 +298,14 @@ class TestLanes:
         """A worker that exits in node 1's first step fails the run at once with
         a NodeError naming node 1 and round 1, and leaves no child process
         (the autouse fixture) and no descriptor behind."""
-        parent, train = os.getpid(), experiment._train
+        parent, train = os.getpid(), Node.train
 
-        def dying_train(node, rnd):
+        def dying_train(self, mask):
             if os.getpid() != parent:
                 os._exit(1)
-            return train(node, rnd)
+            return train(self, mask)
 
-        monkeypatch.setattr(experiment, "_train", dying_train)
+        monkeypatch.setattr(Node, "train", dying_train)
         usable_cores(monkeypatch, 2)
         has_fds = os.path.isdir("/proc/self/fd")
         before = len(os.listdir("/proc/self/fd")) if has_fds else None
@@ -378,14 +381,14 @@ class TestLanes:
         run's process, since a fork would copy only the calling thread, and
         the outputs are those of one lane."""
         seen = tmp_path / "seen"
-        train = experiment._train
+        train = Node.train
 
-        def recording_train(node, rnd):
+        def recording_train(self, mask):
             with open(seen, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return train(node, rnd)
+            return train(self, mask)
 
-        monkeypatch.setattr(experiment, "_train", recording_train)
+        monkeypatch.setattr(Node, "train", recording_train)
         raw = small_raw(algorithm="pruning_fl")
         usable_cores(monkeypatch, 3)
         assert experiment._lane_count(raw["nodes"]) == 3
@@ -405,12 +408,12 @@ class TestLanes:
     def fail_node_1_vote(monkeypatch, error: Exception, stand_in: str) -> None:
         """Node 1's vote, on the worker of two lanes, raises ``error``: the run
         fails naming node 1 and round 1, with the stand-in RuntimeError."""
-        def failing_vote(node, rnd):
-            if node.node_id == 1:
+        def failing_vote(self, global_mask, increment):
+            if self.node_id == 1:
                 raise error
-            return rnd.mask
+            return global_mask
 
-        monkeypatch.setattr(experiment, "_vote", failing_vote)
+        monkeypatch.setattr(Node, "local_round", failing_vote)
         usable_cores(monkeypatch, 2)
         with pytest.raises(NodeError, match=f"node 1 failed in round 1: RuntimeError: {stand_in}$"):
             run(config_from_dict(small_raw()))
@@ -434,8 +437,9 @@ class TestLanes:
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
     def test_one_request_per_worker_per_round(self, monkeypatch, algorithm):
         """On three lanes of six nodes, the run's process sends each of its two
-        workers one request a round with a step, however many nodes a worker
-        has; every such round gives one metrics row."""
+        workers one request a round with uploads, however many nodes a worker
+        has; every such round gives one metrics row.  A request is the round
+        less its broadcast and ``ref``, so no model crosses the pipe."""
         from multiprocessing.connection import Connection
 
         parent, send = os.getpid(), Connection.send
@@ -450,6 +454,93 @@ class TestLanes:
         usable_cores(monkeypatch, 3)
         res = run(config_from_dict(small_raw(nodes=6, algorithm=algorithm)))
         assert len(sent) == 2 * len(res.rows)
+        assert all(isinstance(request, experiment._Round) and request.down is None
+                   and request.ref is None for request in sent)
+
+    @forks
+    def test_step_patched_before_the_run_runs_in_the_worker(self, monkeypatch, tmp_path):
+        """A worker runs the ``_step`` it inherited at fork, so on two lanes a
+        step patched before the run runs every odd node's step in the worker;
+        the steps write their pids to a file, since a worker's memory is its
+        own."""
+        seen = tmp_path / "seen"
+        step = experiment._step
+
+        def recording_step(node, rnd):
+            with open(seen, "a") as f:
+                f.write(f"{node.node_id} {os.getpid()}\n")
+            return step(node, rnd)
+
+        monkeypatch.setattr(experiment, "_step", recording_step)
+        usable_cores(monkeypatch, 2)
+        res = run(config_from_dict(small_raw()))
+        steps = [line.split() for line in seen.read_text().splitlines()]
+        assert len(steps) == 4 * len(res.rows)
+        pids = [{pid for node, pid in steps if int(node) % 2 == lane} for lane in (0, 1)]
+        assert pids[0] == {str(os.getpid())}
+        assert len(pids[1]) == 1 and pids[1] != pids[0], "no step ran in a worker"
+
+
+@st.composite
+def drawn_configs(draw) -> dict:
+    """A small federated config: every axis a lane or a transport could make
+    differ, the non-finite paths of ``sigma: 1e300`` included."""
+    nodes = draw(st.integers(1, 6))
+    raw = small_raw(
+        seed=draw(st.integers(0, 2**16)),
+        nodes=nodes,
+        final_rounds=draw(st.integers(0, 2)),
+        arch={"input_dim": 6, "hidden": draw(st.lists(st.integers(8, 24), min_size=1, max_size=2)),
+              "classes": 3},
+        dataset={"kind": "blobs", "samples": 120, "features": 6, "classes": 3},
+        # 96 training samples: a shard of 16 to 96, so a batch below, across or above it
+        training={"lr": 0.1, "epochs_per_round": 1,
+                  "batch_size": draw(st.sampled_from([8, 32, 128]))},
+        pruning={"schedule": draw(st.lists(st.sampled_from([0.1, 0.2, 0.3]), max_size=3))},
+        consensus={"strategy": draw(st.sampled_from(["topk", "histogram"]))},
+    )
+    kind = draw(st.sampled_from([None, "noise", "labels"]))
+    if kind is not None:
+        entry = {"node": draw(st.integers(0, nodes - 1)), "kind": kind}
+        if kind == "noise":
+            entry["sigma"] = draw(st.sampled_from([3.0, 1e300]))
+        raw["contamination"] = [entry]
+    return raw
+
+
+@forks
+class TestDrawnConfigs:
+    """Drawn configs give one output per algorithm on either transport at one
+    lane and at three: byte for byte, or the same error."""
+
+    ARMS = [(transport, cores) for transport in ("loopback", "tcp") for cores in (1, 3)]
+
+    @staticmethod
+    def outputs(raw: dict, path) -> tuple:
+        """The run's CSV, unsorted ledger entries, artifact, packed mask
+        history and node events, or the class and message of its error."""
+        try:
+            res = run(config_from_dict(raw))
+        except MpflError as e:
+            return type(e), str(e)
+        save_model(path, res.final_model, res.final_mask)
+        return (rows_to_csv(res.rows), res.ledger.entries, path.read_bytes(),
+                [pack_mask(m) for m in res.mask_history], res.node_events)
+
+    @given(drawn_configs())
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_outputs_do_not_depend_on_lanes_or_transport(self, tmp_path, raw):
+        for algorithm in ("mpfl", "pruning_fl", "fedavg"):
+            got = []
+            for transport, cores in self.ARMS:
+                with pytest.MonkeyPatch.context() as mp:
+                    usable_cores(mp, cores)
+                    assert experiment._lane_count(raw["nodes"]) == min(cores, raw["nodes"])
+                    got.append(self.outputs({**raw, "algorithm": algorithm,
+                                             "transport": {"kind": transport}},
+                                            tmp_path / "model.bin"))
+            assert all(out == got[0] for out in got), algorithm
 
 
 @pytest.fixture
@@ -482,8 +573,6 @@ class TestNodeFailure:
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
     def test_node_error_names_node_and_round(self, monkeypatch, transport, algorithm):
-        from mpfl.federation import Node
-
         train = Node.train
 
         def failing_train(self, mask):
@@ -506,8 +595,6 @@ class TestNodeFailure:
     @pytest.mark.parametrize("algorithm", ["mpfl", "pruning_fl"])
     def test_failed_tcp_run_releases_threads_and_port(self, monkeypatch, tcp_listeners,
                                                       algorithm):
-        from mpfl.federation import Node
-
         def failing_train(self, mask):
             raise RuntimeError("disk on fire")
 
@@ -620,8 +707,6 @@ class TestNodeFailure:
     @pytest.mark.parametrize("fails", [False, True], ids=["completed", "node_error"])
     def test_run_leaves_no_descriptor_open(self, monkeypatch, transport, fails):
         """A run, completed or failed by a node, closes every descriptor it opened."""
-        from mpfl.federation import Node
-
         if fails:
             def failing_train(self, mask):
                 raise RuntimeError("disk on fire")
@@ -907,14 +992,14 @@ class TestUploadRouting:
             run(cfg)
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
-    @pytest.mark.parametrize("algorithm, step, sent, expected", [
-        ("mpfl", "_vote", "WEIGHT_UPLOAD", "MASK_UPLOAD"),
-        ("pruning_fl", "_train", "MASK_UPLOAD", "WEIGHT_UPLOAD"),
+    @pytest.mark.parametrize("algorithm, sent, expected", [
+        ("mpfl", "WEIGHT_UPLOAD", "MASK_UPLOAD"),
+        ("pruning_fl", "MASK_UPLOAD", "WEIGHT_UPLOAD"),
     ])
-    def test_upload_of_the_wrong_type_rejected(self, monkeypatch, transport, algorithm, step,
-                                               sent, expected):
+    def test_upload_of_the_wrong_type_rejected(self, monkeypatch, transport, algorithm, sent,
+                                               expected):
         def wrong_type(node, ep, rnd, vote):
-            assert rnd.step is getattr(experiment, step)  # the round whose upload is mistyped
+            assert rnd.upload is MsgType[expected]  # the round whose upload is mistyped
             msg = Message(MsgType[sent], rnd.idx, node_id=node.node_id, mask=rnd.mask,
                           params=node.model)
             ep.send(WireCodec.encode(msg, rnd.mask))
@@ -957,14 +1042,14 @@ class TestBlasThreads:
         worker; the steps write what they see to a file, since a worker's
         memory is its own."""
         seen = tmp_path / "seen"
-        train = experiment._train
+        train = Node.train
 
-        def recording_train(node, rnd):
+        def recording_train(self, mask):
             with open(seen, "a") as f:
                 f.write(f"{os.getpid()} {blas_threads()}\n")
-            return train(node, rnd)
+            return train(self, mask)
 
-        monkeypatch.setattr(experiment, "_train", recording_train)
+        monkeypatch.setattr(Node, "train", recording_train)
         usable_cores(monkeypatch, 2)
         run(config_from_dict(small_raw(algorithm="pruning_fl", transport={"kind": transport})))
         steps = [line.split() for line in seen.read_text().splitlines()]
@@ -974,10 +1059,10 @@ class TestBlasThreads:
         assert blas_threads() == 2
 
     def test_count_restored_after_node_error(self, monkeypatch, blas_threads):
-        def failing_train(node, rnd):
+        def failing_train(self, mask):
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setattr(experiment, "_train", failing_train)
+        monkeypatch.setattr(Node, "train", failing_train)
         with pytest.raises(NodeError):
             run(config_from_dict(small_raw(algorithm="pruning_fl")))
         assert blas_threads() == 2
